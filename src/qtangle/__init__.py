@@ -2,7 +2,6 @@
 
 from .monogamy import (
     ExponentSchedule,
-    GhzwParams,
     SmReport,
     ckw_residual,
     ghzw_analytic,
@@ -25,6 +24,7 @@ from .qstate import (
     trace_norm,
 )
 from .states import (
+    GhzwParams,
     NormalFormParams,
     ghz,
     ghzw,
@@ -37,6 +37,7 @@ from .states import (
 from .tangles import (
     TangleBoundResult,
     WSimplex,
+    four_qubit_tangles,
     one_tangle,
     simplex_member,
     three_tangle_pure,

@@ -87,7 +87,10 @@ def _cmd_verify(args) -> int:
         print(f"points tested: {summary.total_points}")
         print(f"violations:    {summary.violation_count}")
         print(f"errors:        {summary.error_count}")
-        print(f"min residual:  {summary.min_residual:.3e} at {summary.min_residual_at}")
+        if summary.min_residual is None:
+            print("min residual:  none (no state was evaluated)")
+        else:
+            print(f"min residual:  {summary.min_residual:.3e} at {summary.min_residual_at}")
     if summary.error_count:
         return EXIT_NUMERICAL
     return EXIT_VIOLATION if summary.violation_count else EXIT_OK

@@ -5,6 +5,7 @@ bound cross-check table. Emits plot-ready CSV plus a JSON summary."""
 from __future__ import annotations
 
 import csv
+import json
 import logging
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -15,7 +16,7 @@ import numpy as np
 from .monogamy import ExponentSchedule, ckw_residual, sm_report_all_foci
 from .qstate import PureState, partial_trace
 from .states import CLASS_ARITY, NormalFormParams, normal_form, random_slocc_state, sample_seed
-from .tangles import one_tangle, three_tangle_pure, three_tangle_upper, two_tangle
+from .tangles import four_qubit_tangles, one_tangle, three_tangle_pure, two_tangle
 
 log = logging.getLogger(__name__)
 
@@ -62,12 +63,13 @@ class CampaignConfig:
 
 @dataclass
 class CampaignSummary:
-    total_points: int
+    total_points: int  # CSV rows written
     violation_count: int
     error_count: int
-    min_residual: float
+    min_residual: float | None  # None when no row was written
     min_residual_at: dict
     per_class: dict = field(default_factory=dict)
+    errors: list = field(default_factory=list)  # one record per failed sample
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,19 +79,28 @@ class CampaignSummary:
             "min_residual": self.min_residual,
             "min_residual_at": self.min_residual_at,
             "per_class": self.per_class,
+            "errors": self.errors,
         }
 
 
 def _sample_rows(task: tuple) -> tuple:
-    """Rows for one (class, index) sample; top level so workers can pickle it."""
+    """Rows for one (class, index) sample, or the record of its failure;
+    top level so workers can pickle it."""
     cls, idx, master_seed, mu3 = task
     sub_seed = f"{master_seed}:{cls}:{idx}"
     try:
         psi, _ = random_slocc_state(cls, sample_seed(master_seed, cls, idx))
         reports = sm_report_all_foci(psi, ExponentSchedule(mu3=mu3))
-    except Exception:
+    except Exception as exc:
         log.exception("sample failed: class=%s index=%s seed=%s", cls, idx, master_seed)
-        return cls, idx, sub_seed, None
+        error = {
+            "class": cls,
+            "sample_index": idx,
+            "sub_seed": sub_seed,
+            "type": type(exc).__name__,
+            "message": str(exc),
+        }
+        return cls, idx, sub_seed, None, error
     rows = []
     for rep in reports:
         partners = sorted(rep.tau2_terms)
@@ -109,7 +120,7 @@ def _sample_rows(task: tuple) -> tuple:
             row[f"tau3_{label}"] = repr(rep.tau3_bounds[pair].value)
             row[f"method_{label}"] = rep.tau3_bounds[pair].method
         rows.append(row)
-    return cls, idx, sub_seed, rows
+    return cls, idx, sub_seed, rows, None
 
 
 def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSummary:
@@ -129,27 +140,29 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     else:
         results = [_sample_rows(t) for t in tasks]
 
-    error_count = 0
+    errors = []
+    total_points = 0
     violation_count = 0
-    min_residual = np.inf
+    min_residual = None
     min_at: dict = {}
     residuals: dict = {cls: [] for cls in cfg.classes}
     tau1s: dict = {cls: [] for cls in cfg.classes}
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
-        for cls, idx, sub_seed, rows in results:
+        for cls, idx, sub_seed, rows, error in results:
             if rows is None:
-                error_count += 1
+                errors.append(error)
                 continue
             for row in rows:
                 writer.writerow(row)
+                total_points += 1
                 res = float(row["residual_lower"])
                 residuals[cls].append(res)
                 tau1s[cls].append(float(row["tau1"]))
                 if res < cfg.negativity_threshold:
                     violation_count += 1
-                if res < min_residual:
+                if min_residual is None or res < min_residual:
                     min_residual = res
                     min_at = {
                         "class": cls,
@@ -168,18 +181,17 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
             "tau1_bin_edges": TAU1_BINS.tolist(),
         }
     summary = CampaignSummary(
-        total_points=len(cfg.classes) * cfg.samples_per_class * 4,
+        total_points=total_points,
         violation_count=violation_count,
-        error_count=error_count,
-        min_residual=float(min_residual),
+        error_count=len(errors),
+        min_residual=min_residual,
         min_residual_at=min_at,
         per_class=per_class,
+        errors=errors,
     )
     if summary_path is not None:
-        import json
-
         with open(summary_path, "w") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=2)
+            json.dump(summary.to_json_dict(), fh, indent=2, allow_nan=False)
     return summary
 
 
@@ -325,10 +337,10 @@ def table1_check(grid=None) -> list[Table1Entry]:
         points = [None] if CLASS_ARITY[cls] == 0 else list(grid)
         for t in points:
             params = _table1_params(cls, t) if t is not None else NormalFormParams()
-            psi = normal_form(cls, params)
+            _, _, bounds = four_qubit_tangles(normal_form(cls, params))
             pv = params.as_tuple(CLASS_ARITY[cls])
             for triple in _TRIPLES:
-                bound = three_tangle_upper(partial_trace(psi, triple))
+                bound = bounds[triple]
                 declared = _table1_declared_zero(cls, pv, triple)
                 entries.append(
                     Table1Entry(

@@ -3,13 +3,12 @@ and the closed-form results for GHZ/W superposition states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from .qstate import DensityMatrix, PureState, partial_trace
-from .tangles import TangleBoundResult, one_tangle, three_tangle_pure, three_tangle_upper, two_tangle
+from .qstate import PureState, partial_trace
+from .states import GhzwParams, ghzw
+from .tangles import four_qubit_tangles, one_tangle, two_tangle
 
 
 @dataclass(frozen=True)
@@ -48,23 +47,6 @@ class SmReport:
             "residual_lower": self.residual_lower,
             "mu3": self.mu3,
         }
-
-
-@dataclass(frozen=True)
-class GhzwParams:
-    """Coefficients of ``alpha |0..0> + beta |W_n> + gamma |1..1>``."""
-
-    n: int
-    alpha: complex
-    beta: complex
-    gamma: complex
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("GhzwParams requires n >= 3")
-        total = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"|alpha|^2+|beta|^2+|gamma|^2 = {total}, expected 1")
 
 
 def residual_three_tangle(psi3: PureState, focus: int) -> float:
@@ -114,34 +96,16 @@ def tau4_lower_bound(
     psi4: PureState, focus: int, sched: ExponentSchedule = ExponentSchedule()
 ) -> SmReport:
     """Lower bound on the residual four-tangle for one focus qubit."""
-    if psi4.n_qubits != 4:
-        raise ValueError(f"expected 4 qubits, got {psi4.n_qubits}")
-    partners = [q for q in (1, 2, 3, 4) if q != focus]
-    tau1 = one_tangle(psi4, focus)
-    tau2_terms = {
-        j: two_tangle(partial_trace(psi4, tuple(sorted((focus, j))))) for j in partners
-    }
-    tau3_bounds = {
-        (j, k): three_tangle_upper(partial_trace(psi4, tuple(sorted((focus, j, k)))))
-        for j, k in combinations(partners, 2)
-    }
-    return _assemble_report(focus, tau1, tau2_terms, tau3_bounds, sched)
+    if focus not in (1, 2, 3, 4):
+        raise ValueError(f"focus must be 1..4, got {focus}")
+    return sm_report_all_foci(psi4, sched)[focus - 1]
 
 
 def sm_report_all_foci(
     psi4: PureState, sched: ExponentSchedule = ExponentSchedule()
 ) -> list[SmReport]:
-    """Reports for all four foci, sharing the marginal computations."""
-    if psi4.n_qubits != 4:
-        raise ValueError(f"expected 4 qubits, got {psi4.n_qubits}")
-    tau1 = {f: one_tangle(psi4, f) for f in range(1, 5)}
-    tau2 = {
-        pair: two_tangle(partial_trace(psi4, pair)) for pair in combinations(range(1, 5), 2)
-    }
-    tau3 = {
-        triple: three_tangle_upper(partial_trace(psi4, triple))
-        for triple in combinations(range(1, 5), 3)
-    }
+    """Reports for all four foci, sharing one pass over the amplitude tensor."""
+    tau1, tau2, tau3 = four_qubit_tangles(psi4)
     reports = []
     for focus in range(1, 5):
         partners = [q for q in range(1, 5) if q != focus]
@@ -169,8 +133,6 @@ def ghzw_analytic(p: GhzwParams) -> dict:
 
 def ghzw_consistency_check(p: GhzwParams) -> dict:
     """Numerically cross-check the closed-form values on the built state."""
-    from .states import ghzw  # local import to avoid a module cycle
-
     if p.n > 6:
         raise ValueError("consistency check constructs the state; n <= 6 only")
     ref = ghzw_analytic(p)

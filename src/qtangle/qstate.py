@@ -37,12 +37,12 @@ class NumericalError(RuntimeError):
 
 
 def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a global phase so the first nonzero component is real positive."""
-    nz = np.flatnonzero(np.abs(v) > tol)
-    if nz.size:
-        pivot = v[nz[0]]
-        v = v * (pivot.conjugate() / abs(pivot))
-    return v
+    """Rotate a global phase so the first nonzero component is real positive;
+    a stack of vectors is fixed along its last axis."""
+    big = np.abs(v) > tol
+    pivot = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
+    pivot = np.where(big.any(axis=-1, keepdims=True), pivot, 1.0)
+    return v * (pivot.conjugate() / np.abs(pivot))
 
 
 @dataclass(frozen=True)

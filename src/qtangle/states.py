@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monogamy import GhzwParams
 from .qstate import PureState, apply_local_operators
 
 # Number of complex parameters each normal-form family takes (a, b, c, d order).
@@ -41,6 +40,23 @@ class NormalFormParams:
 
     def as_tuple(self, arity: int) -> tuple:
         return tuple(complex(getattr(self, n)) for n in _PARAM_NAMES[:arity])
+
+
+@dataclass(frozen=True)
+class GhzwParams:
+    """Coefficients of ``alpha |0..0> + beta |W_n> + gamma |1..1>``."""
+
+    n: int
+    alpha: complex
+    beta: complex
+    gamma: complex
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise ValueError("GhzwParams requires n >= 3")
+        total = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"|alpha|^2+|beta|^2+|gamma|^2 = {total}, expected 1")
 
 
 @dataclass(frozen=True)

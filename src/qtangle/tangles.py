@@ -6,17 +6,25 @@ W-class states spanned by the support (roots of a quartic) define a
 zero-tangle simplex; states outside it are bounded by extending the ray
 from the uniform W-mixture through the state to a pure surface state and
 rescaling its exact three-tangle by squared trace-norm ratios.
+
+``four_qubit_tangles`` computes every tangle of a four-qubit pure state from
+its amplitude tensor. Each kind of marginal is a stack of matricizations of
+the tensor (2x8 per focus, 4x4 per pair, 8x2 per triple), so no reduced
+density matrix is formed, and the bound runs in the 2x2 support frame of all
+triples at once. ``one_tangle``, ``two_tangle`` and ``three_tangle_upper``
+take one marginal at a time and serve as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .qstate import (
+    RANK_TOL,
     DensityMatrix,
     NumericalError,
     PureState,
@@ -24,7 +32,6 @@ from .qstate import (
     _phase_fix,
     partial_trace,
     rank2_decompose,
-    trace_norm,
 )
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -39,6 +46,28 @@ ZERO_TANGLE_TOL = 1e-9
 WEIGHT_TOL = 1e-9
 SUPPORT_TOL = 1e-8
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
+NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a four-qubit input
+_LSTSQ_RCOND = 4 * np.finfo(float).eps  # numpy lstsq's default cutoff for a 4x4 system
+
+_QUBITS = (1, 2, 3, 4)
+_PAIRS = tuple(combinations(_QUBITS, 2))
+_TRIPLES = tuple(combinations(_QUBITS, 3))
+
+
+def _unfoldings(keeps) -> np.ndarray:
+    """Flat amplitude indices of the kept-by-rest matricizations of a
+    four-qubit tensor, one per kept set; rows follow the kept qubits' bits."""
+    t = np.arange(16).reshape(2, 2, 2, 2)
+    out = []
+    for keep in keeps:
+        axes = [q - 1 for q in keep] + [q - 1 for q in _QUBITS if q not in keep]
+        out.append(t.transpose(axes).reshape(2 ** len(keep), -1))
+    return np.stack(out)
+
+
+_FOCUS_ROWS = _unfoldings([(f,) for f in _QUBITS])  # (4, 2, 8)
+_PAIR_ROWS = _unfoldings(_PAIRS)  # (6, 4, 4)
+_TRIPLE_ROWS = _unfoldings(_TRIPLES)  # (4, 8, 2)
 
 
 @dataclass(frozen=True)
@@ -121,18 +150,243 @@ def three_tangle_pure(psi3: PureState | np.ndarray) -> float:
     return float(4.0 * abs(_tau3_quartic_form(amps)))
 
 
+# -- the rank-2 bound in the support frame ------------------------------------------
+#
+# A rank-2 three-qubit state is given by its spectrum (p1 >= p2) and the rows
+# e1, e2 of its support; in that frame the state is diag(p1, p2) and a support
+# vector v stands for v[0] e1 + v[1] e2. Every helper takes a stack of K states.
+
+
+def _quartic_coeffs(support: np.ndarray) -> np.ndarray:
+    """Coefficients, low to high, of p(z) = form(e1 + z e2) for (K, 2, 8) supports."""
+    vecs = support[:, None, 0, :] + _QUARTIC_NODES[:, None] * support[:, None, 1, :]
+    vals = _tau3_quartic_form(np.moveaxis(vecs, -1, 0))  # (K, nodes)
+    return vals @ _QUARTIC_VINV.T
+
+
+def _quartic_degree(coeffs: np.ndarray) -> np.ndarray:
+    """Degree of each quartic after dropping coefficients below DEGREE_TOL
+    times the largest; -1 where the polynomial vanishes identically."""
+    mag = np.abs(coeffs)
+    scale = mag.max(axis=1)
+    keep = mag >= DEGREE_TOL * scale[:, None]
+    degree = 4 - np.argmax(keep[:, ::-1], axis=1)
+    return np.where(scale < 1e-14, -1, degree)
+
+
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial (coefficients low to high, nonzero leading term)
-    as eigenvalues of its companion matrix."""
-    d = len(coeffs) - 1
+    """Sorted roots of stacked polynomials (K, d+1) of one common degree d
+    (coefficients low to high, nonzero leading term), as eigenvalues of
+    their companion matrices."""
+    k, d = coeffs.shape[0], coeffs.shape[1] - 1
     if d == 0:
-        return np.array([], dtype=complex)
-    monic = coeffs[:-1] / coeffs[-1]
-    comp = np.zeros((d, d), dtype=complex)
-    if d > 1:
-        comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -monic
-    return np.linalg.eigvals(comp)
+        return np.empty((k, 0), dtype=complex)
+    comp = np.zeros((k, d, d), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
+    return np.sort_complex(np.linalg.eigvals(comp))
+
+
+def _wclass_frame(roots: np.ndarray) -> np.ndarray:
+    """Unit support vectors (K, 4, 2) of the W-class states e1 + z e2 for the
+    finite roots (K, d), padded with e2 for the 4 - d roots at infinity."""
+    k, d = roots.shape
+    frame = np.zeros((k, 4, 2), dtype=complex)
+    norm = np.sqrt(1.0 + np.abs(roots) ** 2)
+    frame[:, :d, 0] = 1.0 / norm
+    frame[:, :d, 1] = roots / norm
+    frame[:, d:, 1] = 1.0
+    return frame
+
+
+def _bloch3(m: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (x, y, z) of stacked 2x2 Hermitian matrices."""
+    m01 = m[..., 0, 1]
+    return np.stack([2.0 * m01.real, -2.0 * m01.imag, (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1)
+
+
+def _trace_norm_2x2(m: np.ndarray) -> np.ndarray:
+    """Trace norm of stacked Hermitian 2x2 matrices: with eigenvalues
+    c +- r, it is 2 max(|c|, r)."""
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    r = np.sqrt(((a - d) / 2.0) ** 2 + np.abs(m[..., 0, 1]) ** 2)
+    return 2.0 * np.maximum(np.abs(a + d) / 2.0, r)
+
+
+def _top_eigvec(m: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the larger eigenvalue of stacked Hermitian 2x2
+    matrices, from the closed form without cancellation."""
+    h = (m[:, 0, 0].real - m[:, 1, 1].real) / 2.0
+    b = m[:, 0, 1]
+    r = np.sqrt(h**2 + np.abs(b) ** 2)
+    v = np.where(
+        (h >= 0.0)[:, None],
+        np.stack([h + r, b.conj()], axis=1),
+        np.stack([b, r - h], axis=1),
+    )
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _simplex_solve(frame: np.ndarray, m_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each state is a convex mixture of its four simplex states.
+
+    Solves the 4-unknown system (3 Bloch coordinates + normalization) by
+    least squares; rank-deficient systems (repeated roots) that leave a
+    negative or inexact solution fall back to a nonnegative fit.
+    """
+    k = len(frame)
+    a = np.ones((k, 4, 4))
+    a[:, :3, :] = _bloch3(frame[..., :, None] * frame.conj()[..., None, :]).swapaxes(1, 2)
+    b = np.concatenate([_bloch3(m_rho), np.ones((k, 1))], axis=1)
+    # Minimum-norm least squares through the SVD, with lstsq's cutoff.
+    u, s, vt = np.linalg.svd(a)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > _LSTSQ_RCOND * s[:, :1])
+    weights = np.einsum("kji,kj->ki", vt, inv * np.einsum("kji,kj->ki", u, b))
+    resid = np.linalg.norm(np.einsum("kij,kj->ki", a, weights) - b, axis=1)
+    member = (resid < SUPPORT_TOL) & (weights.min(axis=1) >= -WEIGHT_TOL)
+    for i in np.flatnonzero(~member):
+        # A rank-deficient system can hide a nonnegative solution from lstsq.
+        weights_nn, resid_nn = nnls(a[i], b[i])
+        if resid_nn < SUPPORT_TOL:
+            member[i] = True
+            weights[i] = weights_nn
+    return member, weights
+
+
+def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> list:
+    """Bounds of mixed states whose quartics share one degree >= 0."""
+    frame = _wclass_frame(_companion_roots(coeffs[:, : degree + 1]))
+    m_pi = frame.swapaxes(1, 2) @ frame.conj() / 4.0
+    m_rho = np.zeros_like(m_pi)
+    m_rho[:, 0, 0], m_rho[:, 1, 1] = spectrum[:, 0], spectrum[:, 1]
+    diff = m_rho - m_pi
+    dist = _trace_norm_2x2(diff)
+    results = [TangleBoundResult(value=0.0, method="pi-coincidence") for _ in spectrum]
+    rest = np.flatnonzero(~(dist < 1e-9))
+    if rest.size == 0:
+        return results
+    member, weights = _simplex_solve(frame[rest], m_rho[rest])
+    for i, w in zip(rest[member], weights[member].tolist()):
+        results[i] = TangleBoundResult(value=0.0, method="simplex-zero", diagnostics={"weights": w})
+    out = rest[~member]
+    if out.size == 0:
+        return results
+
+    # Extend the ray from pi through rho to the Bloch surface:
+    # det((1+t) rho - t pi) = 0 is quadratic in t; take the smallest t > 0.
+    # With rho = diag(p1, p2) and diff = rho - pi = [[d00, d01], [d01*, d11]],
+    # det(rho + t diff) = p1 p2 + (p1 d11 + p2 d00) t + det(diff) t^2.
+    m_rho, diff, dist = m_rho[out], diff[out], dist[out]
+    p1, p2 = spectrum[out, 0], spectrum[out, 1]
+    d00, d11 = diff[:, 0, 0].real, diff[:, 1, 1].real
+    c0 = p1 * p2
+    c1 = p1 * d11 + p2 * d00
+    c2 = d00 * d11 - np.abs(diff[:, 0, 1]) ** 2
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if np.any(disc < 0.0):
+        raise NumericalError("ray-surface quadratic has no real root")
+    sq = np.sqrt(disc)
+    quad = np.abs(c2) > 1e-30
+    lin = ~quad & (np.abs(c1) > 1e-30)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = np.where(
+            quad[:, None],
+            np.stack([(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)], axis=1),
+            np.where(lin[:, None], (-c0 / c1)[:, None], np.nan),
+        )
+    t = np.where(ts > 0.0, ts, np.inf).min(axis=1)
+    if np.any(np.isinf(t)):
+        raise NumericalError("ray from the W-mixture never reaches the Bloch surface")
+
+    v = _top_eigvec(m_rho + t[:, None, None] * diff)
+    # form(v0 e1 + v1 e2) = sum_k c_k v0^(4-k) v1^k for the unit surface state.
+    powers = np.arange(5)
+    form = np.sum(coeffs[out] * v[:, :1] ** (4 - powers) * v[:, 1:] ** powers, axis=1)
+    tau3_phi = np.minimum(4.0 * np.abs(form), 1.0)
+    denom = _trace_norm_2x2(v[:, :, None] * v.conj()[:, None, :] - m_pi[out])
+    ratio = (dist / denom) ** 2
+    raw = ratio * tau3_phi
+    columns = (np.clip(raw, 0.0, 1.0), t * dist, ratio, tau3_phi, raw)
+    for i, (value, kappa, ratio_i, tau3_i, raw_i) in zip(out, zip(*(c.tolist() for c in columns))):
+        results[i] = TangleBoundResult(
+            value=value,
+            method="rdl-line",
+            diagnostics={
+                "kappa": kappa,
+                "trace_norm_ratio": ratio_i,
+                "tau3_phi": tau3_i,
+                "raw_value": raw_i,
+            },
+        )
+    return results
+
+
+def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> list:
+    """Three-tangle upper bounds of stacked rank <= 2 three-qubit states,
+    given their spectra (K, 2) and orthonormal support rows (K, 2, 8)."""
+    coeffs = _quartic_coeffs(support)
+    degree = _quartic_degree(coeffs)
+    pure = spectrum[:, 1] < RANK_TOL
+    results = [None] * len(spectrum)
+    for i in np.flatnonzero(pure):
+        # coeffs[:, 0] = p(0) = form(e1), the pure state's own quartic.
+        results[i] = TangleBoundResult(
+            value=float(min(4.0 * abs(coeffs[i, 0]), 1.0)), method="exact-pure"
+        )
+    for i in np.flatnonzero(~pure & (degree < 0)):
+        # The polynomial vanishes identically: the whole span is W-class.
+        results[i] = TangleBoundResult(value=0.0, method="simplex-zero")
+    mixed = ~pure & (degree >= 0)
+    for d in np.unique(degree[mixed]):
+        group = np.flatnonzero(mixed & (degree == d))
+        for i, res in zip(group, _mixed_bounds(spectrum[group], coeffs[group], int(d))):
+            results[i] = res
+    return results
+
+
+def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
+    """Every tangle of a four-qubit pure state, from its amplitude tensor.
+
+    Returns the one-tangles by focus, the two-tangles by pair and the
+    three-tangle upper bounds (TangleBoundResult) by triple, with qubits
+    numbered 1..4 and pairs and triples as increasing tuples.
+    """
+    if psi4.n_qubits != 4:
+        raise ValueError(f"expected 4 qubits, got {psi4.n_qubits}")
+    amps = psi4.amplitudes
+    norm2 = float(np.vdot(amps, amps).real)
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise ValueError(f"state has squared norm {norm2}, expected 1")
+
+    # tau1 = 4 det(M M^dag) for the 2x8 focus-by-rest reshape M.
+    m = amps[_FOCUS_ROWS]
+    g = m @ m.conj().swapaxes(1, 2)
+    det = g[:, 0, 0].real * g[:, 1, 1].real - np.abs(g[:, 0, 1]) ** 2
+    tau1 = np.clip(4.0 * det, 0.0, 1.0)
+
+    # Wootters' tau matrix M^T (Syy) M of the 4x4 pair-by-rest reshape has
+    # the spin-flip spectrum lambda_i as its singular values.
+    m = amps[_PAIR_ROWS]
+    lams = np.linalg.svd(m.swapaxes(1, 2) @ _SIGMA_YY @ m, compute_uv=False)
+    conc = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
+    tau2 = np.minimum(conc * conc, 1.0)
+
+    # The 8x2 triple-by-rest reshape U S V^dag gives the rank-2 spectrum S^2
+    # and support U of each three-qubit marginal.
+    u, s, _ = np.linalg.svd(amps[_TRIPLE_ROWS], full_matrices=False)
+    tau3 = _rank2_bounds(s**2, _phase_fix(u.swapaxes(1, 2)))
+    return (
+        dict(zip(_QUBITS, tau1.tolist())),
+        dict(zip(_PAIRS, tau2.tolist())),
+        dict(zip(_TRIPLES, tau3)),
+    )
+
+
+# -- per-marginal entry points ------------------------------------------------------
+
+
+def _support_of(dec: Rank2Decomposition) -> np.ndarray:
+    return np.stack([dec.e1, dec.e2])[None]
 
 
 def wclass_roots(dec: Rank2Decomposition) -> WSimplex:
@@ -145,49 +399,26 @@ def wclass_roots(dec: Rank2Decomposition) -> WSimplex:
         raise ValueError("wclass_roots requires a genuinely rank-2 decomposition")
     if dec.dim != 8:
         raise ValueError("wclass_roots expects a three-qubit support")
-    vals = np.array([_tau3_quartic_form(dec.e1 + z * dec.e2) for z in _QUARTIC_NODES])
-    coeffs = _QUARTIC_VINV @ vals
-    scale = float(np.max(np.abs(coeffs)))
-    if scale < 1e-14:
+    coeffs = _quartic_coeffs(_support_of(dec))
+    degree = int(_quartic_degree(coeffs)[0])
+    if degree < 0:
         # Polynomial vanishes identically: the whole span is W-class.
         roots: tuple = (0.0 + 0.0j, None, 1.0 + 0.0j, -1.0 + 0.0j)
-        all_zero = True
     else:
-        keep = np.flatnonzero(np.abs(coeffs) >= DEGREE_TOL * scale)
-        degree = int(keep[-1])
-        finite = np.sort_complex(_companion_roots(coeffs[: degree + 1]))
+        finite = _companion_roots(coeffs[:, : degree + 1])[0]
         roots = tuple(finite) + (None,) * (4 - degree)
-        all_zero = False
     states = []
     for z in roots:
-        if z is None:
-            vec = dec.e2
-        else:
-            vec = dec.e1 + z * dec.e2
+        vec = dec.e2 if z is None else dec.e1 + z * dec.e2
         states.append(PureState.from_amplitudes(vec, n_qubits=3))
     pi = np.mean([np.outer(s.amplitudes, s.amplitudes.conj()) for s in states], axis=0)
     return WSimplex(
         z_states=tuple(states),
         pi=DensityMatrix.from_entries(pi),
         roots=roots,
-        all_zero=all_zero,
+        all_zero=degree < 0,
         dec=dec,
     )
-
-
-def _support_matrix(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """2x2 representation of an operator in the rank-2 support basis."""
-    return basis.conj().T @ rho @ basis
-
-
-def _bloch3(m: np.ndarray) -> np.ndarray:
-    """Pauli coordinates (x, y, z) of a 2x2 Hermitian matrix."""
-    return np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
-
-
-def _tn2(m: np.ndarray) -> float:
-    """Trace norm of a Hermitian 2x2 matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def simplex_member(rho: DensityMatrix, ws: WSimplex) -> tuple[bool, np.ndarray]:
@@ -198,24 +429,13 @@ def simplex_member(rho: DensityMatrix, ws: WSimplex) -> tuple[bool, np.ndarray]:
     to a nonnegative least-squares fit.
     """
     basis = ws.dec.support_basis()
-    m_rho = _support_matrix(rho.entries, basis)
+    m_rho = basis.conj().T @ rho.entries @ basis
     recon = basis @ m_rho @ basis.conj().T
     if np.max(np.abs(rho.entries - recon)) > SUPPORT_TOL:
         raise ValueError("state is not supported on the simplex span")
-    a = np.empty((4, 4))
-    for l, zstate in enumerate(ws.z_states):
-        v = basis.conj().T @ zstate.amplitudes
-        a[:3, l] = _bloch3(np.outer(v, v.conj()))
-        a[3, l] = 1.0
-    b = np.concatenate([_bloch3(m_rho), [1.0]])
-    weights, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.linalg.norm(a @ weights - b) < SUPPORT_TOL and weights.min() >= -WEIGHT_TOL:
-        return True, weights
-    # A rank-deficient system can hide a nonnegative solution from lstsq.
-    weights_nn, resid = nnls(a, b)
-    if resid < SUPPORT_TOL:
-        return True, weights_nn
-    return False, weights
+    frame = np.array([basis.conj().T @ z.amplitudes for z in ws.z_states])
+    member, weights = _simplex_solve(frame[None], m_rho[None])
+    return bool(member[0]), weights[0]
 
 
 def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:
@@ -223,59 +443,4 @@ def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:
     if rho3.dim != 8:
         raise ValueError(f"expected a three-qubit state, got dim={rho3.dim}")
     dec = rank2_decompose(rho3)
-    if dec.pure:
-        value = three_tangle_pure(PureState.from_amplitudes(dec.e1, n_qubits=3))
-        return TangleBoundResult(value=value, method="exact-pure")
-    ws = wclass_roots(dec)
-    if ws.all_zero:
-        return TangleBoundResult(value=0.0, method="simplex-zero")
-
-    basis = dec.support_basis()
-    m_rho = _support_matrix(rho3.entries, basis)
-    m_pi = _support_matrix(ws.pi.entries, basis)
-    dist = _tn2(m_rho - m_pi)
-    if dist < 1e-9:
-        return TangleBoundResult(value=0.0, method="pi-coincidence")
-    member, weights = simplex_member(rho3, ws)
-    if member:
-        return TangleBoundResult(
-            value=0.0, method="simplex-zero", diagnostics={"weights": [float(w) for w in weights]}
-        )
-
-    # Extend the ray from pi through rho to the Bloch surface:
-    # det((1+t) rho - t pi) = 0 is quadratic in t; take the smallest t > 0.
-    diff = m_rho - m_pi
-    c0 = np.linalg.det(m_rho).real
-    c2 = np.linalg.det(diff).real
-    c1 = (np.trace(m_rho) * np.trace(diff) - np.trace(m_rho @ diff)).real
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        raise NumericalError("ray-surface quadratic has no real root")
-    ts = []
-    if abs(c2) > 1e-30:
-        ts = [(-c1 - np.sqrt(disc)) / (2.0 * c2), (-c1 + np.sqrt(disc)) / (2.0 * c2)]
-    elif abs(c1) > 1e-30:
-        ts = [-c0 / c1]
-    positive = sorted(t for t in ts if t > 0.0)
-    if not positive:
-        raise NumericalError("ray from the W-mixture never reaches the Bloch surface")
-    t = positive[0]
-
-    m_phi = m_rho + t * diff
-    evals, evecs = np.linalg.eigh(m_phi)
-    v = _phase_fix(evecs[:, int(np.argmax(evals))])
-    phi = PureState.from_amplitudes(basis @ v, n_qubits=3)
-    tau3_phi = three_tangle_pure(phi)
-    denom = _tn2(np.outer(v, v.conj()) - m_pi)
-    ratio = (dist / denom) ** 2
-    raw = ratio * tau3_phi
-    return TangleBoundResult(
-        value=float(np.clip(raw, 0.0, 1.0)),
-        method="rdl-line",
-        diagnostics={
-            "kappa": float(t * dist),
-            "trace_norm_ratio": float(ratio),
-            "tau3_phi": float(tau3_phi),
-            "raw_value": float(raw),
-        },
-    )
+    return _rank2_bounds(np.array([[dec.lam, 1.0 - dec.lam]]), _support_of(dec))[0]

@@ -34,6 +34,69 @@ def test_campaign_smoke(tmp_path):
     assert loaded["min_residual"] == summary.min_residual
 
 
+def _failing_sampler(bad_classes):
+    real = harness.random_slocc_state
+
+    def sampler(cls, seed):
+        if cls in bad_classes:
+            raise RuntimeError(f"sampler broke on class {cls}")
+        return real(cls, seed)
+
+    return sampler
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN/Infinity extensions it accepts by default."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_campaign_records_failed_samples(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "random_slocc_state", _failing_sampler({2}))
+    out, summary_path = tmp_path / "v.csv", tmp_path / "v.json"
+    code = main(
+        ["verify", "--classes", "1-3", "--samples", "4", "--seed", "11",
+         "--out", str(out), "--summary", str(summary_path)]
+    )
+    assert code == 3
+    summary = _strict_json(summary_path.read_text())
+    rows = read_rows(out)
+    assert len(rows) == summary["total_points"] == 2 * 4 * 4
+    assert {int(r["class"]) for r in rows} == {1, 3}
+    assert summary["error_count"] == 4
+    assert summary["errors"] == [
+        {
+            "class": 2,
+            "sample_index": i,
+            "sub_seed": f"11:2:{i}",
+            "type": "RuntimeError",
+            "message": "sampler broke on class 2",
+        }
+        for i in range(4)
+    ]
+    assert summary["min_residual"] == min(float(r["residual_lower"]) for r in rows)
+
+
+def test_campaign_all_errors_summary_is_valid_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "random_slocc_state", _failing_sampler(set(range(1, 9))))
+    out, summary_path = tmp_path / "v.csv", tmp_path / "v.json"
+    code = main(
+        ["verify", "--classes", "1,2", "--samples", "3", "--seed", "5",
+         "--out", str(out), "--summary", str(summary_path)]
+    )
+    assert code == 3
+    summary = _strict_json(summary_path.read_text())
+    assert summary["total_points"] == 0
+    assert summary["error_count"] == len(summary["errors"]) == 6
+    assert summary["min_residual"] is None
+    assert read_rows(out) == []
+    printed = capsys.readouterr().out
+    assert "points tested: 0" in printed and "min residual" in printed
+
+
 def test_campaign_rows_self_consistent(tmp_path):
     cfg = CampaignConfig(classes=(1, 4), samples_per_class=10, master_seed=7)
     summary = run_campaign(cfg, tmp_path / "out.csv")

@@ -9,12 +9,22 @@ from qtangle import (
     ckw_residual,
     ghzw_analytic,
     ghzw_consistency_check,
+    one_tangle,
+    partial_trace,
     residual_three_tangle,
     sm_report_all_foci,
     tau4_lower_bound,
     three_tangle_pure,
+    three_tangle_upper,
+    two_tangle,
 )
-from qtangle.states import ghz, ghzw, normal_form, w
+from qtangle.harness import SWEEP_BINDINGS
+from qtangle.states import ghz, ghzw, normal_form, random_slocc_state, sample_seed, w
+
+# Tensor route (sm_report_all_foci) against the per-marginal reference.
+TAU1_TOL = 1e-12
+TAU2_TOL = 2e-8  # the reference's eigh/sqrt step loses up to ~1e-8 on rank-deficient pairs
+TAU3_TOL = 1e-8
 
 
 def test_exponent_schedule():
@@ -95,6 +105,68 @@ def test_sm_report_matches_single_focus(rng):
     for rep in reports:
         single = tau4_lower_bound(psi, rep.focus)
         assert single.residual_lower == pytest.approx(rep.residual_lower, abs=1e-12)
+
+
+def _reference_states():
+    for cls in range(1, 9):
+        for idx in range(8):
+            yield random_slocc_state(cls, sample_seed(20260823, cls, idx))[0]
+    for cls, binding in SWEEP_BINDINGS.items():
+        for a in np.arange(0.0, 2.0001, 0.1):
+            try:
+                yield normal_form(cls, binding(float(a)))
+            except ValueError:
+                continue
+
+
+def test_sm_report_matches_per_marginal_reference():
+    checked = 0
+    for psi in _reference_states():
+        for rep in sm_report_all_foci(psi):
+            f = rep.focus
+            assert abs(rep.tau1 - one_tangle(psi, f)) <= TAU1_TOL
+            for j, tau2 in rep.tau2_terms.items():
+                ref = two_tangle(partial_trace(psi, tuple(sorted((f, j)))))
+                assert abs(tau2 - ref) <= TAU2_TOL
+            for (j, k), bound in rep.tau3_bounds.items():
+                ref = three_tangle_upper(partial_trace(psi, tuple(sorted((f, j, k)))))
+                assert abs(bound.value - ref.value) <= TAU3_TOL
+                # a zero bound may be reached by a different shortcut
+                assert bound.method == ref.method or ref.value < 1e-12
+            checked += 1
+    assert checked == 4 * (8 * 8 + 5 * 21)
+
+
+def _mp_two_tangle(mpmath, amps, pair):
+    """Wootters' two-tangle from the spin-flip spectrum of rho, in 40 digits."""
+    rest = [q for q in range(4) if q + 1 not in pair]
+    m = np.asarray(amps).reshape(2, 2, 2, 2).transpose([q - 1 for q in pair] + rest).reshape(4, 4)
+    with mpmath.workdps(40):
+        big_m = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m])
+        rho = big_m * big_m.H
+        syy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        flipped = syy * rho.conjugate() * syy
+        evals = mpmath.eig(rho * flipped, left=False, right=False)
+        lams = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in evals), reverse=True)
+        c = max(lams[0] - lams[1] - lams[2] - lams[3], 0)
+        return float(min(c * c, 1))
+
+
+def test_two_tangle_matches_high_precision_on_class7():
+    # Class-7 pair marginals are rank-deficient, where an eigh/sqrt route
+    # loses digits; the tau-matrix route keeps them.
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for idx in range(18):
+        psi, _ = random_slocc_state(7, sample_seed(20260823, 7, idx))
+        tau2 = {
+            tuple(sorted((rep.focus, j))): value
+            for rep in sm_report_all_foci(psi)
+            for j, value in rep.tau2_terms.items()
+        }
+        for pair, value in tau2.items():
+            worst = max(worst, abs(value - _mp_two_tangle(mpmath, psi.amplitudes, pair)))
+    assert worst <= 1e-12, worst
 
 
 def test_schedule_monotonicity(rng):
