@@ -13,7 +13,14 @@ import sys
 
 import numpy as np
 
-from .harness import CampaignConfig, run_campaign, sweep_family, table1_check, tangle_report
+from .harness import (
+    CampaignConfig,
+    run_campaign,
+    sweep_family,
+    table1_check,
+    tangle_report,
+    write_table1_csv,
+)
 from .qstate import NumericalError, state_from_json
 
 EXIT_OK = 0
@@ -177,20 +184,7 @@ def _cmd_table1(args) -> int:
             print(f"  class {e.slocc_class} a={e.param_value} triple={e.triple}: "
                   f"rdl={e.rdl_value:.3e} ({e.rdl_method})")
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["class", "param", "triple", "declared_zero", "table_bound", "rdl_value",
-                 "rdl_method", "violation"]
-            )
-            for e in entries:
-                writer.writerow(
-                    [e.slocc_class, e.param_value, "|".join(map(str, e.triple)),
-                     int(e.declared_zero), e.table_bound, repr(e.rdl_value), e.rdl_method,
-                     int(e.violation)]
-                )
+        write_table1_csv(entries, args.out)
     return EXIT_VIOLATION if bad else EXIT_OK
 
 

@@ -7,13 +7,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from multiprocessing import Pool
 
 import numpy as np
 
-from .monogamy import ExponentSchedule, ckw_residual, sm_report_all_foci
+from .monogamy import ExponentSchedule, ckw_residual, sm_report_all_foci, tau4_lower_bound
 from .qstate import PureState, partial_trace
 from .states import CLASS_ARITY, NormalFormParams, normal_form, random_slocc_state, sample_seed
 from .tangles import four_qubit_tangles, one_tangle, three_tangle_pure, two_tangle
@@ -127,19 +128,14 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     """Run the Monte Carlo campaign, write one CSV row per (state, focus).
 
     Output is a pure function of the config: work is sharded by
-    (class, sample index) and merged in that order for any worker count.
+    (class, sample index) and each sample's rows are written as they arrive,
+    in that order for any worker count.
     """
     tasks = [
         (cls, idx, cfg.master_seed, cfg.mu3)
         for cls in sorted(cfg.classes)
         for idx in range(cfg.samples_per_class)
     ]
-    if cfg.workers > 1:
-        with Pool(cfg.workers) as pool:
-            results = list(pool.imap(_sample_rows, tasks, chunksize=32))
-    else:
-        results = [_sample_rows(t) for t in tasks]
-
     errors = []
     total_points = 0
     violation_count = 0
@@ -147,7 +143,9 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     min_at: dict = {}
     residuals: dict = {cls: [] for cls in cfg.classes}
     tau1s: dict = {cls: [] for cls in cfg.classes}
-    with open(csv_path, "w", newline="") as fh:
+    pool = Pool(cfg.workers) if cfg.workers > 1 else None
+    with pool or nullcontext(), open(csv_path, "w", newline="") as fh:
+        results = pool.imap(_sample_rows, tasks, chunksize=32) if pool else map(_sample_rows, tasks)
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         for cls, idx, sub_seed, rows, error in results:
@@ -357,11 +355,38 @@ def table1_check(grid=None) -> list[Table1Entry]:
     return entries
 
 
+def write_table1_csv(entries: list, csv_path) -> None:
+    """One CSV row per Table1Entry, in the order given."""
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["class", "param", "triple", "declared_zero", "table_bound", "rdl_value",
+             "rdl_method", "violation"]
+        )
+        for e in entries:
+            writer.writerow(
+                [e.slocc_class, e.param_value, "|".join(map(str, e.triple)),
+                 int(e.declared_zero), e.table_bound, repr(e.rdl_value), e.rdl_method,
+                 int(e.violation)]
+            )
+
+
 def tangle_report(psi: PureState, focus: int, mu3: float = 1.5) -> dict:
     """Printable tangle breakdown for 2-4 qubit pure states."""
     n = psi.n_qubits
     if n not in (2, 3, 4):
         raise ValueError(f"tangle report supports 2-4 qubits, got {n}")
+    if n == 4:
+        # Every term comes from the report the residual itself is built on.
+        sm = tau4_lower_bound(psi, focus, ExponentSchedule(mu3=mu3))
+        return {
+            "n_qubits": n,
+            "focus": focus,
+            "tau1": sm.tau1,
+            "tau2_terms": sm.tau2_terms,
+            "ckw_residual": sm.tau1 - sum(sm.tau2_terms.values()),
+            "sm_report": sm.to_json_dict(),
+        }
     report: dict = {"n_qubits": n, "focus": focus, "tau1": one_tangle(psi, focus)}
     if n == 2:
         report["tau2"] = two_tangle(psi.projector())
@@ -371,10 +396,5 @@ def tangle_report(psi: PureState, focus: int, mu3: float = 1.5) -> dict:
         j: two_tangle(partial_trace(psi, tuple(sorted((focus, j))))) for j in partners
     }
     report["ckw_residual"] = ckw_residual(psi, focus)
-    if n == 3:
-        report["tau3"] = three_tangle_pure(psi)
-    else:
-        from .monogamy import tau4_lower_bound
-
-        report["sm_report"] = tau4_lower_bound(psi, focus, ExponentSchedule(mu3=mu3)).to_json_dict()
+    report["tau3"] = three_tangle_pure(psi)
     return report

@@ -21,7 +21,6 @@ import numpy as np
 # because they sit downstream of an eigendecomposition of up to 16x16 input.
 RANK_TOL = 1e-8
 PSD_TOL = 1e-10
-ORTHO_TOL = 1e-10
 HERM_TOL = 1e-12
 
 MIN_QUBITS = 2
@@ -62,6 +61,8 @@ class PureState:
             raise ValueError(f"n_qubits={n_qubits} outside supported range {MIN_QUBITS}..{MAX_QUBITS}")
         if amps.size != 2**n_qubits:
             raise ValueError(f"amplitude vector has length {amps.size}, expected {2**n_qubits}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitude vector has non-finite entries")
         norm = float(np.linalg.norm(amps))
         if norm < 1e-12:
             raise ValueError("zero amplitude vector")
@@ -106,10 +107,6 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return int(round(np.log2(self.dim)))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in decreasing order."""
-        return np.linalg.eigvalsh(self.entries)[::-1]
 
 
 @dataclass(frozen=True)

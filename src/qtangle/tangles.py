@@ -1,16 +1,17 @@
 """Tangle measures: one-tangle, two-tangle, pure three-tangle, and the
 ray-extension upper bound on the three-tangle of rank-2 three-qubit states.
 
-The upper bound works in the Bloch ball of the rank-2 support: the four
-W-class states spanned by the support (roots of a quartic) define a
-zero-tangle simplex; states outside it are bounded by extending the ray
-from the uniform W-mixture through the state to a pure surface state and
-rescaling its exact three-tangle by squared trace-norm ratios.
+The upper bound works on Bloch vectors in the ball of the rank-2 support:
+the four W-class states spanned by the support (roots of a quartic, mapped
+to the sphere by stereographic projection) define a zero-tangle simplex;
+a state outside it is bounded by extending the ray from the simplex mean
+(the uniform W-mixture) through the state to the sphere, and rescaling the
+surface state's exact three-tangle by the squared trace-norm ratio.
 
 ``four_qubit_tangles`` computes every tangle of a four-qubit pure state from
 its amplitude tensor. Each kind of marginal is a stack of matricizations of
 the tensor (2x8 per focus, 4x4 per pair, 8x2 per triple), so no reduced
-density matrix is formed, and the bound runs in the 2x2 support frame of all
+density matrix is formed, and the bound runs on the Bloch vectors of all
 triples at once. ``one_tangle``, ``two_tangle`` and ``three_tangle_upper``
 take one marginal at a time and serve as the reference.
 """
@@ -26,7 +27,6 @@ from scipy.optimize import nnls
 from .qstate import (
     RANK_TOL,
     DensityMatrix,
-    NumericalError,
     PureState,
     Rank2Decomposition,
     _phase_fix,
@@ -42,7 +42,6 @@ _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _QUARTIC_NODES = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
 _QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
 
-ZERO_TANGLE_TOL = 1e-9
 WEIGHT_TOL = 1e-9
 SUPPORT_TOL = 1e-8
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
@@ -153,8 +152,9 @@ def three_tangle_pure(psi3: PureState | np.ndarray) -> float:
 # -- the rank-2 bound in the support frame ------------------------------------------
 #
 # A rank-2 three-qubit state is given by its spectrum (p1 >= p2) and the rows
-# e1, e2 of its support; in that frame the state is diag(p1, p2) and a support
-# vector v stands for v[0] e1 + v[1] e2. Every helper takes a stack of K states.
+# e1, e2 of its support; in that frame the state is diag(p1, p2), a support
+# vector v stands for v[0] e1 + v[1] e2, and a state is its Bloch vector, with
+# e1 the north pole. Every helper takes a stack of K states.
 
 
 def _quartic_coeffs(support: np.ndarray) -> np.ndarray:
@@ -187,16 +187,17 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(comp))
 
 
-def _wclass_frame(roots: np.ndarray) -> np.ndarray:
-    """Unit support vectors (K, 4, 2) of the W-class states e1 + z e2 for the
-    finite roots (K, d), padded with e2 for the 4 - d roots at infinity."""
+def _wclass_bloch(roots: np.ndarray) -> np.ndarray:
+    """Bloch vectors (K, 4, 3) of the W-class states e1 + z e2 for the finite
+    roots (K, d), by stereographic projection; the 4 - d roots at infinity
+    are e2, the south pole."""
     k, d = roots.shape
-    frame = np.zeros((k, 4, 2), dtype=complex)
-    norm = np.sqrt(1.0 + np.abs(roots) ** 2)
-    frame[:, :d, 0] = 1.0 / norm
-    frame[:, :d, 1] = roots / norm
-    frame[:, d:, 1] = 1.0
-    return frame
+    w = np.zeros((k, 4, 3))
+    w[:, :, 2] = -1.0
+    z2 = np.abs(roots) ** 2
+    w[:, :d] = np.stack([2.0 * roots.real, 2.0 * roots.imag, 1.0 - z2], axis=-1)
+    w[:, :d] /= (1.0 + z2)[..., None]
+    return w
 
 
 def _bloch3(m: np.ndarray) -> np.ndarray:
@@ -205,39 +206,18 @@ def _bloch3(m: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * m01.real, -2.0 * m01.imag, (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1)
 
 
-def _trace_norm_2x2(m: np.ndarray) -> np.ndarray:
-    """Trace norm of stacked Hermitian 2x2 matrices: with eigenvalues
-    c +- r, it is 2 max(|c|, r)."""
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    r = np.sqrt(((a - d) / 2.0) ** 2 + np.abs(m[..., 0, 1]) ** 2)
-    return 2.0 * np.maximum(np.abs(a + d) / 2.0, r)
-
-
-def _top_eigvec(m: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the larger eigenvalue of stacked Hermitian 2x2
-    matrices, from the closed form without cancellation."""
-    h = (m[:, 0, 0].real - m[:, 1, 1].real) / 2.0
-    b = m[:, 0, 1]
-    r = np.sqrt(h**2 + np.abs(b) ** 2)
-    v = np.where(
-        (h >= 0.0)[:, None],
-        np.stack([h + r, b.conj()], axis=1),
-        np.stack([b, r - h], axis=1),
-    )
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _simplex_solve(frame: np.ndarray, m_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each state is a convex mixture of its four simplex states.
+def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each Bloch vector r (K, 3) is a convex mixture of its four
+    simplex vertices w (K, 4, 3).
 
     Solves the 4-unknown system (3 Bloch coordinates + normalization) by
     least squares; rank-deficient systems (repeated roots) that leave a
     negative or inexact solution fall back to a nonnegative fit.
     """
-    k = len(frame)
+    k = len(w)
     a = np.ones((k, 4, 4))
-    a[:, :3, :] = _bloch3(frame[..., :, None] * frame.conj()[..., None, :]).swapaxes(1, 2)
-    b = np.concatenate([_bloch3(m_rho), np.ones((k, 1))], axis=1)
+    a[:, :3, :] = w.swapaxes(1, 2)
+    b = np.concatenate([r, np.ones((k, 1))], axis=1)
     # Minimum-norm least squares through the SVD, with lstsq's cutoff.
     u, s, vt = np.linalg.svd(a)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > _LSTSQ_RCOND * s[:, :1])
@@ -254,60 +234,60 @@ def _simplex_solve(frame: np.ndarray, m_rho: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> list:
-    """Bounds of mixed states whose quartics share one degree >= 0."""
-    frame = _wclass_frame(_companion_roots(coeffs[:, : degree + 1]))
-    m_pi = frame.swapaxes(1, 2) @ frame.conj() / 4.0
-    m_rho = np.zeros_like(m_pi)
-    m_rho[:, 0, 0], m_rho[:, 1, 1] = spectrum[:, 0], spectrum[:, 1]
-    diff = m_rho - m_pi
-    dist = _trace_norm_2x2(diff)
+    """Bounds of mixed states whose quartics share one degree >= 0.
+
+    In the Bloch ball of the support, rho = diag(p1, p2) is r = (0, 0, p1 - p2),
+    the W-class states are unit vectors w_k and pi is their mean p. The trace
+    norm of rho - pi is |r - p|. A state outside the simplex is bounded on the
+    ray from p through r, extended to the sphere at r + t (r - p).
+    """
+    w = _wclass_bloch(_companion_roots(coeffs[:, : degree + 1]))
+    p = w.mean(axis=1)
+    r = np.zeros_like(p)
+    r[:, 2] = spectrum[:, 0] - spectrum[:, 1]
+    dist = np.linalg.norm(r - p, axis=1)
     results = [TangleBoundResult(value=0.0, method="pi-coincidence") for _ in spectrum]
     rest = np.flatnonzero(~(dist < 1e-9))
     if rest.size == 0:
         return results
-    member, weights = _simplex_solve(frame[rest], m_rho[rest])
-    for i, w in zip(rest[member], weights[member].tolist()):
-        results[i] = TangleBoundResult(value=0.0, method="simplex-zero", diagnostics={"weights": w})
+    member, weights = _simplex_solve(w[rest], r[rest])
+    for i, wts in zip(rest[member], weights[member].tolist()):
+        results[i] = TangleBoundResult(
+            value=0.0, method="simplex-zero", diagnostics={"weights": wts}
+        )
     out = rest[~member]
     if out.size == 0:
         return results
 
-    # Extend the ray from pi through rho to the Bloch surface:
-    # det((1+t) rho - t pi) = 0 is quadratic in t; take the smallest t > 0.
-    # With rho = diag(p1, p2) and diff = rho - pi = [[d00, d01], [d01*, d11]],
-    # det(rho + t diff) = p1 p2 + (p1 d11 + p2 d00) t + det(diff) t^2.
-    m_rho, diff, dist = m_rho[out], diff[out], dist[out]
-    p1, p2 = spectrum[out, 0], spectrum[out, 1]
-    d00, d11 = diff[:, 0, 0].real, diff[:, 1, 1].real
-    c0 = p1 * p2
-    c1 = p1 * d11 + p2 * d00
-    c2 = d00 * d11 - np.abs(diff[:, 0, 1]) ** 2
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if np.any(disc < 0.0):
-        raise NumericalError("ray-surface quadratic has no real root")
-    sq = np.sqrt(disc)
-    quad = np.abs(c2) > 1e-30
-    lin = ~quad & (np.abs(c1) > 1e-30)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = np.where(
-            quad[:, None],
-            np.stack([(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)], axis=1),
-            np.where(lin[:, None], (-c0 / c1)[:, None], np.nan),
-        )
-    t = np.where(ts > 0.0, ts, np.inf).min(axis=1)
-    if np.any(np.isinf(t)):
-        raise NumericalError("ray from the W-mixture never reaches the Bloch surface")
+    # |r + t d| = 1 with d = r - p is |d|^2 t^2 + 2 (r.d) t - 4 p1 p2 = 0
+    # (1 - |r|^2 = 4 p1 p2 for unit trace). Rank 2 makes the constant term
+    # negative, so there is exactly one positive root; take it without
+    # cancellation.
+    r, d, dist = r[out], r[out] - p[out], dist[out]
+    rd = np.einsum("ki,ki->k", r, d)
+    c = 4.0 * spectrum[out, 0] * spectrum[out, 1]
+    sq = np.sqrt(rd * rd + dist * dist * c)
+    t = np.where(rd > 0.0, c / (rd + sq), (sq - rd) / (dist * dist))
 
-    v = _top_eigvec(m_rho + t[:, None, None] * diff)
+    # The surface state: a unit vector with Bloch vector n = r + t d, from the
+    # closed form whose leading entry stays away from zero on n's hemisphere.
+    n = r + t[:, None] * d
+    n_len = np.linalg.norm(n, axis=1)
+    xy = n[:, 0] + 1j * n[:, 1]
+    v = np.where(
+        (n[:, 2] >= 0.0)[:, None],
+        np.stack([n_len + n[:, 2], xy], axis=1),
+        np.stack([xy.conj(), n_len - n[:, 2]], axis=1),
+    )
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
     # form(v0 e1 + v1 e2) = sum_k c_k v0^(4-k) v1^k for the unit surface state.
     powers = np.arange(5)
     form = np.sum(coeffs[out] * v[:, :1] ** (4 - powers) * v[:, 1:] ** powers, axis=1)
     tau3_phi = np.minimum(4.0 * np.abs(form), 1.0)
-    denom = _trace_norm_2x2(v[:, :, None] * v.conj()[:, None, :] - m_pi[out])
-    ratio = (dist / denom) ** 2
+    ratio = 1.0 / (1.0 + t) ** 2
     raw = ratio * tau3_phi
-    columns = (np.clip(raw, 0.0, 1.0), t * dist, ratio, tau3_phi, raw)
-    for i, (value, kappa, ratio_i, tau3_i, raw_i) in zip(out, zip(*(c.tolist() for c in columns))):
+    columns = [col.tolist() for col in (np.clip(raw, 0.0, 1.0), t * dist, ratio, tau3_phi, raw)]
+    for i, (value, kappa, ratio_i, tau3_i, raw_i) in zip(out, zip(*columns)):
         results[i] = TangleBoundResult(
             value=value,
             method="rdl-line",
@@ -355,7 +335,7 @@ def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
         raise ValueError(f"expected 4 qubits, got {psi4.n_qubits}")
     amps = psi4.amplitudes
     norm2 = float(np.vdot(amps, amps).real)
-    if abs(norm2 - 1.0) > NORM_TOL:
+    if not abs(norm2 - 1.0) <= NORM_TOL:  # also rejects NaN
         raise ValueError(f"state has squared norm {norm2}, expected 1")
 
     # tau1 = 4 det(M M^dag) for the 2x8 focus-by-rest reshape M.
@@ -434,7 +414,8 @@ def simplex_member(rho: DensityMatrix, ws: WSimplex) -> tuple[bool, np.ndarray]:
     if np.max(np.abs(rho.entries - recon)) > SUPPORT_TOL:
         raise ValueError("state is not supported on the simplex span")
     frame = np.array([basis.conj().T @ z.amplitudes for z in ws.z_states])
-    member, weights = _simplex_solve(frame[None], m_rho[None])
+    w = _bloch3(frame[:, :, None] * frame.conj()[:, None, :])
+    member, weights = _simplex_solve(w[None], _bloch3(m_rho)[None])
     return bool(member[0]), weights[0]
 
 

@@ -13,8 +13,9 @@ from qtangle.harness import (
     table1_check,
     tangle_report,
 )
+from qtangle.monogamy import sm_report_all_foci
 from qtangle.qstate import state_to_json
-from qtangle.states import NormalFormParams, ghz, w
+from qtangle.states import NormalFormParams, ghz, random_slocc_state, sample_seed, w
 
 
 def read_rows(path):
@@ -200,6 +201,17 @@ def test_tangle_report_levels():
         tangle_report(w(5), 1)
 
 
+def test_tangle_report_terms_are_the_residuals_own():
+    for cls in range(1, 9):
+        for idx in range(4):
+            psi, _ = random_slocc_state(cls, sample_seed(31, cls, idx))
+            for rep in sm_report_all_foci(psi):
+                printed = tangle_report(psi, rep.focus)
+                assert printed["tau1"] == rep.tau1
+                assert printed["tau2_terms"] == rep.tau2_terms
+                assert printed["ckw_residual"] == rep.tau1 - sum(rep.tau2_terms.values())
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -225,6 +237,15 @@ def test_cli_tangle_malformed_file(tmp_path):
     bad.write_text('{"n": 3, "amplitudes": [[1, 0]]}')
     assert main(["tangle", str(bad)]) == 2
     assert main(["tangle", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_tangle_rejects_nan_amplitude(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    amps = [[0.25, 0.0]] * 16
+    amps[3] = [float("nan"), 0.0]
+    path.write_text(json.dumps({"n": 4, "amplitudes": amps}))
+    assert main(["tangle", str(path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path):

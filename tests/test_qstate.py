@@ -33,6 +33,14 @@ def test_purestate_rejects_bad_lengths():
         PureState.from_amplitudes(np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_purestate_rejects_non_finite_amplitudes(bad):
+    amps = np.ones(16, dtype=complex)
+    amps[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState.from_amplitudes(amps)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix.from_entries(np.array([[1.0, 0.5], [0.0, 0.0]]))

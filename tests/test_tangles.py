@@ -8,12 +8,14 @@ from qtangle import (
     DensityMatrix,
     PureState,
     apply_local_operators,
+    four_qubit_tangles,
     one_tangle,
     partial_trace,
     rank2_decompose,
     simplex_member,
     three_tangle_pure,
     three_tangle_upper,
+    trace_norm,
     two_tangle,
     wclass_roots,
 )
@@ -260,6 +262,37 @@ def test_upper_value_range_and_rank_guard(rng):
         three_tangle_upper(
             DensityMatrix.from_entries(np.diag([0.5, 0.25, 0.25, 0, 0, 0, 0, 0]).astype(complex))
         )
+
+
+def test_rdl_line_geometry_matches_8x8_matrices(rng):
+    # The diagnostics of a ray bound, rebuilt from 8x8 matrices without the
+    # support frame: pi is the W-mixture, rho + t (rho - pi) is the pure
+    # surface state, and the bound rescales that state's exact three-tangle.
+    checked = 0
+    for _ in range(40):
+        psi = random_pure_state(rng, 4)
+        for triple in itertools.combinations(range(1, 5), 3):
+            rho = partial_trace(psi, triple)
+            res = three_tangle_upper(rho)
+            if res.method != "rdl-line":
+                continue
+            diag = res.diagnostics
+            pi = wclass_roots(rank2_decompose(rho)).pi.entries
+            t = diag["kappa"] / trace_norm(rho.entries - pi)
+            assert diag["trace_norm_ratio"] == pytest.approx(1.0 / (1.0 + t) ** 2, rel=1e-11)
+            evals, evecs = np.linalg.eigh((1.0 + t) * rho.entries - t * pi)
+            assert evals[-1] == pytest.approx(1.0, abs=1e-8)
+            assert np.max(np.abs(evals[:-1])) < 1e-8
+            surface = PureState.from_amplitudes(evecs[:, -1], n_qubits=3)
+            expected = diag["trace_norm_ratio"] * three_tangle_pure(surface)
+            assert diag["raw_value"] == pytest.approx(expected, abs=1e-11)
+            checked += 1
+    assert checked >= 100
+
+
+def test_four_qubit_tangles_rejects_nan_state():
+    with pytest.raises(ValueError, match="norm"):
+        four_qubit_tangles(PureState(n_qubits=4, amplitudes=np.full(16, np.nan, dtype=complex)))
 
 
 def test_tangles_invariant_under_local_unitaries(rng):
