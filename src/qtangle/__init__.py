@@ -39,6 +39,7 @@ from .tangles import (
     WSimplex,
     four_qubit_tangles,
     one_tangle,
+    pure_tangles,
     simplex_member,
     three_tangle_pure,
     three_tangle_upper,

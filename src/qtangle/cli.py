@@ -104,7 +104,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n_steps = int(round((args.a_max - args.a_min) / args.step))
+    span = args.a_max - args.a_min
+    if not (0 < args.step < np.inf and 0 <= span < np.inf):  # also rejects NaN
+        raise ValueError("the sweep grid needs a finite --step > 0 and --a-max >= --a-min")
+    n_steps = int(round(span / args.step))
     grid = args.a_min + args.step * np.arange(n_steps + 1)
     result = sweep_family(
         args.slocc_class, grid, mu3=args.mu3, threshold=args.threshold, csv_path=args.out

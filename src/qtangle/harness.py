@@ -8,16 +8,16 @@ import csv
 import json
 import logging
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from multiprocessing import Pool
 
 import numpy as np
 
-from .monogamy import ExponentSchedule, ckw_residual, sm_report_all_foci, tau4_lower_bound
-from .qstate import PureState, partial_trace
+from .monogamy import ExponentSchedule, _check_focus, sm_report_all_foci, tau4_lower_bound
+from .qstate import PureState
 from .states import CLASS_ARITY, NormalFormParams, normal_form, random_slocc_state, sample_seed
-from .tangles import four_qubit_tangles, one_tangle, three_tangle_pure, two_tangle
+from .tangles import four_qubit_tangles, pure_tangles, three_tangle_pure
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +60,7 @@ class CampaignConfig:
             raise ValueError("samples_per_class must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        ExponentSchedule(mu3=self.mu3)  # the one check on mu3
 
 
 @dataclass
@@ -73,15 +74,7 @@ class CampaignSummary:
     errors: list = field(default_factory=list)  # one record per failed sample
 
     def to_json_dict(self) -> dict:
-        return {
-            "total_points": self.total_points,
-            "violation_count": self.violation_count,
-            "error_count": self.error_count,
-            "min_residual": self.min_residual,
-            "min_residual_at": self.min_residual_at,
-            "per_class": self.per_class,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
 
 def _sample_rows(task: tuple) -> tuple:
@@ -247,9 +240,6 @@ def sweep_family(
     return SweepResult(slocc_class=cls, rows=rows, flagged=flagged, violations=violations)
 
 
-_TRIPLES = list(combinations(range(1, 5), 3))
-
-
 def _table1_bound(cls: int, pv: tuple, triple: tuple) -> float | None:
     """Printed analytic upper bound for one marginal, None when the table
     only asserts an exact zero (or nothing) for it."""
@@ -337,8 +327,7 @@ def table1_check(grid=None) -> list[Table1Entry]:
             params = _table1_params(cls, t) if t is not None else NormalFormParams()
             _, _, bounds = four_qubit_tangles(normal_form(cls, params))
             pv = params.as_tuple(CLASS_ARITY[cls])
-            for triple in _TRIPLES:
-                bound = bounds[triple]
+            for triple, bound in bounds.items():
                 declared = _table1_declared_zero(cls, pv, triple)
                 entries.append(
                     Table1Entry(
@@ -387,14 +376,15 @@ def tangle_report(psi: PureState, focus: int, mu3: float = 1.5) -> dict:
             "ckw_residual": sm.tau1 - sum(sm.tau2_terms.values()),
             "sm_report": sm.to_json_dict(),
         }
-    report: dict = {"n_qubits": n, "focus": focus, "tau1": one_tangle(psi, focus)}
+    _check_focus(focus, n)
+    tau1, tau2 = pure_tangles(psi)
+    report: dict = {"n_qubits": n, "focus": focus, "tau1": tau1[focus]}
     if n == 2:
-        report["tau2"] = two_tangle(psi.projector())
+        report["tau2"] = tau2[(1, 2)]
         return report
     partners = [q for q in range(1, n + 1) if q != focus]
-    report["tau2_terms"] = {
-        j: two_tangle(partial_trace(psi, tuple(sorted((focus, j))))) for j in partners
-    }
-    report["ckw_residual"] = ckw_residual(psi, focus)
+    terms = {j: tau2[tuple(sorted((focus, j)))] for j in partners}
+    report["tau2_terms"] = terms
+    report["ckw_residual"] = tau1[focus] - sum(terms.values())
     report["tau3"] = three_tangle_pure(psi)
     return report

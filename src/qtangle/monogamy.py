@@ -1,14 +1,18 @@
 """Monogamy residuals: CKW differences, the powered four-qubit lower bound,
-and the closed-form results for GHZ/W superposition states."""
+and the closed-form results for GHZ/W superposition states.
+
+Every one- and two-tangle here comes from ``tangles.pure_tangles``, one pass
+over the amplitude tensor, and the four-qubit bounds from
+``tangles.four_qubit_tangles``; no reduced density matrix is formed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .qstate import PureState, partial_trace
+from .qstate import PureState
 from .states import GhzwParams, ghzw
-from .tangles import four_qubit_tangles, one_tangle, two_tangle
+from .tangles import four_qubit_tangles, pure_tangles
 
 
 @dataclass(frozen=True)
@@ -19,8 +23,8 @@ class ExponentSchedule:
     mu3: float = 1.5
 
     def __post_init__(self):
-        if self.mu3 <= 0:
-            raise ValueError("mu3 must be positive")
+        if not self.mu3 > 0:  # also rejects NaN
+            raise ValueError(f"mu3 must be positive, got {self.mu3}")
 
     @property
     def mu(self) -> dict:
@@ -49,14 +53,16 @@ class SmReport:
         }
 
 
+def _check_focus(focus: int, n: int) -> None:
+    if focus not in range(1, n + 1):
+        raise ValueError(f"focus must be 1..{n}, got {focus}")
+
+
 def residual_three_tangle(psi3: PureState, focus: int) -> float:
     """CKW residual of a three-qubit pure state (equals the three-tangle)."""
     if psi3.n_qubits != 3:
         raise ValueError(f"expected 3 qubits, got {psi3.n_qubits}")
-    partners = [q for q in (1, 2, 3) if q != focus]
-    res = one_tangle(psi3, focus)
-    for j in partners:
-        res -= two_tangle(partial_trace(psi3, tuple(sorted((focus, j)))))
+    res = ckw_residual(psi3, focus)
     if -1e-9 <= res < 0.0:
         res = 0.0
     return res
@@ -66,38 +72,16 @@ def ckw_residual(psi: PureState, focus: int) -> float:
     """One-tangle minus the sum of pairwise tangles; nonnegative by theorem."""
     if psi.n_qubits < 3:
         raise ValueError("ckw_residual needs at least 3 qubits")
-    res = one_tangle(psi, focus)
-    for j in range(1, psi.n_qubits + 1):
-        if j != focus:
-            res -= two_tangle(partial_trace(psi, tuple(sorted((focus, j)))))
-    return res
-
-
-def _assemble_report(
-    focus: int,
-    tau1: float,
-    tau2_terms: dict,
-    tau3_bounds: dict,
-    sched: ExponentSchedule,
-) -> SmReport:
-    residual = tau1 - sum(tau2_terms.values())
-    residual -= sum(b.value ** sched.mu3 for b in tau3_bounds.values())
-    return SmReport(
-        focus=focus,
-        tau1=tau1,
-        tau2_terms=tau2_terms,
-        tau3_bounds=tau3_bounds,
-        residual_lower=residual,
-        mu3=sched.mu3,
-    )
+    _check_focus(focus, psi.n_qubits)
+    tau1, tau2 = pure_tangles(psi)
+    return tau1[focus] - sum(t for pair, t in tau2.items() if focus in pair)
 
 
 def tau4_lower_bound(
     psi4: PureState, focus: int, sched: ExponentSchedule = ExponentSchedule()
 ) -> SmReport:
     """Lower bound on the residual four-tangle for one focus qubit."""
-    if focus not in (1, 2, 3, 4):
-        raise ValueError(f"focus must be 1..4, got {focus}")
+    _check_focus(focus, 4)
     return sm_report_all_foci(psi4, sched)[focus - 1]
 
 
@@ -113,7 +97,18 @@ def sm_report_all_foci(
         tau3_bounds = {
             (j, k): tau3[tuple(sorted((focus, j, k)))] for j, k in combinations(partners, 2)
         }
-        reports.append(_assemble_report(focus, tau1[focus], tau2_terms, tau3_bounds, sched))
+        residual = tau1[focus] - sum(tau2_terms.values())
+        residual -= sum(b.value ** sched.mu3 for b in tau3_bounds.values())
+        reports.append(
+            SmReport(
+                focus=focus,
+                tau1=tau1[focus],
+                tau2_terms=tau2_terms,
+                tau3_bounds=tau3_bounds,
+                residual_lower=residual,
+                mu3=sched.mu3,
+            )
+        )
     return reports
 
 
@@ -138,10 +133,10 @@ def ghzw_consistency_check(p: GhzwParams) -> dict:
     ref = ghzw_analytic(p)
     psi = ghzw(p)
     failures = []
-    t1 = one_tangle(psi, 1)
+    tau1, tau2 = pure_tangles(psi)
+    t1, t2 = tau1[1], tau2[(1, 2)]
     if abs(t1 - ref["tau1"]) > 1e-9:
         failures.append(f"one_tangle {t1} vs analytic {ref['tau1']}")
-    t2 = two_tangle(partial_trace(psi, (1, 2)))
     if t2 > ref["tau2_bound"] + 1e-9:
         failures.append(f"two_tangle {t2} exceeds bound {ref['tau2_bound']}")
     details = {"tau1": t1, "tau2": t2, **ref}

@@ -8,17 +8,20 @@ a state outside it is bounded by extending the ray from the simplex mean
 (the uniform W-mixture) through the state to the sphere, and rescaling the
 surface state's exact three-tangle by the squared trace-norm ratio.
 
-``four_qubit_tangles`` computes every tangle of a four-qubit pure state from
-its amplitude tensor. Each kind of marginal is a stack of matricizations of
-the tensor (2x8 per focus, 4x4 per pair, 8x2 per triple), so no reduced
-density matrix is formed, and the bound runs on the Bloch vectors of all
-triples at once. ``one_tangle``, ``two_tangle`` and ``three_tangle_upper``
-take one marginal at a time and serve as the reference.
+``pure_tangles`` computes the one- and two-tangles of a pure state of 2-8
+qubits from its amplitude tensor, and ``four_qubit_tangles`` adds the
+three-tangle bounds of a four-qubit state. Each kind of marginal is a stack
+of matricizations of the tensor (2 x 2^(n-1) per focus, 4 x 2^(n-2) per pair,
+8x2 per triple of four qubits), so no reduced density matrix is formed, and
+the bound runs on the Bloch vectors of all triples at once. ``one_tangle``,
+``two_tangle`` and ``three_tangle_upper`` take one marginal at a time and
+serve as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -45,28 +48,22 @@ _QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
 WEIGHT_TOL = 1e-9
 SUPPORT_TOL = 1e-8
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
-NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a four-qubit input
+NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input
 _LSTSQ_RCOND = 4 * np.finfo(float).eps  # numpy lstsq's default cutoff for a 4x4 system
 
-_QUBITS = (1, 2, 3, 4)
-_PAIRS = tuple(combinations(_QUBITS, 2))
-_TRIPLES = tuple(combinations(_QUBITS, 3))
+_TRIPLES = tuple(combinations((1, 2, 3, 4), 3))
 
 
-def _unfoldings(keeps) -> np.ndarray:
-    """Flat amplitude indices of the kept-by-rest matricizations of a
-    four-qubit tensor, one per kept set; rows follow the kept qubits' bits."""
-    t = np.arange(16).reshape(2, 2, 2, 2)
+@cache
+def _unfoldings(n: int, keeps: tuple) -> np.ndarray:
+    """Flat amplitude indices of the kept-by-rest matricizations of an
+    n-qubit tensor, one per kept set; rows follow the kept qubits' bits."""
+    t = np.arange(2**n).reshape((2,) * n)
     out = []
     for keep in keeps:
-        axes = [q - 1 for q in keep] + [q - 1 for q in _QUBITS if q not in keep]
+        axes = [q - 1 for q in keep] + [q for q in range(n) if q + 1 not in keep]
         out.append(t.transpose(axes).reshape(2 ** len(keep), -1))
     return np.stack(out)
-
-
-_FOCUS_ROWS = _unfoldings([(f,) for f in _QUBITS])  # (4, 2, 8)
-_PAIR_ROWS = _unfoldings(_PAIRS)  # (6, 4, 4)
-_TRIPLE_ROWS = _unfoldings(_TRIPLES)  # (4, 8, 2)
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class TangleBoundResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"value": self.value, "method": self.method, "diagnostics": self.diagnostics}
+        return asdict(self)
 
 
 def one_tangle(psi: PureState, focus: int) -> float:
@@ -324,42 +321,51 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> list:
     return results
 
 
-def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
-    """Every tangle of a four-qubit pure state, from its amplitude tensor.
-
-    Returns the one-tangles by focus, the two-tangles by pair and the
-    three-tangle upper bounds (TangleBoundResult) by triple, with qubits
-    numbered 1..4 and pairs and triples as increasing tuples.
-    """
-    if psi4.n_qubits != 4:
-        raise ValueError(f"expected 4 qubits, got {psi4.n_qubits}")
-    amps = psi4.amplitudes
+def pure_tangles(psi: PureState) -> tuple[dict, dict]:
+    """One-tangles by focus and two-tangles by pair of an n-qubit pure state,
+    from its amplitude tensor; qubits are numbered 1..n and pairs are
+    increasing tuples."""
+    amps = psi.amplitudes
     norm2 = float(np.vdot(amps, amps).real)
     if not abs(norm2 - 1.0) <= NORM_TOL:  # also rejects NaN
         raise ValueError(f"state has squared norm {norm2}, expected 1")
+    n = psi.n_qubits
+    qubits = tuple(range(1, n + 1))
+    pairs = tuple(combinations(qubits, 2))
 
-    # tau1 = 4 det(M M^dag) for the 2x8 focus-by-rest reshape M.
-    m = amps[_FOCUS_ROWS]
+    # tau1 = 4 det(M M^dag) for the 2 x 2^(n-1) focus-by-rest reshape M.
+    m = amps[_unfoldings(n, tuple((f,) for f in qubits))]
     g = m @ m.conj().swapaxes(1, 2)
     det = g[:, 0, 0].real * g[:, 1, 1].real - np.abs(g[:, 0, 1]) ** 2
     tau1 = np.clip(4.0 * det, 0.0, 1.0)
 
-    # Wootters' tau matrix M^T (Syy) M of the 4x4 pair-by-rest reshape has
-    # the spin-flip spectrum lambda_i as its singular values.
-    m = amps[_PAIR_ROWS]
+    # Wootters' tau matrix M^T (Syy) M of the 4 x 2^(n-2) pair-by-rest reshape
+    # has the spin-flip spectrum lambda_i as its singular values; below four
+    # qubits it has fewer than four, and the missing ones are 0.
+    m = amps[_unfoldings(n, pairs)]
     lams = np.linalg.svd(m.swapaxes(1, 2) @ _SIGMA_YY @ m, compute_uv=False)
+    lams = np.concatenate([lams, np.zeros((len(pairs), max(0, 4 - lams.shape[1])))], axis=1)
     conc = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
     tau2 = np.minimum(conc * conc, 1.0)
+    return dict(zip(qubits, tau1.tolist())), dict(zip(pairs, tau2.tolist()))
+
+
+def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
+    """Every tangle of a four-qubit pure state, from its amplitude tensor.
+
+    Returns the one-tangles by focus and the two-tangles by pair from
+    ``pure_tangles``, and the three-tangle upper bounds (TangleBoundResult)
+    by triple, with qubits numbered 1..4 and triples as increasing tuples.
+    """
+    if psi4.n_qubits != 4:
+        raise ValueError(f"expected 4 qubits, got {psi4.n_qubits}")
+    tau1, tau2 = pure_tangles(psi4)
 
     # The 8x2 triple-by-rest reshape U S V^dag gives the rank-2 spectrum S^2
     # and support U of each three-qubit marginal.
-    u, s, _ = np.linalg.svd(amps[_TRIPLE_ROWS], full_matrices=False)
+    u, s, _ = np.linalg.svd(psi4.amplitudes[_unfoldings(4, _TRIPLES)], full_matrices=False)
     tau3 = _rank2_bounds(s**2, _phase_fix(u.swapaxes(1, 2)))
-    return (
-        dict(zip(_QUBITS, tau1.tolist())),
-        dict(zip(_PAIRS, tau2.tolist())),
-        dict(zip(_TRIPLES, tau3)),
-    )
+    return tau1, tau2, dict(zip(_TRIPLES, tau3))
 
 
 # -- per-marginal entry points ------------------------------------------------------

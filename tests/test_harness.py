@@ -13,8 +13,8 @@ from qtangle.harness import (
     table1_check,
     tangle_report,
 )
-from qtangle.monogamy import sm_report_all_foci
-from qtangle.qstate import state_to_json
+from qtangle.monogamy import ckw_residual, sm_report_all_foci
+from qtangle.qstate import apply_local_operators, state_to_json
 from qtangle.states import NormalFormParams, ghz, random_slocc_state, sample_seed, w
 
 
@@ -132,6 +132,9 @@ def test_campaign_config_validation():
         CampaignConfig(classes=(1, 9))
     with pytest.raises(ValueError):
         CampaignConfig(samples_per_class=0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="mu3"):
+            CampaignConfig(mu3=bad)
 
 
 def test_sweep_class5_nonnegative(tmp_path):
@@ -215,6 +218,25 @@ def test_tangle_report_terms_are_the_residuals_own():
 # ------------------------------------------------------------------- CLI
 
 
+def test_tangle_report_three_qubit_terms(rng):
+    psi = apply_local_operators(w(3), [rng.normal(size=(2, 2)) for _ in range(3)])
+    for focus in (1, 2, 3):
+        report = tangle_report(psi, focus)
+        assert list(report["tau2_terms"]) == [q for q in (1, 2, 3) if q != focus]
+        assert report["ckw_residual"] == report["tau1"] - sum(report["tau2_terms"].values())
+        assert report["ckw_residual"] == ckw_residual(psi, focus)
+
+
+def test_tangle_report_rejects_focus_outside_range(tmp_path):
+    for psi in (ghz(2), w(3)):
+        for focus in (0, psi.n_qubits + 1):
+            with pytest.raises(ValueError, match="focus"):
+                tangle_report(psi, focus)
+    path = tmp_path / "w3.json"
+    state_to_json(w(3), path)
+    assert main(["tangle", str(path), "--focus", "0"]) == 2
+
+
 def test_cli_verify_and_exit_codes(tmp_path):
     out = tmp_path / "v.csv"
     code = main(
@@ -257,6 +279,35 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     with open(out) as fh:
         assert len(fh.readlines()) == 6  # header + 5 grid points
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--step", "0"], ["--step", "-0.01"], ["--step", "nan"], ["--a-min", "1", "--a-max", "0.5"]],
+)
+def test_cli_sweep_rejects_bad_grid(tmp_path, capsys, grid):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--class", "5", *grid, "--out", str(out)]) == 2
+    assert "sweep grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_single_point_grid(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["--a-min", "0.5", "--a-max", "0.5", "--out", str(out)]
+    assert main(["sweep", "--class", "5", *args]) == 0
+    assert len(out.read_text().splitlines()) == 2  # header + 1 grid point
+
+
+@pytest.mark.parametrize("mu3", ["0", "nan"])
+def test_cli_rejects_bad_mu3(tmp_path, mu3):
+    out = tmp_path / "v.csv"
+    verify = ["verify", "--classes", "1", "--samples", "1", "--out", str(out)]
+    assert main([*verify, "--mu3", mu3]) == 2
+    assert not out.exists()
+    sweep = ["sweep", "--class", "5", "--a-max", "0.1", "--step", "0.1", "--out", str(out)]
+    assert main([*sweep, "--mu3", mu3]) == 2
+    assert not out.exists()
 
 
 def test_cli_table1(tmp_path):

@@ -6,6 +6,7 @@ from qtangle import (
     ExponentSchedule,
     GhzwParams,
     PureState,
+    apply_local_operators,
     ckw_residual,
     ghzw_analytic,
     ghzw_consistency_check,
@@ -30,8 +31,9 @@ TAU3_TOL = 1e-8
 def test_exponent_schedule():
     sched = ExponentSchedule()
     assert sched.mu == {2: 1.0, 3: 1.5}
-    with pytest.raises(ValueError):
-        ExponentSchedule(mu3=-1.0)
+    for bad in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            ExponentSchedule(mu3=bad)
 
 
 def test_residual_three_tangle_examples():
@@ -50,6 +52,38 @@ def test_residual_three_tangle_focus_independent(rng):
         vals = [residual_three_tangle(psi, f) for f in (1, 2, 3)]
         assert max(vals) - min(vals) < 1e-9
         assert vals[0] == pytest.approx(three_tangle_pure(psi), abs=1e-9)
+
+
+def test_residual_three_tangle_exact_on_zero_tangle_states(rng):
+    # SLOCC-dressed W and biseparable states have rank-deficient pair
+    # marginals, where an eigh/sqrt route through the density matrix loses
+    # about 1e-8; the residual must stay the closed-form three-tangle.
+    worst = 0.0
+    for _ in range(100):
+        ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+        dressed_w = apply_local_operators(w(3), ops)
+        product = PureState.from_amplitudes(np.kron([1, 0], random_pure_state(rng, 2).amplitudes))
+        for psi in (dressed_w, product):
+            for focus in (1, 2, 3):
+                worst = max(worst, abs(residual_three_tangle(psi, focus) - three_tangle_pure(psi)))
+    assert worst <= 1e-12, worst
+
+
+def test_ckw_residual_is_the_reports_own():
+    # Class-7 states, whose rank-deficient pair marginals split the old
+    # per-marginal route from the report's by about 1e-8.
+    for idx in range(18):
+        psi, _ = random_slocc_state(7, sample_seed(20260823, 7, idx))
+        for rep in sm_report_all_foci(psi):
+            own = rep.tau1 - sum(rep.tau2_terms.values())
+            assert abs(ckw_residual(psi, rep.focus) - own) <= 1e-15
+
+
+def test_focus_outside_range_rejected():
+    for fn, psi in ((ckw_residual, ghz(3)), (ckw_residual, w(5)), (residual_three_tangle, w(3))):
+        for focus in (0, psi.n_qubits + 1):
+            with pytest.raises(ValueError, match="focus"):
+                fn(psi, focus)
 
 
 def test_ckw_residual_examples(rng):

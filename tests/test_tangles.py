@@ -11,6 +11,7 @@ from qtangle import (
     four_qubit_tangles,
     one_tangle,
     partial_trace,
+    pure_tangles,
     rank2_decompose,
     simplex_member,
     three_tangle_pure,
@@ -293,6 +294,32 @@ def test_rdl_line_geometry_matches_8x8_matrices(rng):
 def test_four_qubit_tangles_rejects_nan_state():
     with pytest.raises(ValueError, match="norm"):
         four_qubit_tangles(PureState(n_qubits=4, amplitudes=np.full(16, np.nan, dtype=complex)))
+    with pytest.raises(ValueError, match="norm"):
+        pure_tangles(PureState(n_qubits=3, amplitudes=np.full(8, np.nan, dtype=complex)))
+
+
+def test_pure_tangles_match_per_marginal_reference(rng):
+    for n in range(2, 9):
+        qubits = range(1, n + 1)
+        for _ in range(3):
+            psi = random_pure_state(rng, n)
+            tau1, tau2 = pure_tangles(psi)
+            assert list(tau1) == list(qubits)
+            assert list(tau2) == list(itertools.combinations(qubits, 2))
+            for focus, value in tau1.items():
+                assert abs(value - one_tangle(psi, focus)) <= 1e-12
+            for pair, value in tau2.items():
+                rho = psi.projector() if n == 2 else partial_trace(psi, pair)
+                assert abs(value - two_tangle(rho)) <= 1e-12
+
+
+def test_pure_tangles_examples():
+    tau1, tau2 = pure_tangles(bell_pair())
+    assert tau1 == pytest.approx({1: 1.0, 2: 1.0}, abs=1e-12)
+    assert tau2 == pytest.approx({(1, 2): 1.0}, abs=1e-12)
+    tau1, tau2 = pure_tangles(w(3))
+    assert all(v == pytest.approx(8 / 9, abs=1e-12) for v in tau1.values())
+    assert all(v == pytest.approx(4 / 9, abs=1e-12) for v in tau2.values())
 
 
 def test_tangles_invariant_under_local_unitaries(rng):
