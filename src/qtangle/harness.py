@@ -44,6 +44,12 @@ RESIDUAL_BINS = np.linspace(-0.05, 1.0, 22)
 TAU1_BINS = np.linspace(0.0, 1.0, 21)
 
 
+def _check_threshold(threshold: float) -> None:
+    """The one check on a violation threshold: NaN or -inf passes every residual, +inf none."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     classes: tuple = tuple(range(1, 9))
@@ -54,6 +60,8 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not self.classes:
+            raise ValueError("campaign classes must not be empty")
         if any(c not in range(1, 9) for c in self.classes):
             raise ValueError("campaign classes must lie in 1..8 (class 9 has a separable focus)")
         if self.samples_per_class < 1:
@@ -61,6 +69,7 @@ class CampaignConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         ExponentSchedule(mu3=self.mu3)  # the one check on mu3
+        _check_threshold(self.negativity_threshold)
 
 
 @dataclass
@@ -216,6 +225,7 @@ def sweep_family(
     if cls not in SWEEP_BINDINGS:
         raise ValueError(f"no sweep binding for class {cls}; classes {sorted(SWEEP_BINDINGS)}")
     sched = ExponentSchedule(mu3=mu3)
+    _check_threshold(threshold)
     rows = []
     flagged = []
     violations = []

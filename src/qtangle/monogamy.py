@@ -128,6 +128,8 @@ def ghzw_analytic(p: GhzwParams) -> dict:
 
 def ghzw_consistency_check(p: GhzwParams) -> dict:
     """Numerically cross-check the closed-form values on the built state."""
+    if p.n == 3:  # |111> and the W term make the (1, 2) marginal coherent in |00>, |11>
+        raise ValueError("consistency check needs n >= 4: tau2_bound is not a bound at n = 3")
     if p.n > 6:
         raise ValueError("consistency check constructs the state; n <= 6 only")
     ref = ghzw_analytic(p)

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Tolerances, loosest to tightest: rank decisions leave the most headroom
-# because they sit downstream of an eigendecomposition of up to 16x16 input.
+# Tolerances, loosest to tightest. RANK_TOL is applied to computed spectra: in
+# production the squared singular values of 8x2 triple-by-rest reshapes.
 RANK_TOL = 1e-8
 PSD_TOL = 1e-10
 HERM_TOL = 1e-12

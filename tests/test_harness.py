@@ -135,6 +135,13 @@ def test_campaign_config_validation():
     for bad in (0.0, float("nan")):
         with pytest.raises(ValueError, match="mu3"):
             CampaignConfig(mu3=bad)
+    with pytest.raises(ValueError, match="empty"):
+        CampaignConfig(classes=())
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="threshold"):
+            CampaignConfig(negativity_threshold=bad)
+        with pytest.raises(ValueError, match="threshold"):
+            sweep_family(5, [0.5], threshold=bad)
 
 
 def test_sweep_class5_nonnegative(tmp_path):
@@ -307,6 +314,29 @@ def test_cli_rejects_bad_mu3(tmp_path, mu3):
     assert not out.exists()
     sweep = ["sweep", "--class", "5", "--a-max", "0.1", "--step", "0.1", "--out", str(out)]
     assert main([*sweep, "--mu3", mu3]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", ["", "8-1"])
+def test_cli_verify_rejects_empty_class_set(tmp_path, capsys, classes):
+    out, summary = tmp_path / "v.csv", tmp_path / "v.json"
+    args = ["verify", "--classes", classes, "--samples", "1", "--out", str(out)]
+    assert main([*args, "--summary", str(summary)]) == 2
+    assert "classes must not be empty" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_threshold(tmp_path, capsys, threshold):
+    # "--threshold=-inf": argparse reads a separate "-inf" as an option name.
+    out, summary = tmp_path / "v.csv", tmp_path / "v.json"
+    verify = ["verify", "--classes", "1", "--samples", "1", "--out", str(out)]
+    assert main([*verify, "--summary", str(summary), f"--threshold={threshold}"]) == 2
+    assert "threshold must be finite" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
+    sweep = ["sweep", "--class", "5", "--a-max", "0.1", "--step", "0.1", "--out", str(out)]
+    assert main([*sweep, f"--threshold={threshold}"]) == 2
+    assert "threshold must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -249,6 +249,18 @@ def test_ghzw_consistency_check_cases():
     assert ghzw_consistency_check(GhzwParams(4, 0.5, 0.5 + 0.5j, 0.5))["passed"]
 
 
+def test_ghzw_consistency_check_needs_four_to_six_qubits():
+    # At n = 3 the |111> and W terms make the pair marginal coherent and
+    # 4 |beta|^4 / n^2 is not a bound on its two-tangle.
+    coeffs = (0.6, 0.48 + 0.36j, np.sqrt(0.28))
+    with pytest.raises(ValueError, match="n = 3"):
+        ghzw_consistency_check(GhzwParams(3, *coeffs))
+    for n in (4, 5, 6):
+        assert ghzw_consistency_check(GhzwParams(n, *coeffs))["passed"]
+    with pytest.raises(ValueError, match="n <= 6"):
+        ghzw_consistency_check(GhzwParams(7, *coeffs))
+
+
 def test_ghzw_consistency_random_sweep(rng):
     for _ in range(100):
         mags = rng.dirichlet(np.ones(3))

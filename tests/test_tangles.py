@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import random_pure_state, random_unitary2
 from qtangle import (
@@ -20,7 +21,9 @@ from qtangle import (
     two_tangle,
     wclass_roots,
 )
-from qtangle.states import ghz, w
+from qtangle.harness import SWEEP_BINDINGS, _table1_params
+from qtangle.states import CLASS_ARITY, NormalFormParams, ghz, normal_form, w
+from qtangle.tangles import SUPPORT_TOL, _simplex_solve
 
 
 def bell_pair():
@@ -215,6 +218,150 @@ def test_simplex_member_random_mixtures(rng):
         mix_dm = DensityMatrix.from_entries(0.5 * (mix + mix.conj().T))
         member, _ = simplex_member(mix_dm, ws)
         assert member
+
+
+# Membership against an independent reference: a linear program for the
+# max-norm distance from a target to the convex hull of given columns,
+# min t over x >= 0, sum x = 1, |A x - b| <= t. It is 0 exactly when some
+# x >= 0 solves A x = b with sum x = 1.
+
+
+def _lp_distance(columns, target):
+    m, k = columns.shape
+    one = np.ones((m, 1))
+    res = linprog(
+        np.append(np.zeros(k), 1.0),
+        A_ub=np.block([[columns, -one], [-columns, -one]]),
+        b_ub=np.concatenate([target, -target]),
+        A_eq=np.append(np.ones(k), 0.0)[None],
+        b_eq=[1.0],
+        bounds=(0, None),
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _check_against_lp(w, points, expected):
+    """_simplex_solve and the LP both give the constructed answer on points
+    that lie at least 1e-6 inside or outside conv(w)."""
+    member, weights = _simplex_solve(np.repeat(w[None], len(points), axis=0), points)
+    assert list(member) == list(expected)
+    for r, m, wts in zip(points, member, weights):
+        d = _lp_distance(w.T, r)
+        assert d < 1e-9 if m else d >= 1e-6
+        if m:
+            assert wts.min() >= 0.0 and abs(wts.sum() - 1.0) < SUPPORT_TOL
+            assert np.linalg.norm(wts @ w - r) < SUPPORT_TOL
+
+
+def _pushed_off(rng, face, normal, deltas):
+    """Points of a face's relative interior moved by each delta along normal."""
+    base = rng.dirichlet(np.ones(len(face)) * 5.0) @ face
+    return np.array([base + dl * normal for dl in deltas])
+
+
+def _outward(direction, on, inner):
+    """Unit normal along direction at the point on, pointing away from inner."""
+    n = _unit(direction)
+    return n if n @ (on - inner) > 0 else -n
+
+
+_DELTAS = (-1e-2, -1e-4, -2e-6, 2e-6, 1e-4, 1e-2)  # < 0 inward, > 0 outward
+
+
+def test_simplex_solve_matches_lp_on_random_simplices(rng):
+    inside = outside = 0
+    for _ in range(15):
+        w = _unit(rng.normal(size=(4, 3)))
+        faces = [np.delete(w, k, axis=0) for k in range(4)]
+        normals = [_outward(np.cross(f[1] - f[0], f[2] - f[0]), f[0], w.mean(axis=0))
+                   for f in faces]
+        for face, normal in zip(faces, normals):
+            points = _pushed_off(rng, face, normal, _DELTAS)
+            # Keep the points whose signed distances to the face planes put
+            # them at least 1e-6 inside or outside the tetrahedron.
+            margin = np.min([(f[0] - points) @ n for f, n in zip(faces, normals)], axis=0)
+            keep = np.abs(margin) >= 1e-6
+            _check_against_lp(w, points[keep], margin[keep] > 0)
+            inside += np.sum(margin >= 1e-6)
+            outside += np.sum(margin <= -1e-6)
+    assert inside >= 100 and outside >= 100
+
+
+def test_simplex_solve_matches_lp_on_degenerate_hulls(rng):
+    for _ in range(10):
+        v = _unit(rng.normal(size=(3, 3)))
+        # A repeated root: conv is the triangle v0 v1 v2.
+        tri = v[[0, 1, 2, 2]]
+        off_plane = _unit(np.cross(v[1] - v[0], v[2] - v[0]))
+        pts = [rng.dirichlet(np.ones(3) * 5.0, size=4) @ v,
+               _pushed_off(rng, v, off_plane, (2e-6, -1e-3)),
+               _pushed_off(rng, v[:2], _outward(np.cross(off_plane, v[1] - v[0]), v[0], v[2]),
+                           (2e-6, 1e-2))]
+        _check_against_lp(tri, np.concatenate(pts), [True] * 4 + [False] * 4)
+        # Two repeated roots: conv is the segment v0 v1.
+        seg = v[[0, 0, 1, 1]]
+        across = _unit(np.cross(v[1] - v[0], rng.normal(size=3)))
+        pts = [rng.dirichlet(np.ones(2) * 5.0, size=3) @ v[:2],
+               _pushed_off(rng, v[:2], across, (2e-6, -1e-3))]
+        _check_against_lp(seg, np.concatenate(pts), [True] * 3 + [False] * 2)
+        # Four coplanar vertices on one latitude circle: conv is a quadrilateral.
+        z, phis = rng.uniform(-0.9, 0.9), np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))
+        rho_z = np.sqrt(1.0 - z * z)
+        circle = np.stack([rho_z * np.cos(phis), rho_z * np.sin(phis), np.full(4, z)], axis=1)
+        pole = np.array([0.0, 0.0, 1.0])
+        pts = [rng.dirichlet(np.ones(4) * 5.0, size=4) @ circle,
+               _pushed_off(rng, circle, pole, (2e-6, -1e-4))]
+        for k in range(4):  # each edge, pushed outward in the plane
+            edge = circle[[k, (k + 1) % 4]]
+            normal = _outward(np.cross(pole, edge[1] - edge[0]), edge[0], circle.mean(axis=0))
+            pts.append(_pushed_off(rng, edge, normal, (2e-6,)))
+        pts = np.concatenate(pts)
+        _check_against_lp(circle, pts, [True] * 4 + [False] * (len(pts) - 4))
+
+
+def _normal_form_marginals():
+    states = [
+        normal_form(cls, SWEEP_BINDINGS[cls](float(a)))
+        for cls in SWEEP_BINDINGS
+        for a in np.linspace(0.05, 1.95, 20)
+    ]
+    for cls in range(1, 10):
+        for t in [None] if CLASS_ARITY[cls] == 0 else np.linspace(0.15, 1.95, 10):
+            params = NormalFormParams() if t is None else _table1_params(cls, t)
+            states.append(normal_form(cls, params))
+    for psi in states:
+        for triple in itertools.combinations(range(1, 5), 3):
+            rho = partial_trace(psi, triple)
+            dec = rank2_decompose(rho)
+            if not dec.pure:
+                yield rho, wclass_roots(dec)
+
+
+def test_simplex_member_matches_lp_on_normal_form_marginals():
+    # Normal-form marginals are where repeated roots make the system rank
+    # deficient. The reference works on the 8x8 matrices: rho against the
+    # projectors of the four W-class states, real and imaginary parts.
+    counts = {(full, m): 0 for full in (True, False) for m in (True, False)}
+    for rho, ws in _normal_form_marginals():
+        member, weights = simplex_member(rho, ws)
+        proj = np.array([np.outer(z.amplitudes, z.amplitudes.conj()).ravel() for z in ws.z_states])
+        proj, target = proj.T, rho.entries.ravel()
+        columns = np.concatenate([proj.real, proj.imag])
+        d = _lp_distance(columns, np.concatenate([target.real, target.imag]))
+        assert d < 1e-9 or d >= 1e-6  # the tolerance cannot decide the case
+        assert member == (d < 1e-9)
+        if member:
+            assert weights.min() >= 0.0
+            assert np.max(np.abs(proj @ weights - target)) < SUPPORT_TOL
+        counts[(np.linalg.matrix_rank(columns) == 4, member)] += 1
+    assert counts[(False, True)] >= 100 and counts[(False, False)] >= 100
+    assert counts[(True, True)] + counts[(True, False)] >= 10
 
 
 # ----------------------------------------------------------- three_tangle_upper
