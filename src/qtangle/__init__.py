@@ -12,7 +12,6 @@ from .monogamy import (
 )
 from .qstate import (
     DensityMatrix,
-    NumericalError,
     PureState,
     Rank2Decomposition,
     RankError,
@@ -21,7 +20,6 @@ from .qstate import (
     rank2_decompose,
     state_from_json,
     state_to_json,
-    trace_norm,
 )
 from .states import (
     GhzwParams,
@@ -36,15 +34,10 @@ from .states import (
 )
 from .tangles import (
     TangleBoundResult,
-    WSimplex,
     four_qubit_tangles,
-    one_tangle,
     pure_tangles,
-    simplex_member,
     three_tangle_pure,
     three_tangle_upper,
-    two_tangle,
-    wclass_roots,
 )
 
 __version__ = "0.1.0"

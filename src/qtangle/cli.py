@@ -2,7 +2,7 @@
 
 Subcommands: verify (Monte Carlo campaign), sweep (one-parameter family),
 tangle (report for a state file), table1 (normal-form bound cross-check).
-Exit codes: 0 ok, 1 violations found, 2 usage error, 3 numerical error.
+Exit codes: 0 ok, 1 violations found, 2 usage error, 3 campaign samples failed.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from .harness import (
     tangle_report,
     write_table1_csv,
 )
-from .qstate import NumericalError, state_from_json
+from .qstate import state_from_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-EXIT_NUMERICAL = 3
+EXIT_SAMPLES_FAILED = 3
 
 
 def _parse_classes(spec: str) -> tuple:
@@ -99,7 +99,7 @@ def _cmd_verify(args) -> int:
         else:
             print(f"min residual:  {summary.min_residual:.3e} at {summary.min_residual_at}")
     if summary.error_count:
-        return EXIT_NUMERICAL
+        return EXIT_SAMPLES_FAILED
     return EXIT_VIOLATION if summary.violation_count else EXIT_OK
 
 
@@ -191,10 +191,31 @@ def _cmd_table1(args) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_threshold(argv: list) -> list:
+    """Write "--threshold X" as "--threshold=X" when X is a number: argparse
+    takes a separate "-1e-6" for an option name, since only plain decimals
+    count as negative numbers."""
+    out: list = []
+    for token in argv:
+        if out and out[-1] == "--threshold" and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_threshold(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -206,9 +227,6 @@ def main(argv=None) -> int:
             return _cmd_tangle(args)
         if args.command == "table1":
             return _cmd_table1(args)
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,10 +31,6 @@ class RankError(ValueError):
     """Effective rank of a density matrix exceeds what the caller allows."""
 
 
-class NumericalError(RuntimeError):
-    """Geometrically impossible intermediate result; input data is corrupt."""
-
-
 def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rotate a global phase so the first nonzero component is real positive;
     a stack of vectors is fixed along its last axis."""
@@ -128,10 +124,6 @@ class Rank2Decomposition:
             self.e2, self.e2.conj()
         )
 
-    def support_basis(self) -> np.ndarray:
-        """dim x 2 matrix with columns e1, e2."""
-        return np.column_stack([self.e1, self.e2])
-
 
 def _check_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
     keep = tuple(keep)
@@ -146,23 +138,13 @@ def _check_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
     return keep
 
 
-def partial_trace(state: PureState | DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the kept qubits, in the induced bit ordering."""
     n = state.n_qubits
     keep = _check_keep(keep, n)
     traced = [q - 1 for q in range(1, n + 1) if q not in keep]
-    k = len(keep)
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape((2,) * n)
-        rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
-    else:
-        t = state.entries.reshape((2,) * (2 * n))
-        # traced qubits share one einsum index between row and column axes
-        row = list(range(n))
-        col = [i if i in traced else n + i for i in range(n)]
-        out = [q - 1 for q in keep] + [n + q - 1 for q in keep]
-        rho = np.einsum(t, row + col, out)
-    rho = rho.reshape(2**k, 2**k)
+    psi = state.amplitudes.reshape((2,) * n)
+    rho = np.tensordot(psi, psi.conj(), axes=(traced, traced)).reshape(2 ** len(keep), -1)
     rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff asymmetry
     return DensityMatrix.from_entries(rho)
 
@@ -183,14 +165,6 @@ def rank2_decompose(rho: DensityMatrix) -> Rank2Decomposition:
     e2 = _phase_fix(evecs[:, 1])
     pure = bool(evals[1] < RANK_TOL)
     return Rank2Decomposition(lam=lam, e1=e1, e2=e2, pure=pure, dim=rho.dim)
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("trace_norm requires a Hermitian matrix")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def apply_local_operators(psi: PureState, ops: Sequence[np.ndarray]) -> PureState:

@@ -13,9 +13,9 @@ qubits from its amplitude tensor, and ``four_qubit_tangles`` adds the
 three-tangle bounds of a four-qubit state. Each kind of marginal is a stack
 of matricizations of the tensor (2 x 2^(n-1) per focus, 4 x 2^(n-2) per pair,
 8x2 per triple of four qubits), so no reduced density matrix is formed, and
-the bound runs on the Bloch vectors of all triples at once. ``one_tangle``,
-``two_tangle`` and ``three_tangle_upper`` take one marginal at a time and
-serve as the reference.
+the bound runs on the Bloch vectors of all triples at once.
+``three_tangle_upper`` applies the same bound to one three-qubit density
+matrix.
 """
 
 from __future__ import annotations
@@ -27,15 +27,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import nnls
 
-from .qstate import (
-    RANK_TOL,
-    DensityMatrix,
-    PureState,
-    Rank2Decomposition,
-    _phase_fix,
-    partial_trace,
-    rank2_decompose,
-)
+from .qstate import RANK_TOL, DensityMatrix, PureState, _phase_fix, rank2_decompose
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -46,6 +38,8 @@ _QUARTIC_NODES = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
 _QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
 
 SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.0e-16, non-members >= 9.7e-5
+PI_TOL = 1e-9  # on |r - p| of pi-coincidence; measured: coincident <= 5.6e-16, others >= 0.045
+VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-15 vs >= 5.0e-9
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
 NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input
 
@@ -65,17 +59,6 @@ def _unfoldings(n: int, keeps: tuple) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WSimplex:
-    """Four W-class states of a rank-2 support and their uniform mixture."""
-
-    z_states: tuple
-    pi: DensityMatrix
-    roots: tuple  # complex root, or None for a root at infinity
-    all_zero: bool
-    dec: Rank2Decomposition
-
-
-@dataclass(frozen=True)
 class TangleBoundResult:
     """Upper bound on the three-tangle of a rank-2 three-qubit state."""
 
@@ -85,26 +68,6 @@ class TangleBoundResult:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def one_tangle(psi: PureState, focus: int) -> float:
-    """4 det of the focus-qubit marginal (its linear entropy)."""
-    rho = partial_trace(psi, (focus,))
-    return float(np.clip(4.0 * np.linalg.det(rho.entries).real, 0.0, 1.0))
-
-
-def two_tangle(rho_pair: DensityMatrix) -> float:
-    """Squared concurrence of a two-qubit state via the spin-flipped spectrum."""
-    if rho_pair.dim != 4:
-        raise ValueError(f"two_tangle expects a 4x4 density matrix, got dim={rho_pair.dim}")
-    rho = rho_pair.entries
-    # The eigenvalues of rho (Syy rho* Syy) equal the squared singular values
-    # of sqrt(rho) Syy sqrt(rho)*, which is the numerically stable route.
-    evals, evecs = np.linalg.eigh(rho)
-    b = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    lams = np.linalg.svd(b @ _SIGMA_YY @ b.conj(), compute_uv=False)
-    c = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
-    return float(min(c * c, 1.0))
 
 
 def _tau3_quartic_form(c: np.ndarray) -> complex:
@@ -128,20 +91,11 @@ def _tau3_quartic_form(c: np.ndarray) -> complex:
     )
 
 
-def three_tangle_pure(psi3: PureState | np.ndarray) -> float:
-    """Closed-form three-tangle of a three-qubit pure state.
-
-    Also accepts a raw (possibly unnormalized) length-8 amplitude vector,
-    in which case the homogeneous value is returned without range clamping.
-    """
-    if isinstance(psi3, PureState):
-        if psi3.n_qubits != 3:
-            raise ValueError(f"three_tangle_pure expects 3 qubits, got {psi3.n_qubits}")
-        return float(min(4.0 * abs(_tau3_quartic_form(psi3.amplitudes)), 1.0))
-    amps = np.asarray(psi3, dtype=complex).ravel()
-    if amps.size != 8:
-        raise ValueError(f"expected 8 amplitudes, got {amps.size}")
-    return float(4.0 * abs(_tau3_quartic_form(amps)))
+def three_tangle_pure(psi3: PureState) -> float:
+    """Closed-form three-tangle of a three-qubit pure state."""
+    if psi3.n_qubits != 3:
+        raise ValueError(f"three_tangle_pure expects 3 qubits, got {psi3.n_qubits}")
+    return float(min(4.0 * abs(_tau3_quartic_form(psi3.amplitudes)), 1.0))
 
 
 # -- the rank-2 bound in the support frame ------------------------------------------
@@ -161,12 +115,13 @@ def _quartic_coeffs(support: np.ndarray) -> np.ndarray:
 
 def _quartic_degree(coeffs: np.ndarray) -> np.ndarray:
     """Degree of each quartic after dropping coefficients below DEGREE_TOL
-    times the largest; -1 where the polynomial vanishes identically."""
+    times the largest; -1 where the polynomial vanishes identically (its
+    largest coefficient is below VANISHING_TOL)."""
     mag = np.abs(coeffs)
     scale = mag.max(axis=1)
     keep = mag >= DEGREE_TOL * scale[:, None]
     degree = 4 - np.argmax(keep[:, ::-1], axis=1)
-    return np.where(scale < 1e-14, -1, degree)
+    return np.where(scale < VANISHING_TOL, -1, degree)
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -193,12 +148,6 @@ def _wclass_bloch(roots: np.ndarray) -> np.ndarray:
     w[:, :d] = np.stack([2.0 * roots.real, 2.0 * roots.imag, 1.0 - z2], axis=-1)
     w[:, :d] /= (1.0 + z2)[..., None]
     return w
-
-
-def _bloch3(m: np.ndarray) -> np.ndarray:
-    """Pauli coordinates (x, y, z) of stacked 2x2 Hermitian matrices."""
-    m01 = m[..., 0, 1]
-    return np.stack([2.0 * m01.real, -2.0 * m01.imag, (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1)
 
 
 def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +181,7 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> list
     r[:, 2] = spectrum[:, 0] - spectrum[:, 1]
     dist = np.linalg.norm(r - p, axis=1)
     results = [TangleBoundResult(value=0.0, method="pi-coincidence") for _ in spectrum]
-    rest = np.flatnonzero(~(dist < 1e-9))
+    rest = np.flatnonzero(~(dist < PI_TOL))
     if rest.size == 0:
         return results
     member, weights = _simplex_solve(w[rest], r[rest])
@@ -356,63 +305,9 @@ def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
     return tau1, tau2, dict(zip(_TRIPLES, tau3))
 
 
-# -- per-marginal entry points ------------------------------------------------------
-
-
-def _support_of(dec: Rank2Decomposition) -> np.ndarray:
-    return np.stack([dec.e1, dec.e2])[None]
-
-
-def wclass_roots(dec: Rank2Decomposition) -> WSimplex:
-    """Zero-tangle states of the rank-2 span and their uniform mixture.
-
-    The quartic p(z) is the (pre-modulus) three-tangle polynomial of
-    ``e1 + z e2``; degree deficiencies become roots at infinity (Z = e2).
-    """
-    if dec.pure:
-        raise ValueError("wclass_roots requires a genuinely rank-2 decomposition")
-    if dec.dim != 8:
-        raise ValueError("wclass_roots expects a three-qubit support")
-    coeffs = _quartic_coeffs(_support_of(dec))
-    degree = int(_quartic_degree(coeffs)[0])
-    if degree < 0:
-        # Polynomial vanishes identically: the whole span is W-class.
-        roots: tuple = (0.0 + 0.0j, None, 1.0 + 0.0j, -1.0 + 0.0j)
-    else:
-        finite = _companion_roots(coeffs[:, : degree + 1])[0]
-        roots = tuple(finite) + (None,) * (4 - degree)
-    states = []
-    for z in roots:
-        vec = dec.e2 if z is None else dec.e1 + z * dec.e2
-        states.append(PureState.from_amplitudes(vec, n_qubits=3))
-    pi = np.mean([np.outer(s.amplitudes, s.amplitudes.conj()) for s in states], axis=0)
-    return WSimplex(
-        z_states=tuple(states),
-        pi=DensityMatrix.from_entries(pi),
-        roots=roots,
-        all_zero=degree < 0,
-        dec=dec,
-    )
-
-
-def simplex_member(rho: DensityMatrix, ws: WSimplex) -> tuple[bool, np.ndarray]:
-    """Whether rho is a convex mixture of the four simplex states, with the
-    mixture weights; the decision of ``_simplex_solve`` on Bloch vectors in
-    the support frame. Raises ValueError when rho leaves the support."""
-    basis = ws.dec.support_basis()
-    m_rho = basis.conj().T @ rho.entries @ basis
-    recon = basis @ m_rho @ basis.conj().T
-    if np.max(np.abs(rho.entries - recon)) > SUPPORT_TOL:
-        raise ValueError("state is not supported on the simplex span")
-    frame = np.array([basis.conj().T @ z.amplitudes for z in ws.z_states])
-    w = _bloch3(frame[:, :, None] * frame.conj()[:, None, :])
-    member, weights = _simplex_solve(w[None], _bloch3(m_rho)[None])
-    return bool(member[0]), weights[0]
-
-
 def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:
     """Upper bound on the three-tangle of a rank <= 2 three-qubit state."""
     if rho3.dim != 8:
         raise ValueError(f"expected a three-qubit state, got dim={rho3.dim}")
     dec = rank2_decompose(rho3)
-    return _rank2_bounds(np.array([[dec.lam, 1.0 - dec.lam]]), _support_of(dec))[0]
+    return _rank2_bounds(np.array([[dec.lam, 1.0 - dec.lam]]), np.stack([dec.e1, dec.e2])[None])[0]

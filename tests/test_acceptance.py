@@ -24,10 +24,10 @@ from qtangle import (
     sm_report_all_foci,
     three_tangle_pure,
     three_tangle_upper,
-    trace_norm,
 )
 from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check, tangle_report
 from qtangle.states import ghz, ghzw, random_slocc_state, sample_seed
+from reference import trace_norm
 
 FULL = os.environ.get("QTANGLE_FULL") == "1"
 

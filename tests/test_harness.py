@@ -340,6 +340,20 @@ def test_cli_rejects_non_finite_threshold(tmp_path, capsys, threshold):
     assert not out.exists()
 
 
+def test_cli_threshold_in_exponent_form(tmp_path, capsys):
+    # argparse alone reads a separate "-1e-6" as an option name and exits 2.
+    out, summary = tmp_path / "v.csv", tmp_path / "v.json"
+    verify = ["verify", "--classes", "1", "--samples", "1", "--out", str(out)]
+    assert main([*verify, "--threshold", "-1e-7", "--summary", str(summary)]) == 0
+    assert summary.exists()
+    sweep = ["sweep", "--class", "5", "--a-max", "0.1", "--step", "0.1", "--out", str(out)]
+    assert main([*sweep, "--threshold", "-1e-6"]) == 0
+    # the value reaches the check: an infinite one is rejected, not misparsed
+    capsys.readouterr()
+    assert main([*sweep, "--threshold", "-inf"]) == 2
+    assert "threshold must be finite" in capsys.readouterr().err
+
+
 def test_cli_table1(tmp_path):
     out = tmp_path / "t1.csv"
     assert main(["table1", "--out", str(out)]) == 0

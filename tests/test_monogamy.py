@@ -10,17 +10,16 @@ from qtangle import (
     ckw_residual,
     ghzw_analytic,
     ghzw_consistency_check,
-    one_tangle,
     partial_trace,
     residual_three_tangle,
     sm_report_all_foci,
     tau4_lower_bound,
     three_tangle_pure,
     three_tangle_upper,
-    two_tangle,
 )
 from qtangle.harness import SWEEP_BINDINGS
 from qtangle.states import ghz, ghzw, normal_form, random_slocc_state, sample_seed, w
+from reference import one_tangle, two_tangle
 
 # Tensor route (sm_report_all_foci) against the per-marginal reference.
 TAU1_TOL = 1e-12
@@ -236,8 +235,6 @@ def test_ghzw_analytic_examples():
 def test_ghzw_analytic_cross_check_n5():
     p = GhzwParams(5, 0.6, 0.48 + 0.36j, 0.52915026221291814)
     rec = ghzw_analytic(p)
-    from qtangle import one_tangle, partial_trace, two_tangle
-
     psi = ghzw(p)
     assert one_tangle(psi, 1) == pytest.approx(rec["tau1"], abs=1e-9)
     assert two_tangle(partial_trace(psi, (1, 2))) <= rec["tau2_bound"] + 1e-9

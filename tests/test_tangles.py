@@ -10,20 +10,23 @@ from qtangle import (
     PureState,
     apply_local_operators,
     four_qubit_tangles,
-    one_tangle,
     partial_trace,
     pure_tangles,
     rank2_decompose,
-    simplex_member,
     three_tangle_pure,
     three_tangle_upper,
-    trace_norm,
-    two_tangle,
-    wclass_roots,
 )
 from qtangle.harness import SWEEP_BINDINGS, _table1_params
 from qtangle.states import CLASS_ARITY, NormalFormParams, ghz, normal_form, w
-from qtangle.tangles import SUPPORT_TOL, _simplex_solve
+from qtangle.tangles import (
+    SUPPORT_TOL,
+    _companion_roots,
+    _quartic_coeffs,
+    _quartic_degree,
+    _simplex_solve,
+    _wclass_bloch,
+)
+from reference import one_tangle, trace_norm, two_tangle, wclass_states
 
 
 def bell_pair():
@@ -102,54 +105,79 @@ def test_three_tangle_wrong_size():
     with pytest.raises(ValueError):
         three_tangle_pure(ghz(4))
     with pytest.raises(ValueError):
-        three_tangle_pure(np.ones(4))
+        three_tangle_pure(bell_pair())
 
 
-# --------------------------------------------------------------- wclass_roots
+# ------------------------------------------------------- W-class vertices
+#
+# The package's W-class states of a rank-2 support are Bloch vectors in the
+# frame (e1, e2) of its eigenvectors; the reference gives them as 8-vectors.
+
+
+def _support(rho):
+    dec = rank2_decompose(rho)
+    return dec.e1, dec.e2
+
+
+def _package_vertices(e1, e2):
+    """The package's W-class Bloch vectors (4, 3) of the span of e1, e2, or
+    None where its quartic vanishes identically."""
+    coeffs = _quartic_coeffs(np.stack([e1, e2])[None])
+    degree = int(_quartic_degree(coeffs)[0])
+    if degree < 0:
+        return None
+    return _wclass_bloch(_companion_roots(coeffs[:, : degree + 1]))[0]
+
+
+def _bloch(states, e1, e2):
+    """Bloch vectors (K, 3) of support states (K, 8) in the frame of e1, e2."""
+    a, b = states @ e1.conj(), states @ e2.conj()
+    ab = a.conj() * b
+    return np.stack([2.0 * ab.real, 2.0 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=-1)
+
+
+def _from_bloch(bloch, e1, e2):
+    """Support states (K, 8) with Bloch vectors (K, 3) in the frame of e1, e2."""
+    half = np.arccos(np.clip(bloch[:, 2], -1.0, 1.0)) / 2.0
+    phase = np.exp(1j * np.arctan2(bloch[:, 1], bloch[:, 0]))
+    return np.cos(half)[:, None] * e1 + (phase * np.sin(half))[:, None] * e2
+
+
+def _mixture(states, weights):
+    return sum(p * np.outer(v, v.conj()) for p, v in zip(weights, states))
 
 
 def test_wclass_roots_ghz4_marginal():
-    dec = rank2_decompose(partial_trace(ghz(4), (1, 2, 3)))
-    ws = wclass_roots(dec)
-    finite = [z for z in ws.roots if z is not None]
-    infinite = [z for z in ws.roots if z is None]
-    assert len(finite) == 2 and len(infinite) == 2
-    assert np.allclose(np.abs(finite), 0.0, atol=1e-10)
+    e1, e2 = _support(partial_trace(ghz(4), (1, 2, 3)))
+    # two roots at z = 0 (e1, the north pole) and two at infinity (e2)
+    expected = [[0.0, 0.0, 1.0]] * 2 + [[0.0, 0.0, -1.0]] * 2
+    assert np.allclose(_package_vertices(e1, e2), expected, atol=1e-10)
     expected_pi = np.zeros((8, 8), dtype=complex)
     expected_pi[0, 0] = expected_pi[7, 7] = 0.5
-    assert np.allclose(ws.pi.entries, expected_pi, atol=1e-10)
+    assert np.allclose(_mixture(wclass_states(e1, e2), [0.25] * 4), expected_pi, atol=1e-10)
 
 
 def test_wclass_roots_states_have_zero_tangle(rng):
     for _ in range(30):
         psi = random_pure_state(rng, 4)
-        dec = rank2_decompose(partial_trace(psi, (1, 2, 3)))
-        ws = wclass_roots(dec)
-        for zstate in ws.z_states:
-            assert three_tangle_pure(zstate) < 1e-9
-        mix = np.mean(
-            [np.outer(s.amplitudes, s.amplitudes.conj()) for s in ws.z_states], axis=0
-        )
-        assert np.max(np.abs(mix - ws.pi.entries)) < 1e-10
+        e1, e2 = _support(partial_trace(psi, (1, 2, 3)))
+        for v in _from_bloch(_package_vertices(e1, e2), e1, e2):
+            assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-9
 
 
 def test_wclass_roots_distinct_root_case(rng):
     # span of GHZ3 and a generic orthogonal direction: quartic with 4 roots
-    e1 = ghz(3).amplitudes
+    g = ghz(3).amplitudes
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    v -= np.vdot(e1, v) * e1
+    v -= np.vdot(g, v) * g
     v /= np.linalg.norm(v)
-    rho = DensityMatrix.from_entries(0.6 * np.outer(e1, e1.conj()) + 0.4 * np.outer(v, v.conj()))
-    ws = wclass_roots(rank2_decompose(rho))
-    assert not ws.all_zero
-    for zstate in ws.z_states:
-        assert three_tangle_pure(zstate) < 1e-9
-
-
-def test_wclass_roots_rejects_pure():
-    dec = rank2_decompose(ghz(3).projector())
-    with pytest.raises(ValueError):
-        wclass_roots(dec)
+    e1, e2 = _support(DensityMatrix.from_entries(_mixture([g, v], [0.6, 0.4])))
+    coeffs = _quartic_coeffs(np.stack([e1, e2])[None])
+    assert _quartic_degree(coeffs)[0] == 4
+    roots = _companion_roots(coeffs)[0]
+    assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 1e-3
+    for v in _from_bloch(_package_vertices(e1, e2), e1, e2):
+        assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-9
 
 
 def test_wclass_roots_degenerate_span():
@@ -157,67 +185,42 @@ def test_wclass_roots_degenerate_span():
     rho = DensityMatrix.from_entries(
         np.diag([0.5, 0, 0, 0.5, 0, 0, 0, 0]).astype(complex)
     )
-    ws = wclass_roots(rank2_decompose(rho))
-    assert ws.all_zero
-    for zstate in ws.z_states:
-        assert three_tangle_pure(zstate) < 1e-12
+    e1, e2 = _support(rho)
+    assert _package_vertices(e1, e2) is None
+    res = three_tangle_upper(rho)
+    assert (res.value, res.method, res.diagnostics) == (0.0, "simplex-zero", {})
+    for v in wclass_states(e1, e2):
+        assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-12
 
 
-# -------------------------------------------------------------- simplex_member
+# ------------------------------------------------------ W-simplex membership
 
 
 def test_simplex_member_pi_itself(rng):
-    psi = random_pure_state(rng, 4)
-    rho = partial_trace(psi, (1, 2, 3))
-    ws = wclass_roots(rank2_decompose(rho))
-    member, weights = simplex_member(ws.pi, ws)
-    assert member
-    if len({None if z is None else complex(np.round(z, 9)) for z in ws.roots}) == 4:
-        assert np.allclose(weights, 0.25, atol=1e-7)
+    for _ in range(10):
+        psi = random_pure_state(rng, 4)
+        pi = _mixture(wclass_states(*_support(partial_trace(psi, (1, 2, 3)))), [0.25] * 4)
+        res = three_tangle_upper(DensityMatrix.from_entries(0.5 * (pi + pi.conj().T)))
+        assert (res.value, res.method) == (0.0, "pi-coincidence")
 
 
 def test_simplex_member_ghz4_marginal():
-    rho = partial_trace(ghz(4), (1, 2, 3))
-    ws = wclass_roots(rank2_decompose(rho))
-    member, _ = simplex_member(rho, ws)
-    assert member
+    for triple in itertools.combinations(range(1, 5), 3):
+        res = three_tangle_upper(partial_trace(ghz(4), triple))
+        assert (res.value, res.method) == (0.0, "pi-coincidence")
 
 
 def test_simplex_member_rejects_ghz3(rng):
-    # a state with unit three-tangle cannot sit in a zero-tangle simplex
+    # a state near GHZ3, whose three-tangle is 1, is outside the zero-tangle
+    # simplex of its support
     e1 = ghz(3).amplitudes
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    v -= np.vdot(e1, v) * e1
-    v /= np.linalg.norm(v)
-    rho = DensityMatrix.from_entries(0.6 * np.outer(e1, e1.conj()) + 0.4 * np.outer(v, v.conj()))
-    ws = wclass_roots(rank2_decompose(rho))
-    member, _ = simplex_member(ghz(3).projector(), ws)
-    assert not member
-
-
-def test_simplex_member_support_check(rng):
-    # membership is only defined for states living on the simplex span
-    psi = random_pure_state(rng, 4)
-    rho = partial_trace(psi, (1, 2, 3))
-    ws = wclass_roots(rank2_decompose(rho))
-    with pytest.raises(ValueError):
-        simplex_member(ghz(3).projector(), ws)
-
-
-def test_simplex_member_random_mixtures(rng):
-    # random convex mixtures of the simplex states are members with zero bound
     for _ in range(10):
-        psi = random_pure_state(rng, 4)
-        rho = partial_trace(psi, (1, 2, 3))
-        ws = wclass_roots(rank2_decompose(rho))
-        wts = rng.dirichlet(np.ones(4))
-        mix = sum(
-            p * np.outer(s.amplitudes, s.amplitudes.conj())
-            for p, s in zip(wts, ws.z_states)
-        )
-        mix_dm = DensityMatrix.from_entries(0.5 * (mix + mix.conj().T))
-        member, _ = simplex_member(mix_dm, ws)
-        assert member
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        v -= np.vdot(e1, v) * e1
+        v /= np.linalg.norm(v)
+        rho = 0.95 * np.outer(e1, e1.conj()) + 0.05 * np.outer(v, v.conj())
+        res = three_tangle_upper(DensityMatrix.from_entries(rho))
+        assert res.method == "rdl-line" and res.value > 0.5
 
 
 # Membership against an independent reference: a linear program for the
@@ -325,7 +328,9 @@ def test_simplex_solve_matches_lp_on_degenerate_hulls(rng):
         _check_against_lp(circle, pts, [True] * 4 + [False] * (len(pts) - 4))
 
 
-def _normal_form_marginals():
+def _marginals(rng):
+    """Every mixed triple marginal, with its rank-2 decomposition, of the
+    sweep and Table 1 normal forms, GHZ4, W4 and 60 random states."""
     states = [
         normal_form(cls, SWEEP_BINDINGS[cls](float(a)))
         for cls in SWEEP_BINDINGS
@@ -335,33 +340,66 @@ def _normal_form_marginals():
         for t in [None] if CLASS_ARITY[cls] == 0 else np.linspace(0.15, 1.95, 10):
             params = NormalFormParams() if t is None else _table1_params(cls, t)
             states.append(normal_form(cls, params))
+    states += [ghz(4), w(4)] + [random_pure_state(rng, 4) for _ in range(60)]
     for psi in states:
         for triple in itertools.combinations(range(1, 5), 3):
             rho = partial_trace(psi, triple)
             dec = rank2_decompose(rho)
             if not dec.pure:
-                yield rho, wclass_roots(dec)
+                yield rho, dec
 
 
-def test_simplex_member_matches_lp_on_normal_form_marginals():
+def test_simplex_member_matches_lp_on_normal_form_marginals(rng):
     # Normal-form marginals are where repeated roots make the system rank
-    # deficient. The reference works on the 8x8 matrices: rho against the
-    # projectors of the four W-class states, real and imaginary parts.
+    # deficient. The package's decision (a zero bound by simplex-zero or
+    # pi-coincidence) is checked on the 8x8 matrices against an LP: rho
+    # against the projectors of the reference W-class states, real and
+    # imaginary parts. Their order is the package's, so its weights rebuild rho.
     counts = {(full, m): 0 for full in (True, False) for m in (True, False)}
-    for rho, ws in _normal_form_marginals():
-        member, weights = simplex_member(rho, ws)
-        proj = np.array([np.outer(z.amplitudes, z.amplitudes.conj()).ravel() for z in ws.z_states])
-        proj, target = proj.T, rho.entries.ravel()
+    for rho, dec in _marginals(rng):
+        res = three_tangle_upper(rho)
+        member = res.method in ("simplex-zero", "pi-coincidence")
+        states = wclass_states(dec.e1, dec.e2)
+        proj = np.array([np.outer(v, v.conj()).ravel() for v in states]).T
+        target = rho.entries.ravel()
         columns = np.concatenate([proj.real, proj.imag])
         d = _lp_distance(columns, np.concatenate([target.real, target.imag]))
         assert d < 1e-9 or d >= 1e-6  # the tolerance cannot decide the case
         assert member == (d < 1e-9)
-        if member:
+        if "weights" in res.diagnostics:
+            weights = np.array(res.diagnostics["weights"])
             assert weights.min() >= 0.0
             assert np.max(np.abs(proj @ weights - target)) < SUPPORT_TOL
         counts[(np.linalg.matrix_rank(columns) == 4, member)] += 1
     assert counts[(False, True)] >= 100 and counts[(False, False)] >= 100
     assert counts[(True, True)] + counts[(True, False)] >= 10
+
+
+# The package's W-class vertices against the reference's, as Bloch vectors
+# in the support frame. Roundoff of about 1e-16 in the quartic coefficients
+# moves a root of multiplicity m by about 1e-16^(1/m): the fourfold roots of
+# some normal forms (finite, or at infinity for a constant quartic) are only
+# determined to about 1e-4. Measured on these marginals: sets within 2.8e-4
+# (simple and double roots within 3e-8), means within 3.9e-8.
+VERTEX_TOL = 1e-3
+MEAN_TOL = 1e-7
+
+
+def test_wclass_vertices_match_reference(rng):
+    compared = 0
+    for _, dec in _marginals(rng):
+        w = _package_vertices(dec.e1, dec.e2)
+        if w is None:  # covered by the membership test: a zero bound
+            continue
+        ref = _bloch(wclass_states(dec.e1, dec.e2), dec.e1, dec.e2)
+        gap = min(
+            np.max(np.linalg.norm(w[list(p)] - ref, axis=1))
+            for p in itertools.permutations(range(4))
+        )
+        assert gap <= VERTEX_TOL
+        assert np.linalg.norm(w.mean(axis=0) - ref.mean(axis=0)) <= MEAN_TOL
+        compared += 1
+    assert compared >= 800
 
 
 # ----------------------------------------------------------- three_tangle_upper
@@ -384,12 +422,7 @@ def test_upper_simplex_zero_for_constructed_mixtures(rng):
     for _ in range(10):
         psi = random_pure_state(rng, 4)
         rho = partial_trace(psi, (1, 2, 3))
-        ws = wclass_roots(rank2_decompose(rho))
-        wts = rng.dirichlet(np.ones(4))
-        mix = sum(
-            p * np.outer(s.amplitudes, s.amplitudes.conj())
-            for p, s in zip(wts, ws.z_states)
-        )
+        mix = _mixture(wclass_states(*_support(rho)), rng.dirichlet(np.ones(4)))
         res = three_tangle_upper(DensityMatrix.from_entries(0.5 * (mix + mix.conj().T)))
         assert res.value == 0.0
         if res.method == "simplex-zero":
@@ -425,7 +458,7 @@ def test_rdl_line_geometry_matches_8x8_matrices(rng):
             if res.method != "rdl-line":
                 continue
             diag = res.diagnostics
-            pi = wclass_roots(rank2_decompose(rho)).pi.entries
+            pi = _mixture(wclass_states(*_support(rho)), [0.25] * 4)
             t = diag["kappa"] / trace_norm(rho.entries - pi)
             assert diag["trace_norm_ratio"] == pytest.approx(1.0 / (1.0 + t) ** 2, rel=1e-11)
             evals, evecs = np.linalg.eigh((1.0 + t) * rho.entries - t * pi)
@@ -474,11 +507,5 @@ def test_tangles_invariant_under_local_unitaries(rng):
     for _ in range(5):
         psi = random_pure_state(rng, 4)
         rotated = apply_local_operators(psi, [random_unitary2(rng) for _ in range(4)])
-        for focus in range(1, 5):
-            assert one_tangle(rotated, focus) == pytest.approx(
-                one_tangle(psi, focus), abs=1e-9
-            )
-        for pair in itertools.combinations(range(1, 5), 2):
-            assert two_tangle(partial_trace(rotated, pair)) == pytest.approx(
-                two_tangle(partial_trace(psi, pair)), abs=1e-9
-            )
+        for before, after in zip(pure_tangles(psi), pure_tangles(rotated)):
+            assert after == pytest.approx(before, abs=1e-9)
