@@ -6,6 +6,7 @@ from .monogamy import (
     ckw_residual,
     ghzw_analytic,
     ghzw_consistency_check,
+    residual_columns,
     residual_three_tangle,
     sm_report_all_foci,
     tau4_lower_bound,
@@ -34,8 +35,10 @@ from .states import (
 )
 from .tangles import (
     TangleBoundResult,
+    TangleColumns,
     four_qubit_tangles,
     pure_tangles,
+    tangle_columns,
     three_tangle_pure,
     three_tangle_upper,
 )

@@ -9,15 +9,22 @@ import json
 import logging
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 from multiprocessing import Pool
 
 import numpy as np
 
-from .monogamy import ExponentSchedule, _check_focus, sm_report_all_foci, tau4_lower_bound
+from .monogamy import (
+    FOCUS_PAIRS,
+    FOCUS_TRIPLES,
+    PARTNERS,
+    ExponentSchedule,
+    _check_focus,
+    residual_columns,
+    tau4_lower_bound,
+)
 from .qstate import PureState
-from .states import CLASS_ARITY, NormalFormParams, normal_form, random_slocc_state, sample_seed
-from .tangles import four_qubit_tangles, pure_tangles, three_tangle_pure
+from .states import CLASS_ARITY, NormalFormParams, draw_slocc, dress, normal_form, sample_seed
+from .tangles import METHODS, TRIPLES, pure_tangles, tangle_columns, three_tangle_pure
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +46,8 @@ CSV_FIELDS = [
     "method_23",
     "residual_lower",
 ]
+
+_PARTNER_LABELS = ["-".join(map(str, ps)) for ps in PARTNERS]
 
 RESIDUAL_BINS = np.linspace(-0.05, 1.0, 22)
 TAU1_BINS = np.linspace(0.0, 1.0, 21)
@@ -86,100 +95,138 @@ class CampaignSummary:
         return asdict(self)
 
 
-def _sample_rows(task: tuple) -> tuple:
-    """Rows for one (class, index) sample, or the record of its failure;
-    top level so workers can pickle it."""
-    cls, idx, master_seed, mu3 = task
-    sub_seed = f"{master_seed}:{cls}:{idx}"
-    try:
-        psi, _ = random_slocc_state(cls, sample_seed(master_seed, cls, idx))
-        reports = sm_report_all_foci(psi, ExponentSchedule(mu3=mu3))
-    except Exception as exc:
-        log.exception("sample failed: class=%s index=%s seed=%s", cls, idx, master_seed)
-        error = {
-            "class": cls,
-            "sample_index": idx,
-            "sub_seed": sub_seed,
-            "type": type(exc).__name__,
-            "message": str(exc),
-        }
-        return cls, idx, sub_seed, None, error
-    rows = []
-    for rep in reports:
-        partners = sorted(rep.tau2_terms)
-        pairs = list(combinations(partners, 2))
-        row = {
-            "class": cls,
-            "sample_index": idx,
-            "sub_seed": sub_seed,
-            "focus": rep.focus,
-            "partners": "-".join(str(p) for p in partners),
-            "tau1": repr(rep.tau1),
-            "residual_lower": repr(rep.residual_lower),
-        }
-        for slot, p in enumerate(partners, start=1):
-            row[f"tau2_{slot}"] = repr(rep.tau2_terms[p])
-        for label, pair in zip(("12", "13", "23"), pairs):
-            row[f"tau3_{label}"] = repr(rep.tau3_bounds[pair].value)
-            row[f"method_{label}"] = rep.tau3_bounds[pair].method
-        rows.append(row)
-    return cls, idx, sub_seed, rows, None
+# Samples per campaign task: one stacked engine call per chunk of a class.
+CHUNK_SIZE = 64
+
+
+def _sub_seed(master_seed: int, cls: int, idx: int) -> str:
+    return f"{master_seed}:{cls}:{idx}"
+
+
+def _error_record(cls: int, idx: int, master_seed: int, exc: Exception) -> dict:
+    log.error("sample failed: class=%s index=%s seed=%s", cls, idx, master_seed, exc_info=exc)
+    return {
+        "class": cls,
+        "sample_index": idx,
+        "sub_seed": _sub_seed(master_seed, cls, idx),
+        "type": type(exc).__name__,
+        "message": str(exc),
+    }
+
+
+def _evaluate(draws: list, mu3: float) -> tuple:
+    cols = tangle_columns(dress(draws))
+    return cols, residual_columns(cols, mu3)
+
+
+def _chunk_rows(task: tuple) -> tuple:
+    """CSV rows for one chunk of samples of a class, with their residuals,
+    one-tangles and bound-method counts, and a record per failed sample;
+    top level so workers can pickle it.
+
+    A sample whose draw fails is recorded alone. If the stacked evaluation
+    fails, each sample is evaluated alone, so a failure is still recorded
+    against the sample that caused it."""
+    cls, start, stop, master_seed, mu3 = task
+    draws, errors = {}, []
+    for idx in range(start, stop):
+        try:
+            draws[idx] = draw_slocc(cls, sample_seed(master_seed, cls, idx))
+        except Exception as exc:
+            errors.append(_error_record(cls, idx, master_seed, exc))
+    parts = []
+    if draws:
+        try:
+            parts.append((list(draws), _evaluate(list(draws.values()), mu3)))
+        except Exception:
+            for idx, draw in draws.items():
+                try:
+                    parts.append(([idx], _evaluate([draw], mu3)))
+                except Exception as exc:
+                    errors.append(_error_record(cls, idx, master_seed, exc))
+    errors.sort(key=lambda e: e["sample_index"])
+    rows, residuals, tau1s = [], [], []
+    methods = np.zeros(len(METHODS), dtype=int)
+    for indices, (cols, res) in parts:
+        tau1 = [list(map(repr, r)) for r in cols.tau1.tolist()]
+        tau2 = [list(map(repr, r)) for r in cols.tau2.tolist()]
+        tau3 = [list(map(repr, r)) for r in cols.tau3.value.tolist()]
+        method = [[METHODS[m] for m in r] for r in cols.tau3.method.tolist()]
+        residual = [list(map(repr, r)) for r in res.tolist()]
+        for i, idx in enumerate(indices):
+            sub_seed = _sub_seed(master_seed, cls, idx)
+            for f in range(4):
+                p, t = FOCUS_PAIRS[f], FOCUS_TRIPLES[f]
+                rows.append([
+                    cls, idx, sub_seed, f + 1, _PARTNER_LABELS[f], tau1[i][f],
+                    tau2[i][p[0]], tau2[i][p[1]], tau2[i][p[2]],
+                    tau3[i][t[0]], tau3[i][t[1]], tau3[i][t[2]],
+                    method[i][t[0]], method[i][t[1]], method[i][t[2]],
+                    residual[i][f],
+                ])  # fmt: skip
+        residuals.append(res.ravel())
+        tau1s.append(cols.tau1.ravel())
+        methods += np.bincount(cols.tau3.method.ravel(), minlength=len(METHODS))
+    indices = [idx for part, _ in parts for idx in part]
+    residuals, tau1s = (np.concatenate(c) if c else np.empty(0) for c in (residuals, tau1s))
+    return cls, rows, indices, residuals, tau1s, methods, errors
 
 
 def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSummary:
     """Run the Monte Carlo campaign, write one CSV row per (state, focus).
 
-    Output is a pure function of the config: work is sharded by
-    (class, sample index) and each sample's rows are written as they arrive,
-    in that order for any worker count.
+    Output is a pure function of the config: work is sharded into fixed
+    chunks of CHUNK_SIZE samples of one class, and each chunk's rows are
+    written as they arrive, in (class, sample index) order for any worker
+    count. The summary's histograms and counts are added up chunk by chunk,
+    so memory does not grow with the number of samples.
     """
     tasks = [
-        (cls, idx, cfg.master_seed, cfg.mu3)
+        (cls, start, min(start + CHUNK_SIZE, cfg.samples_per_class), cfg.master_seed, cfg.mu3)
         for cls in sorted(cfg.classes)
-        for idx in range(cfg.samples_per_class)
+        for start in range(0, cfg.samples_per_class, CHUNK_SIZE)
     ]
     errors = []
     total_points = 0
     violation_count = 0
     min_residual = None
     min_at: dict = {}
-    residuals: dict = {cls: [] for cls in cfg.classes}
-    tau1s: dict = {cls: [] for cls in cfg.classes}
+    res_hist = {cls: np.zeros(len(RESIDUAL_BINS) - 1, dtype=int) for cls in cfg.classes}
+    t1_hist = {cls: np.zeros(len(TAU1_BINS) - 1, dtype=int) for cls in cfg.classes}
+    methods = {cls: np.zeros(len(METHODS), dtype=int) for cls in cfg.classes}
     pool = Pool(cfg.workers) if cfg.workers > 1 else None
     with pool or nullcontext(), open(csv_path, "w", newline="") as fh:
-        results = pool.imap(_sample_rows, tasks, chunksize=32) if pool else map(_sample_rows, tasks)
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for cls, idx, sub_seed, rows, error in results:
-            if rows is None:
-                errors.append(error)
-                continue
-            for row in rows:
-                writer.writerow(row)
-                total_points += 1
-                res = float(row["residual_lower"])
-                residuals[cls].append(res)
-                tau1s[cls].append(float(row["tau1"]))
-                if res < cfg.negativity_threshold:
-                    violation_count += 1
-                if min_residual is None or res < min_residual:
-                    min_residual = res
-                    min_at = {
-                        "class": cls,
-                        "sample_index": idx,
-                        "sub_seed": sub_seed,
-                        "focus": int(row["focus"]),
-                    }
-    per_class = {}
-    for cls in sorted(cfg.classes):
-        res_hist, _ = np.histogram(residuals[cls], bins=RESIDUAL_BINS)
-        t1_hist, _ = np.histogram(tau1s[cls], bins=TAU1_BINS)
-        per_class[str(cls)] = {
-            "residual_hist": res_hist.tolist(),
+        results = pool.imap(_chunk_rows, tasks) if pool else map(_chunk_rows, tasks)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        for cls, rows, indices, residuals, tau1s, counts, chunk_errors in results:
+            errors.extend(chunk_errors)
+            writer.writerows(rows)
+            total_points += len(rows)
+            res_hist[cls] += np.histogram(residuals, bins=RESIDUAL_BINS)[0]
+            t1_hist[cls] += np.histogram(tau1s, bins=TAU1_BINS)[0]
+            methods[cls] += counts
+            violation_count += int(np.count_nonzero(residuals < cfg.negativity_threshold))
+            if len(rows) and (min_residual is None or residuals.min() < min_residual):
+                i = int(np.argmin(residuals))  # the first row at the minimum
+                min_residual = float(residuals[i])
+                idx = indices[i // 4]
+                min_at = {
+                    "class": cls,
+                    "sample_index": idx,
+                    "sub_seed": _sub_seed(cfg.master_seed, cls, idx),
+                    "focus": i % 4 + 1,
+                }
+    per_class = {
+        str(cls): {
+            "residual_hist": res_hist[cls].tolist(),
             "residual_bin_edges": RESIDUAL_BINS.tolist(),
-            "tau1_hist": t1_hist.tolist(),
+            "tau1_hist": t1_hist[cls].tolist(),
             "tau1_bin_edges": TAU1_BINS.tolist(),
+            "methods": dict(zip(METHODS, methods[cls].tolist())),
         }
+        for cls in sorted(cfg.classes)
+    }
     summary = CampaignSummary(
         total_points=total_points,
         violation_count=violation_count,
@@ -226,21 +273,25 @@ def sweep_family(
         raise ValueError(f"no sweep binding for class {cls}; classes {sorted(SWEEP_BINDINGS)}")
     sched = ExponentSchedule(mu3=mu3)
     _check_threshold(threshold)
-    rows = []
+    grid = []
+    amps = []
     flagged = []
-    violations = []
     for a in a_values:
         try:
             psi = normal_form(cls, SWEEP_BINDINGS[cls](float(a)))
         except ValueError:
             flagged.append(float(a))
             continue
-        reports = sm_report_all_foci(psi, sched)
-        res = [rep.residual_lower for rep in reports]
-        rows.append((float(a), *res))
-        for rep in reports:
-            if rep.residual_lower < threshold:
-                violations.append((float(a), rep.focus, rep.residual_lower))
+        grid.append(float(a))
+        amps.append(psi.amplitudes)
+    residuals = residual_columns(tangle_columns(np.reshape(amps, (-1, 16))), sched.mu3).tolist()
+    rows = [(a, *res) for a, res in zip(grid, residuals)]
+    violations = [
+        (a, focus, r)
+        for a, res in zip(grid, residuals)
+        for focus, r in enumerate(res, start=1)
+        if r < threshold
+    ]
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -333,11 +384,12 @@ def table1_check(grid=None) -> list[Table1Entry]:
     entries = []
     for cls in range(1, 10):
         points = [None] if CLASS_ARITY[cls] == 0 else list(grid)
-        for t in points:
-            params = _table1_params(cls, t) if t is not None else NormalFormParams()
-            _, _, bounds = four_qubit_tangles(normal_form(cls, params))
-            pv = params.as_tuple(CLASS_ARITY[cls])
-            for triple, bound in bounds.items():
+        params = [_table1_params(cls, t) if t is not None else NormalFormParams() for t in points]
+        bounds = tangle_columns([normal_form(cls, p).amplitudes for p in params]).tau3
+        values, methods = bounds.value.tolist(), bounds.method.tolist()
+        for t, p, state_values, state_methods in zip(points, params, values, methods):
+            pv = p.as_tuple(CLASS_ARITY[cls])
+            for triple, value, method in zip(TRIPLES, state_values, state_methods):
                 declared = _table1_declared_zero(cls, pv, triple)
                 entries.append(
                     Table1Entry(
@@ -346,9 +398,9 @@ def table1_check(grid=None) -> list[Table1Entry]:
                         triple=triple,
                         declared_zero=declared,
                         table_bound=_table1_bound(cls, pv, triple),
-                        rdl_value=bound.value,
-                        rdl_method=bound.method,
-                        violation=declared and bound.value >= 1e-6,
+                        rdl_value=value,
+                        rdl_method=METHODS[method],
+                        violation=declared and value >= 1e-6,
                     )
                 )
     return entries

@@ -2,17 +2,30 @@
 and the closed-form results for GHZ/W superposition states.
 
 Every one- and two-tangle here comes from ``tangles.pure_tangles``, one pass
-over the amplitude tensor, and the four-qubit bounds from
-``tangles.four_qubit_tangles``; no reduced density matrix is formed."""
+over the amplitude tensor, and every four-qubit term from the column engine
+``tangles.tangle_columns``; no reduced density matrix is formed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .qstate import PureState
 from .states import GhzwParams, ghzw
-from .tangles import four_qubit_tangles, pure_tangles
+from .tangles import PAIRS, TRIPLES, TangleColumns, pure_tangles, tangle_columns
+
+# For each focus 1..4, its partners in increasing order, and the columns of
+# its three pairs (by partner) and three triples (by pair of partners).
+PARTNERS = tuple(tuple(q for q in range(1, 5) if q != f) for f in range(1, 5))
+FOCUS_PAIRS = [
+    [PAIRS.index(tuple(sorted((f, j)))) for j in ps] for f, ps in zip(range(1, 5), PARTNERS)
+]
+FOCUS_TRIPLES = [
+    [TRIPLES.index(tuple(sorted((f, j, k)))) for j, k in combinations(ps, 2)]
+    for f, ps in zip(range(1, 5), PARTNERS)
+]
 
 
 @dataclass(frozen=True)
@@ -85,26 +98,38 @@ def tau4_lower_bound(
     return sm_report_all_foci(psi4, sched)[focus - 1]
 
 
+def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
+    """Strong-monogamy residuals (S, 4) by focus: tau1 minus the focus's
+    three two-tangles minus its three three-tangle bounds to the power mu3,
+    each sum taken in partner order."""
+    # Python's float power, as the per-report sum always used: numpy's power
+    # differs from it in the last bit for about 5% of values on AVX-512 CPUs.
+    powered = np.array([v**mu3 for v in cols.tau3.value.ravel().tolist()])
+    powered = powered.reshape(cols.tau3.value.shape)
+    t2 = cols.tau2[:, FOCUS_PAIRS]
+    t3 = powered[:, FOCUS_TRIPLES]
+    residual = cols.tau1 - (t2[..., 0] + t2[..., 1] + t2[..., 2])
+    return residual - (t3[..., 0] + t3[..., 1] + t3[..., 2])
+
+
 def sm_report_all_foci(
     psi4: PureState, sched: ExponentSchedule = ExponentSchedule()
 ) -> list[SmReport]:
-    """Reports for all four foci, sharing one pass over the amplitude tensor."""
-    tau1, tau2, tau3 = four_qubit_tangles(psi4)
+    """Reports for all four foci: the one-state view of ``tangle_columns``
+    and ``residual_columns``."""
+    cols = tangle_columns(psi4.amplitudes[None])
+    tau1, tau2, tau3 = cols.state(0)
+    residuals = residual_columns(cols, sched.mu3)[0].tolist()
     reports = []
-    for focus in range(1, 5):
-        partners = [q for q in range(1, 5) if q != focus]
-        tau2_terms = {j: tau2[tuple(sorted((focus, j)))] for j in partners}
-        tau3_bounds = {
-            (j, k): tau3[tuple(sorted((focus, j, k)))] for j, k in combinations(partners, 2)
-        }
-        residual = tau1[focus] - sum(tau2_terms.values())
-        residual -= sum(b.value ** sched.mu3 for b in tau3_bounds.values())
+    for focus, partners, residual in zip(range(1, 5), PARTNERS, residuals):
         reports.append(
             SmReport(
                 focus=focus,
                 tau1=tau1[focus],
-                tau2_terms=tau2_terms,
-                tau3_bounds=tau3_bounds,
+                tau2_terms={j: tau2[tuple(sorted((focus, j)))] for j in partners},
+                tau3_bounds={
+                    (j, k): tau3[tuple(sorted((focus, j, k)))] for j, k in combinations(partners, 2)
+                },
                 residual_lower=residual,
                 mu3=sched.mu3,
             )

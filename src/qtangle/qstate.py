@@ -167,6 +167,20 @@ def rank2_decompose(rho: DensityMatrix) -> Rank2Decomposition:
     return Rank2Decomposition(lam=lam, e1=e1, e2=e2, pure=pure, dim=rho.dim)
 
 
+def _local_images(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Unnormalized images ``(A_1 x ... x A_n)|psi>`` of a stack of n-qubit
+    amplitude vectors (S, 2^n) under per-row operators (S, n, 2, 2): one
+    stacked matrix product per qubit, each the BLAS call a single state's
+    tensordot makes."""
+    s, dim = amps.shape
+    n = ops.shape[1]
+    t = amps.reshape((s,) + (2,) * n)
+    for k in range(n):
+        rest = np.moveaxis(t, k + 1, 1).reshape(s, 2, -1)
+        t = np.moveaxis((ops[:, k] @ rest).reshape((s,) + (2,) * n), 1, k + 1)
+    return t.reshape(s, dim)
+
+
 def apply_local_operators(psi: PureState, ops: Sequence[np.ndarray]) -> PureState:
     """Normalized image of ``(A_1 x ... x A_n)|psi>`` for invertible 2x2 A_k."""
     n = psi.n_qubits
@@ -178,10 +192,8 @@ def apply_local_operators(psi: PureState, ops: Sequence[np.ndarray]) -> PureStat
             raise ValueError(f"operator {k + 1} has shape {a.shape}, expected (2, 2)")
         if abs(np.linalg.det(a)) < 1e-12:
             raise ValueError(f"operator {k + 1} is singular within tolerance")
-    t = psi.amplitudes.reshape((2,) * n)
-    for k, a in enumerate(mats):
-        t = np.moveaxis(np.tensordot(a, t, axes=([1], [k])), 0, k)
-    return PureState.from_amplitudes(t.ravel(), n_qubits=n)
+    image = _local_images(psi.amplitudes[None], np.stack(mats)[None])[0]
+    return PureState.from_amplitudes(image, n_qubits=n)
 
 
 def state_to_json(psi: PureState, path=None) -> str:

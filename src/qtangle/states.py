@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState, apply_local_operators
+from .qstate import PureState, _local_images, apply_local_operators
 
 # Number of complex parameters each normal-form family takes (a, b, c, d order).
 CLASS_ARITY = {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1, 7: 0, 8: 0, 9: 0}
@@ -192,11 +192,10 @@ def _random_sl2(rng: np.random.Generator, max_tries: int = 100) -> np.ndarray:
     raise RuntimeError(f"rejected {max_tries} singular draws in a row; RNG looks broken")
 
 
-def random_slocc_state(
-    cls: int, seed: int | np.random.SeedSequence
-) -> tuple[PureState, SloccProvenance]:
-    """Random member of a SLOCC class: det-1 local operators on a random
-    normal form, fully determined by the seed."""
+def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> tuple[PureState, SloccProvenance]:
+    """One sample's own random stream, drawn in a fixed order: the
+    normal-form parameters, then the four det-1 local operators. Returns
+    the normal form before the operators act, and the provenance."""
     cls = _check_class(cls)
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
@@ -206,11 +205,30 @@ def random_slocc_state(
     params = random_normal_form_params(cls, rng)
     base = normal_form(cls, params)
     ops = tuple(_random_sl2(rng) for _ in range(4))
-    psi = apply_local_operators(base, ops)
     prov = SloccProvenance(
         slocc_class=cls,
         seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
         params=params,
         operators=ops,
     )
-    return psi, prov
+    return base, prov
+
+
+def dress(draws: list) -> np.ndarray:
+    """Normalized amplitudes (S, 16) of drawn samples (``draw_slocc``
+    results): every sample's operators applied at once, then each row
+    normalized as ``PureState.from_amplitudes`` does."""
+    images = _local_images(
+        np.array([base.amplitudes for base, _ in draws]),
+        np.array([prov.operators for _, prov in draws]),
+    )
+    return np.array([PureState.from_amplitudes(v, n_qubits=4).amplitudes for v in images])
+
+
+def random_slocc_state(
+    cls: int, seed: int | np.random.SeedSequence
+) -> tuple[PureState, SloccProvenance]:
+    """Random member of a SLOCC class: det-1 local operators on a random
+    normal form, fully determined by the seed."""
+    base, prov = draw_slocc(cls, seed)
+    return apply_local_operators(base, prov.operators), prov

@@ -8,14 +8,17 @@ a state outside it is bounded by extending the ray from the simplex mean
 (the uniform W-mixture) through the state to the sphere, and rescaling the
 surface state's exact three-tangle by the squared trace-norm ratio.
 
-``pure_tangles`` computes the one- and two-tangles of a pure state of 2-8
-qubits from its amplitude tensor, and ``four_qubit_tangles`` adds the
-three-tangle bounds of a four-qubit state. Each kind of marginal is a stack
-of matricizations of the tensor (2 x 2^(n-1) per focus, 4 x 2^(n-2) per pair,
-8x2 per triple of four qubits), so no reduced density matrix is formed, and
-the bound runs on the Bloch vectors of all triples at once.
-``three_tangle_upper`` applies the same bound to one three-qubit density
-matrix.
+``tangle_columns`` is the engine: it takes a stack of four-qubit amplitude
+vectors and returns every one-tangle, two-tangle and three-tangle bound as
+arrays. Each kind of marginal is a stack of matricizations of the tensor
+(2 x 2^(n-1) per focus, 4 x 2^(n-2) per pair, 8x2 per triple of four
+qubits), so no reduced density matrix is formed, and the bound runs on the
+Bloch vectors of all triples of all states at once. Every per-matrix step
+is a LAPACK or BLAS call on the same small matrix whatever the stack size,
+and the rest is elementwise, so a state's numbers do not depend on the
+stack it came in. ``pure_tangles`` (2-8 qubits), ``four_qubit_tangles`` and
+``three_tangle_upper`` (one three-qubit density matrix) are one-state views
+of the same code.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -43,7 +47,13 @@ VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-1
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
 NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input
 
-_TRIPLES = tuple(combinations((1, 2, 3, 4), 3))
+# Bound methods; a method column holds indices into this tuple.
+METHODS = ("exact-pure", "simplex-zero", "pi-coincidence", "rdl-line")
+EXACT_PURE, SIMPLEX_ZERO, PI_COINCIDENCE, RDL_LINE = range(4)
+RDL_DIAGNOSTICS = ("kappa", "trace_norm_ratio", "tau3_phi", "raw_value")
+
+PAIRS = tuple(combinations((1, 2, 3, 4), 2))
+TRIPLES = tuple(combinations((1, 2, 3, 4), 3))
 
 
 @cache
@@ -63,11 +73,38 @@ class TangleBoundResult:
     """Upper bound on the three-tangle of a rank-2 three-qubit state."""
 
     value: float
-    method: str  # exact-pure | simplex-zero | pi-coincidence | rdl-line
+    method: str  # one of METHODS
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+class BoundColumns(NamedTuple):
+    """Three-tangle bounds of a stack of rank-2 marginals, one entry per
+    marginal: the value, the method (an index into METHODS), the
+    RDL_DIAGNOSTICS of a ray bound and the weights of a simplex-zero
+    member, NaN where the bound has none."""
+
+    value: np.ndarray
+    method: np.ndarray
+    rdl: np.ndarray  # (..., 4)
+    weights: np.ndarray  # (..., 4)
+
+    @classmethod
+    def empty(cls, k: int, method: int) -> "BoundColumns":
+        rdl, weights = np.full((2, k, 4), np.nan)
+        return cls(np.zeros(k), np.full(k, method), rdl, weights)
+
+    def result(self, index) -> TangleBoundResult:
+        """The bound at ``index`` as a TangleBoundResult."""
+        code = int(self.method[index])
+        diagnostics = {}
+        if code == RDL_LINE:
+            diagnostics = dict(zip(RDL_DIAGNOSTICS, self.rdl[index].tolist()))
+        elif code == SIMPLEX_ZERO and not np.isnan(self.weights[index][0]):
+            diagnostics = {"weights": self.weights[index].tolist()}
+        return TangleBoundResult(float(self.value[index]), METHODS[code], diagnostics)
 
 
 def _tau3_quartic_form(c: np.ndarray) -> complex:
@@ -107,9 +144,11 @@ def three_tangle_pure(psi3: PureState) -> float:
 
 
 def _quartic_coeffs(support: np.ndarray) -> np.ndarray:
-    """Coefficients, low to high, of p(z) = form(e1 + z e2) for (K, 2, 8) supports."""
-    vecs = support[:, None, 0, :] + _QUARTIC_NODES[:, None] * support[:, None, 1, :]
-    vals = _tau3_quartic_form(np.moveaxis(vecs, -1, 0))  # (K, nodes)
+    """Coefficients, low to high, of p(z) = form(e1 + z e2) for supports
+    (..., 2, 8); the four triples of a state (..., 4, 2, 8) share one matrix
+    product, whatever the stack's length."""
+    vecs = support[..., None, 0, :] + _QUARTIC_NODES[:, None] * support[..., None, 1, :]
+    vals = _tau3_quartic_form(np.moveaxis(vecs, -1, 0))  # (..., nodes)
     return vals @ _QUARTIC_VINV.T
 
 
@@ -167,7 +206,7 @@ def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return resid < SUPPORT_TOL, weights
 
 
-def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> list:
+def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> BoundColumns:
     """Bounds of mixed states whose quartics share one degree >= 0.
 
     In the Bloch ball of the support, rho = diag(p1, p2) is r = (0, 0, p1 - p2),
@@ -175,23 +214,21 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> list
     norm of rho - pi is |r - p|. A state outside the simplex is bounded on the
     ray from p through r, extended to the sphere at r + t (r - p).
     """
+    bounds = BoundColumns.empty(len(spectrum), PI_COINCIDENCE)
     w = _wclass_bloch(_companion_roots(coeffs[:, : degree + 1]))
     p = w.mean(axis=1)
     r = np.zeros_like(p)
     r[:, 2] = spectrum[:, 0] - spectrum[:, 1]
     dist = np.linalg.norm(r - p, axis=1)
-    results = [TangleBoundResult(value=0.0, method="pi-coincidence") for _ in spectrum]
     rest = np.flatnonzero(~(dist < PI_TOL))
     if rest.size == 0:
-        return results
+        return bounds
     member, weights = _simplex_solve(w[rest], r[rest])
-    for i, wts in zip(rest[member], weights[member].tolist()):
-        results[i] = TangleBoundResult(
-            value=0.0, method="simplex-zero", diagnostics={"weights": wts}
-        )
+    bounds.method[rest[member]] = SIMPLEX_ZERO
+    bounds.weights[rest[member]] = weights[member]
     out = rest[~member]
     if out.size == 0:
-        return results
+        return bounds
 
     # |r + t d| = 1 with d = r - p is |d|^2 t^2 + 2 (r.d) t - 4 p1 p2 = 0
     # (1 - |r|^2 = 4 p1 p2 for unit trace). Rank 2 makes the constant term
@@ -220,89 +257,114 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> list
     tau3_phi = np.minimum(4.0 * np.abs(form), 1.0)
     ratio = 1.0 / (1.0 + t) ** 2
     raw = ratio * tau3_phi
-    columns = [col.tolist() for col in (np.clip(raw, 0.0, 1.0), t * dist, ratio, tau3_phi, raw)]
-    for i, (value, kappa, ratio_i, tau3_i, raw_i) in zip(out, zip(*columns)):
-        results[i] = TangleBoundResult(
-            value=value,
-            method="rdl-line",
-            diagnostics={
-                "kappa": kappa,
-                "trace_norm_ratio": ratio_i,
-                "tau3_phi": tau3_i,
-                "raw_value": raw_i,
-            },
-        )
-    return results
+    bounds.value[out] = np.clip(raw, 0.0, 1.0)
+    bounds.method[out] = RDL_LINE
+    bounds.rdl[out] = np.stack([t * dist, ratio, tau3_phi, raw], axis=1)
+    return bounds
 
 
-def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> list:
+def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     """Three-tangle upper bounds of stacked rank <= 2 three-qubit states,
-    given their spectra (K, 2) and orthonormal support rows (K, 2, 8)."""
-    coeffs = _quartic_coeffs(support)
+    given their spectra (..., 2) and orthonormal support rows (..., 2, 8);
+    the columns are flat over the leading shape."""
+    coeffs = _quartic_coeffs(support).reshape(-1, 5)
+    spectrum = spectrum.reshape(-1, 2)
     degree = _quartic_degree(coeffs)
     pure = spectrum[:, 1] < RANK_TOL
-    results = [None] * len(spectrum)
+    # Unless set below: a mixed state whose polynomial vanishes identically,
+    # so its whole span is W-class, a simplex-zero bound without weights.
+    bounds = BoundColumns.empty(len(spectrum), SIMPLEX_ZERO)
     for i in np.flatnonzero(pure):
-        # coeffs[:, 0] = p(0) = form(e1), the pure state's own quartic.
-        results[i] = TangleBoundResult(
-            value=float(min(4.0 * abs(coeffs[i, 0]), 1.0)), method="exact-pure"
-        )
-    for i in np.flatnonzero(~pure & (degree < 0)):
-        # The polynomial vanishes identically: the whole span is W-class.
-        results[i] = TangleBoundResult(value=0.0, method="simplex-zero")
+        # coeffs[:, 0] = p(0) = form(e1), the pure state's own quartic. The
+        # scalar abs, as in three_tangle_pure: numpy's array abs of complex
+        # values differs from it in the last bit for about a third of them.
+        bounds.value[i] = min(4.0 * abs(coeffs[i, 0]), 1.0)
+        bounds.method[i] = EXACT_PURE
     mixed = ~pure & (degree >= 0)
     for d in np.unique(degree[mixed]):
         group = np.flatnonzero(mixed & (degree == d))
-        for i, res in zip(group, _mixed_bounds(spectrum[group], coeffs[group], int(d))):
-            results[i] = res
-    return results
+        for column, part in zip(bounds, _mixed_bounds(spectrum[group], coeffs[group], int(d))):
+            column[group] = part
+    return bounds
+
+
+def _pure_columns(amps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-tangles (S, n) by focus and two-tangles (S, n(n-1)/2) by pair, in
+    combinations order, of a stack of n-qubit amplitude vectors (S, 2^n)."""
+    norm2 = np.sum(amps.real**2 + amps.imag**2, axis=1)
+    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))  # also catches NaN
+    if bad.size:
+        raise ValueError(f"state has squared norm {norm2[bad[0]]}, expected 1")
+    qubits = tuple(range(1, n + 1))
+
+    # tau1 = 4 det(M M^dag) for the 2 x 2^(n-1) focus-by-rest reshape M.
+    m = amps[:, _unfoldings(n, tuple((f,) for f in qubits))]
+    g = m @ m.conj().swapaxes(-1, -2)
+    det = g[..., 0, 0].real * g[..., 1, 1].real - np.abs(g[..., 0, 1]) ** 2
+    tau1 = np.clip(4.0 * det, 0.0, 1.0)
+
+    # Wootters' tau matrix M^T (Syy) M of the 4 x 2^(n-2) pair-by-rest reshape
+    # has the spin-flip spectrum lambda_i as its singular values; below four
+    # qubits it has fewer than four, and the missing ones are 0.
+    m = amps[:, _unfoldings(n, tuple(combinations(qubits, 2)))]
+    lams = np.linalg.svd(m.swapaxes(-1, -2) @ _SIGMA_YY @ m, compute_uv=False)
+    missing = np.zeros(lams.shape[:-1] + (max(0, 4 - lams.shape[-1]),))
+    lams = np.concatenate([lams, missing], axis=-1)
+    conc = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    return tau1, np.minimum(conc * conc, 1.0)
 
 
 def pure_tangles(psi: PureState) -> tuple[dict, dict]:
     """One-tangles by focus and two-tangles by pair of an n-qubit pure state,
     from its amplitude tensor; qubits are numbered 1..n and pairs are
     increasing tuples."""
-    amps = psi.amplitudes
-    norm2 = float(np.vdot(amps, amps).real)
-    if not abs(norm2 - 1.0) <= NORM_TOL:  # also rejects NaN
-        raise ValueError(f"state has squared norm {norm2}, expected 1")
     n = psi.n_qubits
-    qubits = tuple(range(1, n + 1))
-    pairs = tuple(combinations(qubits, 2))
-
-    # tau1 = 4 det(M M^dag) for the 2 x 2^(n-1) focus-by-rest reshape M.
-    m = amps[_unfoldings(n, tuple((f,) for f in qubits))]
-    g = m @ m.conj().swapaxes(1, 2)
-    det = g[:, 0, 0].real * g[:, 1, 1].real - np.abs(g[:, 0, 1]) ** 2
-    tau1 = np.clip(4.0 * det, 0.0, 1.0)
-
-    # Wootters' tau matrix M^T (Syy) M of the 4 x 2^(n-2) pair-by-rest reshape
-    # has the spin-flip spectrum lambda_i as its singular values; below four
-    # qubits it has fewer than four, and the missing ones are 0.
-    m = amps[_unfoldings(n, pairs)]
-    lams = np.linalg.svd(m.swapaxes(1, 2) @ _SIGMA_YY @ m, compute_uv=False)
-    lams = np.concatenate([lams, np.zeros((len(pairs), max(0, 4 - lams.shape[1])))], axis=1)
-    conc = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
-    tau2 = np.minimum(conc * conc, 1.0)
-    return dict(zip(qubits, tau1.tolist())), dict(zip(pairs, tau2.tolist()))
+    tau1, tau2 = _pure_columns(psi.amplitudes[None], n)
+    qubits = range(1, n + 1)
+    return dict(zip(qubits, tau1[0].tolist())), dict(zip(combinations(qubits, 2), tau2[0].tolist()))
 
 
-def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
-    """Every tangle of a four-qubit pure state, from its amplitude tensor.
+class TangleColumns(NamedTuple):
+    """Every tangle of a stack of S four-qubit pure states: one-tangles
+    (S, 4) by focus, two-tangles (S, 6) by pair in PAIRS order, and the
+    three-tangle bounds (S, 4) by triple in TRIPLES order."""
 
-    Returns the one-tangles by focus and the two-tangles by pair from
-    ``pure_tangles``, and the three-tangle upper bounds (TangleBoundResult)
-    by triple, with qubits numbered 1..4 and triples as increasing tuples.
-    """
-    if psi4.n_qubits != 4:
-        raise ValueError(f"expected 4 qubits, got {psi4.n_qubits}")
-    tau1, tau2 = pure_tangles(psi4)
+    tau1: np.ndarray
+    tau2: np.ndarray
+    tau3: BoundColumns
+
+    def state(self, i: int) -> tuple[dict, dict, dict]:
+        """State i's tangles by focus, pair and triple (TangleBoundResult)."""
+        return (
+            dict(zip(range(1, 5), self.tau1[i].tolist())),
+            dict(zip(PAIRS, self.tau2[i].tolist())),
+            {t: self.tau3.result((i, j)) for j, t in enumerate(TRIPLES)},
+        )
+
+
+def tangle_columns(amps: np.ndarray) -> TangleColumns:
+    """Every tangle of a stack of normalized four-qubit amplitude vectors
+    (S, 16), from the amplitude tensors."""
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != 16:
+        raise ValueError(f"expected four-qubit amplitudes of shape (S, 16), got {amps.shape}")
+    tau1, tau2 = _pure_columns(amps, 4)
 
     # The 8x2 triple-by-rest reshape U S V^dag gives the rank-2 spectrum S^2
     # and support U of each three-qubit marginal.
-    u, s, _ = np.linalg.svd(psi4.amplitudes[_unfoldings(4, _TRIPLES)], full_matrices=False)
-    tau3 = _rank2_bounds(s**2, _phase_fix(u.swapaxes(1, 2)))
-    return tau1, tau2, dict(zip(_TRIPLES, tau3))
+    u, s, _ = np.linalg.svd(amps[:, _unfoldings(4, TRIPLES)], full_matrices=False)
+    bounds = _rank2_bounds(s**2, _phase_fix(u.swapaxes(-1, -2)))
+    shape = (len(amps), len(TRIPLES))
+    bounds = BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
+    return TangleColumns(tau1, tau2, bounds)
+
+
+def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
+    """Every tangle of a four-qubit pure state: the one-tangles by focus, the
+    two-tangles by pair and the three-tangle upper bounds (TangleBoundResult)
+    by triple, with qubits numbered 1..4 and pairs and triples as increasing
+    tuples. The one-state view of ``tangle_columns``."""
+    return tangle_columns(psi4.amplitudes[None]).state(0)
 
 
 def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:
@@ -310,4 +372,5 @@ def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:
     if rho3.dim != 8:
         raise ValueError(f"expected a three-qubit state, got dim={rho3.dim}")
     dec = rank2_decompose(rho3)
-    return _rank2_bounds(np.array([[dec.lam, 1.0 - dec.lam]]), np.stack([dec.e1, dec.e2])[None])[0]
+    bounds = _rank2_bounds(np.array([[dec.lam, 1.0 - dec.lam]]), np.stack([dec.e1, dec.e2])[None])
+    return bounds.result(0)

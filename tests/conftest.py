@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread: the suite's linear algebra is thousands of tiny matrices,
+# where a second OpenBLAS thread only contends for the other core. Set before
+# numpy is first imported, which is when OpenBLAS reads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

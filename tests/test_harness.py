@@ -36,7 +36,7 @@ def test_campaign_smoke(tmp_path):
 
 
 def _failing_sampler(bad_classes):
-    real = harness.random_slocc_state
+    real = harness.draw_slocc
 
     def sampler(cls, seed):
         if cls in bad_classes:
@@ -56,7 +56,7 @@ def _strict_json(text):
 
 
 def test_campaign_records_failed_samples(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "random_slocc_state", _failing_sampler({2}))
+    monkeypatch.setattr(harness, "draw_slocc", _failing_sampler({2}))
     out, summary_path = tmp_path / "v.csv", tmp_path / "v.json"
     code = main(
         ["verify", "--classes", "1-3", "--samples", "4", "--seed", "11",
@@ -82,7 +82,7 @@ def test_campaign_records_failed_samples(tmp_path, monkeypatch):
 
 
 def test_campaign_all_errors_summary_is_valid_json(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(harness, "random_slocc_state", _failing_sampler(set(range(1, 9))))
+    monkeypatch.setattr(harness, "draw_slocc", _failing_sampler(set(range(1, 9))))
     out, summary_path = tmp_path / "v.csv", tmp_path / "v.json"
     code = main(
         ["verify", "--classes", "1,2", "--samples", "3", "--seed", "5",
@@ -125,6 +125,108 @@ def test_campaign_deterministic_across_workers(tmp_path):
     run_campaign(cfg1, tmp_path / "w1.csv")
     run_campaign(cfg4, tmp_path / "w4.csv")
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w4.csv").read_bytes()
+
+
+def _reference_rows(cfg):
+    """The campaign's CSV lines built one sample at a time from the one-state
+    views random_slocc_state and sm_report_all_foci."""
+    lines = [",".join(harness.CSV_FIELDS)]
+    for cls in sorted(cfg.classes):
+        for idx in range(cfg.samples_per_class):
+            psi, _ = random_slocc_state(cls, sample_seed(cfg.master_seed, cls, idx))
+            for rep in sm_report_all_foci(psi):
+                partners = sorted(rep.tau2_terms)
+                bounds = [rep.tau3_bounds[pair] for pair in sorted(rep.tau3_bounds)]
+                lines.append(",".join([
+                    str(cls), str(idx), f"{cfg.master_seed}:{cls}:{idx}", str(rep.focus),
+                    "-".join(map(str, partners)), repr(rep.tau1),
+                    *(repr(rep.tau2_terms[p]) for p in partners),
+                    *(repr(b.value) for b in bounds), *(b.method for b in bounds),
+                    repr(rep.residual_lower),
+                ]))  # fmt: skip
+    return lines
+
+
+def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path):
+    # 70 samples per class: one full chunk and one partial chunk per class.
+    assert 70 % harness.CHUNK_SIZE
+    base = dict(samples_per_class=70, master_seed=20260824)
+    for workers in (1, 2, 4):
+        run_campaign(CampaignConfig(workers=workers, **base), tmp_path / f"w{workers}.csv")
+    got = (tmp_path / "w1.csv").read_text().splitlines()
+    want = _reference_rows(CampaignConfig(**base))
+    assert len(got) == len(want) == 1 + 8 * 70 * 4
+    first_bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert first_bad is None, (got[first_bad], want[first_bad])
+    for workers in (2, 4):
+        same = (tmp_path / f"w{workers}.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+        assert same, f"{workers} workers wrote other bytes than one"
+
+
+def test_campaign_summary_counts_bound_methods(tmp_path):
+    cfg = CampaignConfig(samples_per_class=12, master_seed=4)
+    summary = run_campaign(cfg, tmp_path / "out.csv")
+    rows = read_rows(tmp_path / "out.csv")
+    for cls, entry in summary.per_class.items():
+        counts = dict.fromkeys(entry["methods"], 0)
+        for row in rows:
+            if row["class"] == cls:
+                for label in ("12", "13", "23"):
+                    counts[row[f"method_{label}"]] += 1
+        # Each triple of a state appears in the rows of its three foci.
+        assert counts == {m: 3 * n for m, n in entry["methods"].items()}
+        assert sum(entry["methods"].values()) == 4 * cfg.samples_per_class
+    assert list(summary.per_class["1"]["methods"]) == [
+        "exact-pure", "simplex-zero", "pi-coincidence", "rdl-line"
+    ]
+
+
+def _failing_at(index, real):
+    def sampler(cls, seed):
+        if seed.entropy[-1] == index:
+            raise RuntimeError(f"sampler broke at index {index}")
+        return real(cls, seed)
+
+    return sampler
+
+
+def test_campaign_isolates_a_failing_sample_in_a_chunk(tmp_path, monkeypatch):
+    cfg = CampaignConfig(classes=(3,), samples_per_class=8, master_seed=11)
+    run_campaign(cfg, tmp_path / "all.csv")
+    monkeypatch.setattr(harness, "draw_slocc", _failing_at(5, harness.draw_slocc))
+    summary = run_campaign(cfg, tmp_path / "v.csv")
+    assert summary.errors == [
+        {
+            "class": 3,
+            "sample_index": 5,
+            "sub_seed": "11:3:5",
+            "type": "RuntimeError",
+            "message": "sampler broke at index 5",
+        }
+    ]
+    expected = [r for r in read_rows(tmp_path / "all.csv") if r["sample_index"] != "5"]
+    assert read_rows(tmp_path / "v.csv") == expected
+    assert summary.total_points == len(expected) == 7 * 4
+
+
+def test_campaign_isolates_a_sample_the_engine_rejects(tmp_path, monkeypatch):
+    cfg = CampaignConfig(classes=(2,), samples_per_class=6, master_seed=9)
+    run_campaign(cfg, tmp_path / "all.csv")
+    bad, _ = random_slocc_state(2, sample_seed(9, 2, 4))
+    real = harness.tangle_columns
+
+    def engine(amps):
+        if any(np.array_equal(v, bad.amplitudes) for v in amps):
+            raise FloatingPointError("engine broke")
+        return real(amps)
+
+    monkeypatch.setattr(harness, "tangle_columns", engine)
+    summary = run_campaign(cfg, tmp_path / "v.csv")
+    assert [(e["sample_index"], e["type"], e["message"]) for e in summary.errors] == [
+        (4, "FloatingPointError", "engine broke")
+    ]
+    expected = [r for r in read_rows(tmp_path / "all.csv") if r["sample_index"] != "4"]
+    assert read_rows(tmp_path / "v.csv") == expected
 
 
 def test_campaign_config_validation():

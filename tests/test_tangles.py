@@ -13,17 +13,30 @@ from qtangle import (
     partial_trace,
     pure_tangles,
     rank2_decompose,
+    tangle_columns,
     three_tangle_pure,
     three_tangle_upper,
 )
-from qtangle.harness import SWEEP_BINDINGS, _table1_params
-from qtangle.states import CLASS_ARITY, NormalFormParams, ghz, normal_form, w
+from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params
+from qtangle.qstate import _phase_fix
+from qtangle.states import (
+    CLASS_ARITY,
+    NormalFormParams,
+    ghz,
+    normal_form,
+    random_slocc_state,
+    sample_seed,
+    w,
+)
 from qtangle.tangles import (
+    METHODS,
     SUPPORT_TOL,
+    TRIPLES,
     _companion_roots,
     _quartic_coeffs,
     _quartic_degree,
     _simplex_solve,
+    _unfoldings,
     _wclass_bloch,
 )
 from reference import one_tangle, trace_norm, two_tangle, wclass_states
@@ -509,3 +522,77 @@ def test_tangles_invariant_under_local_unitaries(rng):
         rotated = apply_local_operators(psi, [random_unitary2(rng) for _ in range(4)])
         for before, after in zip(pure_tangles(psi), pure_tangles(rotated)):
             assert after == pytest.approx(before, abs=1e-9)
+
+
+# ------------------------------------------------------------- column engine
+
+
+def _engine_states(rng):
+    """Amplitude stack whose triple marginals take every path of the bound:
+    60 sampler states, GHZ4, W4, every sweep and Table 1 normal form, and
+    states whose (1,2,3) support has a W-class second eigenvector (a cubic)."""
+    states = [random_slocc_state(1 + i % 8, sample_seed(60, 1 + i % 8, i))[0] for i in range(60)]
+    states += [ghz(4), w(4)]
+    states += [
+        normal_form(cls, SWEEP_BINDINGS[cls](float(a)))
+        for cls in SWEEP_BINDINGS
+        for a in np.linspace(0.0, 2.0, 41)
+    ]
+    for cls in range(1, 10):
+        for t in [None] if CLASS_ARITY[cls] == 0 else _TABLE1_GRID:
+            params = NormalFormParams() if t is None else _table1_params(cls, t)
+            states.append(normal_form(cls, params))
+    w3 = w(3).amplitudes
+    for _ in range(3):
+        e1 = rng.normal(size=8) + 1j * rng.normal(size=8)
+        e1 -= np.vdot(w3, e1) * w3
+        e1 /= np.linalg.norm(e1)
+        amps = np.kron(np.sqrt(0.7) * e1, [1, 0]) + np.kron(np.sqrt(0.3) * w3, [0, 1])
+        states.append(PureState.from_amplitudes(amps))
+    return np.array([psi.amplitudes for psi in states])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_tangle_columns_do_not_depend_on_the_stack(rng):
+    amps = _engine_states(rng)
+    cols = tangle_columns(amps)
+    for i in range(len(amps)):
+        one = tangle_columns(amps[i : i + 1])
+        for got, want in zip(
+            (cols.tau1, cols.tau2, *cols.tau3), (one.tau1, one.tau2, *one.tau3)
+        ):
+            assert _bits(got[i]) == _bits(want[0]), i
+    # The stack covers every method and every path through the quartic.
+    assert set(cols.tau3.method.ravel().tolist()) == set(range(len(METHODS)))
+    u, s, _ = np.linalg.svd(amps[:, _unfoldings(4, TRIPLES)], full_matrices=False)
+    degree = _quartic_degree(_quartic_coeffs(_phase_fix(u.swapaxes(-1, -2))).reshape(-1, 5))
+    mixed = (s**2)[..., 1].ravel() >= 1e-8
+    assert set(degree[mixed].tolist()) == {-1, 0, 1, 2, 3, 4}
+    assert not mixed.all()
+
+
+def test_tangle_columns_match_the_one_state_views(rng):
+    amps = _engine_states(rng)[::7]
+    cols = tangle_columns(amps)
+    for i, v in enumerate(amps):
+        psi = PureState(n_qubits=4, amplitudes=v)
+        tau1, tau2, tau3 = four_qubit_tangles(psi)
+        assert list(tau1.values()) == cols.tau1[i].tolist()
+        assert list(tau2.values()) == cols.tau2[i].tolist()
+        assert (tau1, tau2) == pure_tangles(psi)
+        for j, (triple, bound) in enumerate(tau3.items()):
+            assert triple == TRIPLES[j]
+            assert bound.value == cols.tau3.value[i, j]
+            assert bound.method == METHODS[cols.tau3.method[i, j]]
+
+
+def test_tangle_columns_rejects_bad_stacks():
+    with pytest.raises(ValueError, match="shape"):
+        tangle_columns(ghz(3).amplitudes[None])
+    with pytest.raises(ValueError, match="norm"):
+        tangle_columns(np.stack([ghz(4).amplitudes, 2.0 * ghz(4).amplitudes]))
+    empty = tangle_columns(np.zeros((0, 16)))
+    assert empty.tau1.shape == (0, 4) and empty.tau3.rdl.shape == (0, 4, 4)
