@@ -28,7 +28,6 @@ from .states import (
     ghz,
     ghzw,
     normal_form,
-    random_normal_form_params,
     random_slocc_state,
     sample_seed,
     w,

@@ -8,7 +8,7 @@ import csv
 import json
 import logging
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -23,7 +23,15 @@ from .monogamy import (
     tau4_lower_bound,
 )
 from .qstate import PureState
-from .states import CLASS_ARITY, NormalFormParams, draw_slocc, dress, normal_form, sample_seed
+from .states import (
+    CLASS_ARITY,
+    NormalFormParams,
+    _valid_normal_forms,
+    draw_slocc,
+    dress,
+    normal_forms,
+    sample_seed,
+)
 from .tangles import METHODS, TRIPLES, pure_tangles, tangle_columns, three_tangle_pure
 
 log = logging.getLogger(__name__)
@@ -92,7 +100,7 @@ class CampaignSummary:
     errors: list = field(default_factory=list)  # one record per failed sample
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # Samples per campaign task: one stacked engine call per chunk of a class.
@@ -114,8 +122,8 @@ def _error_record(cls: int, idx: int, master_seed: int, exc: Exception) -> dict:
     }
 
 
-def _evaluate(draws: list, mu3: float) -> tuple:
-    cols = tangle_columns(dress(draws))
+def _evaluate(cls: int, draws: list, mu3: float) -> tuple:
+    cols = tangle_columns(dress(cls, draws)[0])
     return cols, residual_columns(cols, mu3)
 
 
@@ -137,11 +145,11 @@ def _chunk_rows(task: tuple) -> tuple:
     parts = []
     if draws:
         try:
-            parts.append((list(draws), _evaluate(list(draws.values()), mu3)))
+            parts.append((list(draws), _evaluate(cls, list(draws.values()), mu3)))
         except Exception:
             for idx, draw in draws.items():
                 try:
-                    parts.append(([idx], _evaluate([draw], mu3)))
+                    parts.append(([idx], _evaluate(cls, [draw], mu3)))
                 except Exception as exc:
                     errors.append(_error_record(cls, idx, master_seed, exc))
     errors.sort(key=lambda e: e["sample_index"])
@@ -242,14 +250,12 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     return summary
 
 
-# Parameter bindings for the single-family sweeps: everything is tied to
-# the one real sweep variable a.
+# Parameter bindings for the single-family sweeps: each parameter is a fixed
+# multiple of the one real sweep variable a (a / 4 is a * 0.25 to the bit).
+_SWEEP_SCALES = {2: (1.0, 1.0, 1.0), 3: (1.0, 0.25), 4: (1.0, 0.5), 5: (1.0,), 6: (1.0,)}
 SWEEP_BINDINGS = {
-    2: lambda a: NormalFormParams(a=a, b=a, c=a),
-    3: lambda a: NormalFormParams(a=a, b=a / 4),
-    4: lambda a: NormalFormParams(a=a, b=a / 2),
-    5: lambda a: NormalFormParams(a=a),
-    6: lambda a: NormalFormParams(a=a),
+    cls: lambda a, scales=scales: NormalFormParams(*(a * k for k in scales))
+    for cls, scales in _SWEEP_SCALES.items()
 }
 
 
@@ -273,18 +279,10 @@ def sweep_family(
         raise ValueError(f"no sweep binding for class {cls}; classes {sorted(SWEEP_BINDINGS)}")
     sched = ExponentSchedule(mu3=mu3)
     _check_threshold(threshold)
-    grid = []
-    amps = []
-    flagged = []
-    for a in a_values:
-        try:
-            psi = normal_form(cls, SWEEP_BINDINGS[cls](float(a)))
-        except ValueError:
-            flagged.append(float(a))
-            continue
-        grid.append(float(a))
-        amps.append(psi.amplitudes)
-    residuals = residual_columns(tangle_columns(np.reshape(amps, (-1, 16))), sched.mu3).tolist()
+    points = np.array([float(a) for a in a_values])
+    amps, valid = normal_forms(cls, np.multiply.outer(points, _SWEEP_SCALES[cls]))
+    grid, flagged = points[valid].tolist(), points[~valid].tolist()
+    residuals = residual_columns(tangle_columns(amps[valid]), sched.mu3).tolist()
     rows = [(a, *res) for a, res in zip(grid, residuals)]
     violations = [
         (a, focus, r)
@@ -385,7 +383,8 @@ def table1_check(grid=None) -> list[Table1Entry]:
     for cls in range(1, 10):
         points = [None] if CLASS_ARITY[cls] == 0 else list(grid)
         params = [_table1_params(cls, t) if t is not None else NormalFormParams() for t in points]
-        bounds = tangle_columns([normal_form(cls, p).amplitudes for p in params]).tau3
+        amps = _valid_normal_forms(cls, [p.as_tuple(CLASS_ARITY[cls]) for p in params])
+        bounds = tangle_columns(amps).tau3
         values, methods = bounds.value.tolist(), bounds.method.tolist()
         for t, p, state_values, state_methods in zip(points, params, values, methods):
             pv = p.as_tuple(CLASS_ARITY[cls])

@@ -78,6 +78,18 @@ class PureState:
         }
 
 
+def _unit_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a complex stack (S, d) over its norm, and which rows
+    ``PureState.from_amplitudes`` would accept: finite, with norm at least
+    1e-12. The norm is the arithmetic of ``np.linalg.norm`` on one row, and
+    the division that of one vector by its norm, so an accepted row has the
+    bits of ``from_amplitudes``."""
+    norms = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+    ok = np.isfinite(amps).all(axis=1) & (norms >= 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return amps / norms[:, None], ok
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator."""

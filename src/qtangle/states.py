@@ -1,14 +1,20 @@
 """Named-state factories: GHZ/W superpositions, the nine four-qubit
 normal-form families, and the seeded random sampler that dresses a normal
-form with determinant-1 local operators."""
+form with determinant-1 local operators.
+
+Normal forms and sampled states are built for a whole stack of parameter
+rows or draws at once; ``normal_form`` and ``random_slocc_state`` are
+one-row calls of the same code."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import PureState, _local_images, apply_local_operators
+from .qstate import PureState, _local_images, _unit_rows
 
 # Number of complex parameters each normal-form family takes (a, b, c, d order).
 CLASS_ARITY = {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1, 7: 0, 8: 0, 9: 0}
@@ -106,66 +112,81 @@ def ghzw(p: GhzwParams) -> PureState:
     return PureState.from_amplitudes(amps, n_qubits=n)
 
 
-def _bits(*strings: str) -> list[int]:
-    return [int(s, 2) for s in strings]
+# The nine normal-form patterns, one row of terms per family: each term is
+# its value, a function of the parameter columns a, b, c, d up to the
+# family's arity, and the basis states it sits at (qubit 1 the most
+# significant bit). No basis state appears twice in a pattern.
+_PATTERNS = {
+    1: (
+        (lambda a, b, c, d: (a + d) / 2, (0b0000, 0b1111)),
+        (lambda a, b, c, d: (a - d) / 2, (0b0011, 0b1100)),
+        (lambda a, b, c, d: (b + c) / 2, (0b0101, 0b1010)),
+        (lambda a, b, c, d: (b - c) / 2, (0b0110, 0b1001)),
+    ),
+    2: (
+        (lambda a, b, c: (a + b) / 2, (0b0000, 0b1111)),
+        (lambda a, b, c: (a - b) / 2, (0b0011, 0b1100)),
+        (lambda a, b, c: c, (0b0101, 0b1010)),
+        (lambda a, b, c: 1.0, (0b0110,)),
+    ),
+    3: (
+        (lambda a, b: a, (0b0000, 0b1111)),
+        (lambda a, b: b, (0b0101, 0b1010)),
+        (lambda a, b: 1.0, (0b0110, 0b0011)),
+    ),
+    4: (
+        (lambda a, b: a, (0b0000, 0b1111)),
+        (lambda a, b: (a + b) / 2, (0b0101, 0b1010)),
+        (lambda a, b: (a - b) / 2, (0b0110, 0b1001)),
+        (lambda a, b: 1.0j / np.sqrt(2), (0b0001, 0b0010, 0b0111, 0b1011)),
+    ),
+    5: (
+        (lambda a: a, (0b0000, 0b0101, 0b1010, 0b1111)),
+        (lambda a: 1.0j, (0b0001,)),
+        (lambda a: 1.0, (0b0110,)),
+        (lambda a: -1.0j, (0b1011,)),
+    ),
+    6: (
+        (lambda a: a, (0b0000, 0b1111)),
+        (lambda a: 1.0, (0b0011, 0b0101, 0b0110)),
+    ),
+    7: ((lambda: 1.0, (0b0000, 0b0101, 0b1000, 0b1110)),),
+    8: ((lambda: 1.0, (0b0000, 0b1011, 0b1101, 0b1110)),),
+    9: ((lambda: 1.0, (0b0000, 0b0111)),),
+}
 
 
-def _normal_form_pattern(cls: int, pv: tuple) -> np.ndarray:
-    amps = np.zeros(16, dtype=complex)
+def normal_forms(cls: int, values) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized normal forms (S, 16) of one family for parameter rows
+    (S, arity) in a, b, c, d order, and which rows are valid: real parts
+    nonnegative, as NormalFormParams requires, and a pattern that is finite
+    and does not vanish (norm below 1e-12). Every normal form is built here;
+    invalid rows are not usable amplitudes."""
+    cls = _check_class(cls)
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 2 or values.shape[1] != CLASS_ARITY[cls]:
+        raise ValueError(f"class {cls} takes rows of {CLASS_ARITY[cls]} parameters, got {values.shape}")
+    amps = np.zeros((len(values), 16), dtype=complex)
+    for value, indices in _PATTERNS[cls]:
+        # Added to zero, not assigned: a -0.0 part of a value ends up +0.0.
+        amps[:, indices] += np.reshape(value(*values.T), (-1, 1))
+    unit, ok = _unit_rows(amps)
+    return unit, ok & ~(values.real < 0).any(axis=1)
 
-    def put(value: complex, *strings: str) -> None:
-        for idx in _bits(*strings):
-            amps[idx] += value
 
-    if cls == 1:
-        a, b, c, d = pv
-        put((a + d) / 2, "0000", "1111")
-        put((a - d) / 2, "0011", "1100")
-        put((b + c) / 2, "0101", "1010")
-        put((b - c) / 2, "0110", "1001")
-    elif cls == 2:
-        a, b, c = pv
-        put((a + b) / 2, "0000", "1111")
-        put((a - b) / 2, "0011", "1100")
-        put(c, "0101", "1010")
-        put(1.0, "0110")
-    elif cls == 3:
-        a, b = pv
-        put(a, "0000", "1111")
-        put(b, "0101", "1010")
-        put(1.0, "0110", "0011")
-    elif cls == 4:
-        a, b = pv
-        put(a, "0000", "1111")
-        put((a + b) / 2, "0101", "1010")
-        put((a - b) / 2, "0110", "1001")
-        put(1.0j / np.sqrt(2), "0001", "0010", "0111", "1011")
-    elif cls == 5:
-        (a,) = pv
-        put(a, "0000", "0101", "1010", "1111")
-        put(1.0j, "0001")
-        put(1.0, "0110")
-        put(-1.0j, "1011")
-    elif cls == 6:
-        (a,) = pv
-        put(a, "0000", "1111")
-        put(1.0, "0011", "0101", "0110")
-    elif cls == 7:
-        put(1.0, "0000", "0101", "1000", "1110")
-    elif cls == 8:
-        put(1.0, "0000", "1011", "1101", "1110")
-    elif cls == 9:
-        put(1.0, "0000", "0111")
+def _valid_normal_forms(cls: int, values) -> np.ndarray:
+    """``normal_forms`` of rows that must all be valid."""
+    amps, ok = normal_forms(cls, values)
+    if not ok.all():
+        raise ValueError(f"class-{cls} pattern vanishes or is not finite for the given parameters")
     return amps
 
 
 def normal_form(cls: int, params: NormalFormParams = NormalFormParams()) -> PureState:
     """Normalized normal-form representative of one of the nine families."""
     cls = _check_class(cls)
-    amps = _normal_form_pattern(cls, params.as_tuple(CLASS_ARITY[cls]))
-    if np.linalg.norm(amps) < 1e-12:
-        raise ValueError(f"class-{cls} pattern vanishes for the given parameters")
-    return PureState.from_amplitudes(amps, n_qubits=4)
+    amps = _valid_normal_forms(cls, [params.as_tuple(CLASS_ARITY[cls])])
+    return PureState(n_qubits=4, amplitudes=amps[0])
 
 
 def sample_seed(master_seed: int, cls: int, index: int) -> np.random.SeedSequence:
@@ -173,62 +194,93 @@ def sample_seed(master_seed: int, cls: int, index: int) -> np.random.SeedSequenc
     return np.random.SeedSequence([int(master_seed), int(cls), int(index)])
 
 
-def random_normal_form_params(cls: int, rng: np.random.Generator) -> NormalFormParams:
-    """Parameters with Re ~ U[0, 1] and Im ~ U[-1, 1], drawn in a, b, c, d order."""
-    cls = _check_class(cls)
-    values = {}
-    for name in _PARAM_NAMES[: CLASS_ARITY[cls]]:
-        values[name] = complex(rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
-    return NormalFormParams(**values)
+class SloccDraw(NamedTuple):
+    """One sample's random numbers, in its stream's order: the normal-form
+    parameters (Re ~ U[0, 1], Im ~ U[-1, 1]; a, b, c, d order) and the first
+    draw of each of the four local operators (standard complex Gaussian
+    entries; operator, real/imaginary part, row, column). ``rng`` is the
+    stream after them, continued by an operator whose first draw is
+    singular."""
+
+    seq: np.random.SeedSequence
+    params: np.ndarray  # (arity,) complex
+    gaussians: np.ndarray  # (4, 2, 2, 2)
+    rng: np.random.Generator
 
 
-def _random_sl2(rng: np.random.Generator, max_tries: int = 100) -> np.ndarray:
-    """Standard-complex-Gaussian 2x2 matrix rescaled to determinant 1."""
-    for _ in range(max_tries):
-        m = rng.normal(0.0, np.sqrt(0.5), (2, 2)) + 1j * rng.normal(0.0, np.sqrt(0.5), (2, 2))
-        det = np.linalg.det(m)
-        if abs(det) >= 1e-6:
-            return m * det ** (-0.5)
-    raise RuntimeError(f"rejected {max_tries} singular draws in a row; RNG looks broken")
-
-
-def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> tuple[PureState, SloccProvenance]:
+def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> SloccDraw:
     """One sample's own random stream, drawn in a fixed order: the
-    normal-form parameters, then the four det-1 local operators. Returns
-    the normal form before the operators act, and the provenance."""
+    normal-form parameters, then the four local operators."""
     cls = _check_class(cls)
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(int(seed))
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     rng = np.random.default_rng(seq)
-    params = random_normal_form_params(cls, rng)
-    base = normal_form(cls, params)
-    ops = tuple(_random_sl2(rng) for _ in range(4))
-    prov = SloccProvenance(
-        slocc_class=cls,
-        seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
-        params=params,
-        operators=ops,
-    )
-    return base, prov
+    # The doubles rng.uniform(0, 1) and rng.uniform(-1, 1) draw for Re and Im
+    # of each parameter in turn, with their arithmetic low + (high - low) u.
+    u = rng.random(2 * CLASS_ARITY[cls])
+    u[1::2] = u[1::2] * 2.0 - 1.0
+    return SloccDraw(seq, u.view(complex), rng.normal(0.0, np.sqrt(0.5), (4, 2, 2, 2)), rng)
 
 
-def dress(draws: list) -> np.ndarray:
-    """Normalized amplitudes (S, 16) of drawn samples (``draw_slocc``
-    results): every sample's operators applied at once, then each row
-    normalized as ``PureState.from_amplitudes`` does."""
-    images = _local_images(
-        np.array([base.amplitudes for base, _ in draws]),
-        np.array([prov.operators for _, prov in draws]),
-    )
-    return np.array([PureState.from_amplitudes(v, n_qubits=4).amplitudes for v in images])
+def _det1(gaussians: np.ndarray) -> tuple[np.ndarray, list]:
+    """Operators (N, 2, 2) of drawn blocks (N, 2, 2, 2) rescaled to
+    determinant 1, and whether each block was accepted (|det| >= 1e-6)."""
+    m = gaussians[:, 0] + 1j * gaussians[:, 1]
+    det = np.linalg.det(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ops = m * (det ** (-0.5))[:, None, None]
+    return ops, [abs(d) >= 1e-6 for d in det.tolist()]
+
+
+def _redraw_operators(draw: SloccDraw, max_tries: int = 100) -> np.ndarray:
+    """The four operators (4, 2, 2) of a draw with a singular first draw:
+    operator by operator, each takes the first accepted of up to max_tries
+    blocks, from the first draws in order and then from a copy of the draw's
+    stream, so that a draw gives the same operators every time."""
+    blocks = list(draw.gaussians)
+    rng = copy.deepcopy(draw.rng)
+    ops = []
+    for _ in range(4):
+        for _ in range(max_tries):
+            block = blocks.pop(0) if blocks else rng.normal(0.0, np.sqrt(0.5), (2, 2, 2))
+            op, accepted = _det1(block[None])
+            if accepted[0]:
+                ops.append(op[0])
+                break
+        else:
+            raise RuntimeError(f"rejected {max_tries} singular draws in a row; RNG looks broken")
+    return np.array(ops)
+
+
+def dress(cls: int, draws: list) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized amplitudes (S, 16) of drawn samples of one class
+    (``draw_slocc`` results), and their det-1 operators (S, 4, 2, 2): the
+    normal forms, the operators and their action on the normal forms, each
+    for the whole stack at once."""
+    ops, accepted = _det1(np.reshape([d.gaussians for d in draws], (-1, 2, 2, 2)))
+    ops = ops.reshape(-1, 4, 2, 2)
+    for i in np.flatnonzero(~np.reshape(accepted, (-1, 4)).all(axis=1)):
+        ops[i] = _redraw_operators(draws[i])
+    base = _valid_normal_forms(cls, np.array([d.params for d in draws]))
+    images = _local_images(base, ops)
+    amps, ok = _unit_rows(images)
+    if not ok.all():
+        PureState.from_amplitudes(images[np.argmin(ok)])  # raises its error for the row
+    return amps, ops
 
 
 def random_slocc_state(
     cls: int, seed: int | np.random.SeedSequence
 ) -> tuple[PureState, SloccProvenance]:
     """Random member of a SLOCC class: det-1 local operators on a random
-    normal form, fully determined by the seed."""
-    base, prov = draw_slocc(cls, seed)
-    return apply_local_operators(base, prov.operators), prov
+    normal form, fully determined by the seed. The one-state view of
+    ``draw_slocc`` and ``dress``."""
+    cls = _check_class(cls)
+    draw = draw_slocc(cls, seed)
+    amps, ops = dress(cls, [draw])
+    prov = SloccProvenance(
+        slocc_class=cls,
+        seed_key=tuple(int(x) for x in np.atleast_1d(draw.seq.entropy)),
+        params=NormalFormParams(*draw.params.tolist()),
+        operators=tuple(ops[0]),
+    )
+    return PureState(n_qubits=4, amplitudes=amps[0]), prov

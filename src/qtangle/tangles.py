@@ -189,21 +189,70 @@ def _wclass_bloch(roots: np.ndarray) -> np.ndarray:
     return w
 
 
-def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each Bloch vector r (K, 3) is a convex mixture of its four
-    simplex vertices w (K, 4, 3), and the nonnegative weights (K, 4) of the
-    closest mixture.
-
-    One nonnegative least-squares fit of the system "3 Bloch coordinates +
-    normalization" per point; r is a member iff its residual is below
-    SUPPORT_TOL. The fit needs no rank decision: repeated roots and coplanar
-    vertices take the same path, and a member gets one of its decompositions.
-    """
+def _augmented(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The system "3 Bloch coordinates + normalization" of each point: the
+    columns [w_k; 1] (K, 4, 4) of its simplex and the right side [r; 1] (K, 4)."""
     a = np.ones((len(w), 4, 4))
     a[:, :3, :] = w.swapaxes(1, 2)
-    b = np.concatenate([r, np.ones((len(r), 1))], axis=1)
-    weights, resid = map(np.array, zip(*(nnls(a_i, b_i) for a_i, b_i in zip(a, b))))
-    return resid < SUPPORT_TOL, weights
+    return a, np.concatenate([r, np.ones((len(r), 1))], axis=1)
+
+
+# The three vertices of each face of a simplex; face f leaves out vertex f.
+_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+
+
+def _plane_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A proven lower bound (K,) on the NNLS residual min |A x - b| over
+    x >= 0 of each system (``_augmented``), from the face planes of its
+    simplex; NaN where no face spans a plane.
+
+    For any y, y.(b - A x) >= y.b - (sum x) E with E = max_k (y.a_k)^+, and
+    sum x <= 1 + |A x - b| because the last row of A is ones and that of b
+    is 1; so |A x - b| >= (y.b - E) / (|y| + E). The augmented normal y of a
+    face plane has y.a_k = 0 at the face's vertices, and of its two
+    orientations the one with the fourth vertex on the negative side has
+    E = 0 but for roundoff; then y.b > 0 where r lies beyond the face.
+
+    Each y is scaled to largest entry 1, so every entry of A, b and y is at
+    most 1 in modulus and eta = 16 eps |y|_1 exceeds the roundoff of each
+    computed product y.a_k or y.b (a 4-term dot product needs 4 eps |y|_1),
+    of |y|, and of the quotient's own steps; it is charged against the bound
+    on each of them.
+    """
+    v = a[:, :3, _FACES].transpose(0, 2, 3, 1)  # (K, face, vertex, 3)
+    n = np.cross(v[:, :, 1] - v[:, :, 0], v[:, :, 2] - v[:, :, 0])
+    y = np.concatenate([n, -np.sum(n * v[:, :, 0], axis=-1, keepdims=True)], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y /= np.abs(y).max(axis=-1, keepdims=True)
+        y = np.concatenate([y, -y], axis=1)  # both orientations of each face
+        eta = 16.0 * np.finfo(float).eps * np.abs(y).sum(axis=-1)
+        spill = np.maximum(0.0, (y @ a).max(axis=-1) + eta)
+        bound = ((y @ b[..., None])[..., 0] - eta - spill) / (
+            np.linalg.norm(y, axis=-1) + eta + spill
+        )
+    return np.fmax.reduce(bound, axis=1)
+
+
+def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each Bloch vector r (K, 3) is a convex mixture of its four
+    simplex vertices w (K, 4, 3), and the nonnegative weights (K, 4) of a
+    member's mixture (NaN for a point a face plane rules out).
+
+    r is a member iff the nonnegative least-squares fit of its system
+    "3 Bloch coordinates + normalization" has a residual below SUPPORT_TOL.
+    A point whose face-plane bound on that residual (``_plane_bound``)
+    exceeds SUPPORT_TOL is not a member without a fit; every other point
+    takes one NNLS fit. The fit needs no rank decision: repeated roots and
+    coplanar vertices take the same path, and a member gets one of its
+    decompositions.
+    """
+    member = np.zeros(len(w), dtype=bool)
+    weights = np.full((len(w), 4), np.nan)
+    a, b = _augmented(w, r)
+    for i in np.flatnonzero(~(_plane_bound(a, b) > SUPPORT_TOL)):
+        weights[i], resid = nnls(a[i], b[i])
+        member[i] = resid < SUPPORT_TOL
+    return member, weights
 
 
 def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> BoundColumns:

@@ -25,3 +25,28 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+class SingularStart:
+    """A random stream whose first ``zeros`` normal deviates are 0: with 8,
+    the first local operator a sampler draws is singular and every later draw
+    shifts by one operator; with more than 800, every operator of the sample
+    is singular. Pass ``np.random.default_rng`` as ``make`` before patching it."""
+
+    def __init__(self, make, seed, zeros):
+        self._rng = make(seed)
+        self._zeros = zeros
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+    def normal(self, *args, **kwargs):
+        out = np.array(self._rng.normal(*args, **kwargs))
+        flat = out.reshape(-1)
+        k = min(self._zeros, flat.size)
+        flat[:k] = 0.0
+        self._zeros -= k
+        return out

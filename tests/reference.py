@@ -1,15 +1,28 @@
-"""Test-only per-marginal references for the package's tangles.
+"""Test-only references for the package's tangles and its sampler.
 
-Each takes one reduced density matrix or one rank-2 support at a time, by a
-route independent of the package's amplitude-tensor path: ``one_tangle`` is
-4 det of ``partial_trace``, ``two_tangle`` is Wootters' formula through
-``eigh``, and ``wclass_states`` finds the zero-tangle states of a rank-2
-support with ``np.roots`` instead of companion matrices.
+Each tangle reference takes one reduced density matrix or one rank-2 support
+at a time, by a route independent of the package's amplitude-tensor path:
+``one_tangle`` is 4 det of ``partial_trace``, ``two_tangle`` is Wootters'
+formula through ``eigh``, and ``wclass_states`` finds the zero-tangle states
+of a rank-2 support with ``np.roots`` instead of companion matrices.
+
+The sampler reference is the sequential definition of a sample's random
+stream: ``draw_slocc`` draws the normal-form parameters one value at a time,
+builds the normal form term by term, and draws the four operators one
+``_random_sl2`` call each. The package's stacked sampler must give the same
+bits.
 """
 
 import numpy as np
 
-from qtangle.qstate import DensityMatrix, PureState, partial_trace
+from qtangle.qstate import DensityMatrix, PureState, apply_local_operators, partial_trace
+from qtangle.states import (
+    _PARAM_NAMES,
+    CLASS_ARITY,
+    NormalFormParams,
+    SloccProvenance,
+    _check_class,
+)
 from qtangle.tangles import _tau3_quartic_form
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -72,3 +85,118 @@ def wclass_states(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     states = [e1 + z * e2 for z in finite] + [e1 / z + e2 for z in roots[huge]]
     states += [e2] * (4 - len(states))
     return np.array([v / np.linalg.norm(v) for v in states])
+
+
+# -- the sequential sampler ------------------------------------------------------
+
+
+def _bits(*strings: str) -> list[int]:
+    return [int(s, 2) for s in strings]
+
+
+def _normal_form_pattern(cls: int, pv: tuple) -> np.ndarray:
+    amps = np.zeros(16, dtype=complex)
+
+    def put(value: complex, *strings: str) -> None:
+        for idx in _bits(*strings):
+            amps[idx] += value
+
+    if cls == 1:
+        a, b, c, d = pv
+        put((a + d) / 2, "0000", "1111")
+        put((a - d) / 2, "0011", "1100")
+        put((b + c) / 2, "0101", "1010")
+        put((b - c) / 2, "0110", "1001")
+    elif cls == 2:
+        a, b, c = pv
+        put((a + b) / 2, "0000", "1111")
+        put((a - b) / 2, "0011", "1100")
+        put(c, "0101", "1010")
+        put(1.0, "0110")
+    elif cls == 3:
+        a, b = pv
+        put(a, "0000", "1111")
+        put(b, "0101", "1010")
+        put(1.0, "0110", "0011")
+    elif cls == 4:
+        a, b = pv
+        put(a, "0000", "1111")
+        put((a + b) / 2, "0101", "1010")
+        put((a - b) / 2, "0110", "1001")
+        put(1.0j / np.sqrt(2), "0001", "0010", "0111", "1011")
+    elif cls == 5:
+        (a,) = pv
+        put(a, "0000", "0101", "1010", "1111")
+        put(1.0j, "0001")
+        put(1.0, "0110")
+        put(-1.0j, "1011")
+    elif cls == 6:
+        (a,) = pv
+        put(a, "0000", "1111")
+        put(1.0, "0011", "0101", "0110")
+    elif cls == 7:
+        put(1.0, "0000", "0101", "1000", "1110")
+    elif cls == 8:
+        put(1.0, "0000", "1011", "1101", "1110")
+    elif cls == 9:
+        put(1.0, "0000", "0111")
+    return amps
+
+
+def normal_form(cls: int, params: NormalFormParams = NormalFormParams()) -> PureState:
+    """Normalized normal-form representative of one of the nine families."""
+    cls = _check_class(cls)
+    amps = _normal_form_pattern(cls, params.as_tuple(CLASS_ARITY[cls]))
+    if np.linalg.norm(amps) < 1e-12:
+        raise ValueError(f"class-{cls} pattern vanishes for the given parameters")
+    return PureState.from_amplitudes(amps, n_qubits=4)
+
+
+def random_normal_form_params(cls: int, rng: np.random.Generator) -> NormalFormParams:
+    """Parameters with Re ~ U[0, 1] and Im ~ U[-1, 1], drawn in a, b, c, d order."""
+    cls = _check_class(cls)
+    values = {}
+    for name in _PARAM_NAMES[: CLASS_ARITY[cls]]:
+        values[name] = complex(rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
+    return NormalFormParams(**values)
+
+
+def _random_sl2(rng: np.random.Generator, max_tries: int = 100) -> np.ndarray:
+    """Standard-complex-Gaussian 2x2 matrix rescaled to determinant 1."""
+    for _ in range(max_tries):
+        m = rng.normal(0.0, np.sqrt(0.5), (2, 2)) + 1j * rng.normal(0.0, np.sqrt(0.5), (2, 2))
+        det = np.linalg.det(m)
+        if abs(det) >= 1e-6:
+            return m * det ** (-0.5)
+    raise RuntimeError(f"rejected {max_tries} singular draws in a row; RNG looks broken")
+
+
+def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> tuple[PureState, SloccProvenance]:
+    """One sample's own random stream, drawn in a fixed order: the
+    normal-form parameters, then the four det-1 local operators. Returns
+    the normal form before the operators act, and the provenance."""
+    cls = _check_class(cls)
+    if isinstance(seed, np.random.SeedSequence):
+        seq = seed
+    else:
+        seq = np.random.SeedSequence(int(seed))
+    rng = np.random.default_rng(seq)
+    params = random_normal_form_params(cls, rng)
+    base = normal_form(cls, params)
+    ops = tuple(_random_sl2(rng) for _ in range(4))
+    prov = SloccProvenance(
+        slocc_class=cls,
+        seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
+        params=params,
+        operators=ops,
+    )
+    return base, prov
+
+
+def random_slocc_state(
+    cls: int, seed: int | np.random.SeedSequence
+) -> tuple[PureState, SloccProvenance]:
+    """Random member of a SLOCC class: det-1 local operators on a random
+    normal form, fully determined by the seed."""
+    base, prov = draw_slocc(cls, seed)
+    return apply_local_operators(base, prov.operators), prov

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qtangle.harness as harness
+from conftest import SingularStart
 from qtangle.cli import main
 from qtangle.harness import (
     CampaignConfig,
@@ -229,6 +230,37 @@ def test_campaign_isolates_a_sample_the_engine_rejects(tmp_path, monkeypatch):
     assert read_rows(tmp_path / "v.csv") == expected
 
 
+def test_campaign_records_a_sample_whose_operators_stay_singular(tmp_path, monkeypatch):
+    # Sample 5's stream draws only singular operators and sample 2's first
+    # operator is singular once: the chunk's stacked preparation fails, each
+    # sample is prepared alone, and only sample 5 is recorded, with the error
+    # of the sequential sampler. Sample 2's retried operators do not change.
+    cfg = CampaignConfig(classes=(3,), samples_per_class=8, master_seed=11)
+    make = np.random.default_rng
+
+    def singular(zeros):
+        def rng(seq):
+            return SingularStart(make, seq, zeros.get(seq.entropy[-1], 0))
+
+        monkeypatch.setattr(np.random, "default_rng", rng)
+
+    singular({2: 8})
+    run_campaign(cfg, tmp_path / "retry.csv")
+    singular({2: 8, 5: 10**6})
+    summary = run_campaign(cfg, tmp_path / "v.csv")
+    assert summary.errors == [
+        {
+            "class": 3,
+            "sample_index": 5,
+            "sub_seed": "11:3:5",
+            "type": "RuntimeError",
+            "message": "rejected 100 singular draws in a row; RNG looks broken",
+        }
+    ]
+    expected = [r for r in read_rows(tmp_path / "retry.csv") if r["sample_index"] != "5"]
+    assert read_rows(tmp_path / "v.csv") == expected
+
+
 def test_campaign_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(classes=(1, 9))
@@ -271,18 +303,11 @@ def test_sweep_class6_bound_switch():
     assert above.value < 1e-6
 
 
-def test_sweep_degenerate_flagging(monkeypatch):
-    calls = {}
-    real = harness.normal_form
-
-    def fake(cls, params):
-        if abs(params.a - 0.5) < 1e-12:
-            raise ValueError("degenerate")
-        return real(cls, params)
-
-    monkeypatch.setattr(harness, "normal_form", fake)
-    result = sweep_family(5, [0.25, 0.5, 0.75])
-    assert result.flagged == [0.5]
+def test_sweep_degenerate_flagging():
+    # A negative a breaks the nonnegative real part of the family's
+    # parameters: the point is flagged and the others are evaluated.
+    result = sweep_family(5, [0.25, -0.5, 0.75])
+    assert result.flagged == [-0.5]
     assert len(result.rows) == 2
 
 
@@ -388,6 +413,16 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     with open(out) as fh:
         assert len(fh.readlines()) == 6  # header + 5 grid points
+
+
+def test_cli_sweep_flags_a_negative_grid_point(capsys):
+    code = main(
+        ["sweep", "--class", "2", "--a-min", "-0.1", "--a-max", "0.1", "--step", "0.1", "--json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["flagged"] == [-0.1]
+    assert [row[0] for row in out["rows"]] == [0.0, 0.1]
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+import reference
+from conftest import SingularStart
 from qtangle import GhzwParams, partial_trace, three_tangle_upper
+from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params
 from qtangle.states import (
     CLASS_ARITY,
     NormalFormParams,
+    draw_slocc,
+    dress,
     ghz,
     ghzw,
     normal_form,
-    random_normal_form_params,
+    normal_forms,
     random_slocc_state,
     sample_seed,
     w,
 )
+from reference import random_normal_form_params
 
 
 def test_ghz_and_w_amplitudes():
@@ -184,3 +190,92 @@ def test_provenance_serializes():
     assert d["class"] == 4
     assert set(d["params"]) == {"a", "b"}
     assert len(d["operators"]) == 4
+
+
+# -- the stacked sampler against the sequential reference ---------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_stacked_sampler_matches_the_sequential_reference(chunk):
+    for master in (0, 7, 20260823):
+        for cls in range(1, 10):
+            seeds = [sample_seed(master, cls, i) for i in range(chunk)]
+            amps, ops = dress(cls, [draw_slocc(cls, seed) for seed in seeds])
+            for i, seed in enumerate(seeds):
+                psi, prov = reference.random_slocc_state(cls, seed)
+                assert _bits(amps[i]) == _bits(psi.amplitudes), (master, cls, i)
+                assert _bits(ops[i]) == _bits(np.array(prov.operators))
+                one, one_prov = random_slocc_state(cls, seed)
+                assert _bits(one.amplitudes) == _bits(psi.amplitudes)
+                assert one_prov.to_json_dict() == prov.to_json_dict()
+                assert one_prov.params == prov.params
+
+
+def test_stacked_sampler_retries_a_singular_operator_as_the_reference(monkeypatch):
+    # The first operator's first draw is singular, so the reference draws it
+    # again and every later operator comes from the next draw of the stream.
+    # The stacked sampler continues the stream the same way, for a retrying
+    # sample alone and among other samples, and gives the same bits on a
+    # second call of the same draws.
+    make = np.random.default_rng
+    cls, seeds = 4, [sample_seed(3, 4, i) for i in range(5)]
+    plain = dress(cls, [draw_slocc(cls, seeds[2])])[0]
+    monkeypatch.setattr(
+        np.random,
+        "default_rng",
+        lambda seq: SingularStart(make, seq, 8 if seq is seeds[2] else 0),
+    )
+    psi, prov = reference.random_slocc_state(cls, seeds[2])
+    draws = [draw_slocc(cls, seed) for seed in seeds]
+    for _ in range(2):
+        amps, ops = dress(cls, draws)
+        assert _bits(amps[2]) == _bits(psi.amplitudes)
+        assert _bits(ops[2]) == _bits(np.array(prov.operators))
+        assert _bits(dress(cls, draws[2:3])[0]) == _bits(psi.amplitudes)
+    assert not np.allclose(amps[2], plain[0])
+    for i in (0, 1, 3, 4):
+        assert _bits(amps[i]) == _bits(reference.random_slocc_state(cls, seeds[i])[0].amplitudes)
+
+
+def test_stacked_sampler_gives_up_after_100_singular_draws(monkeypatch):
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: SingularStart(make, seq, 10**6))
+    seed = sample_seed(0, 2, 0)
+    with pytest.raises(RuntimeError, match="rejected 100 singular draws") as want:
+        reference.random_slocc_state(2, seed)
+    with pytest.raises(RuntimeError) as got:
+        dress(2, [draw_slocc(2, seed)])
+    assert str(got.value) == str(want.value)
+
+
+def test_normal_forms_match_the_sequential_reference():
+    rng = np.random.default_rng(11)
+    cases = [(cls, SWEEP_BINDINGS[cls](float(a))) for cls in SWEEP_BINDINGS
+             for a in np.linspace(0.0, 2.0, 41)]
+    cases += [(cls, _table1_params(cls, t)) for cls in range(1, 10) for t in _TABLE1_GRID]
+    cases += [(cls, random_normal_form_params(cls, rng)) for cls in range(1, 10) for _ in range(20)]
+    cases += [(1, NormalFormParams(a=0.5, d=0.5)), (4, NormalFormParams(a=-0.0, b=0.3 - 0.0j))]
+    for cls, params in cases:
+        want = reference.normal_form(cls, params).amplitudes
+        assert _bits(normal_form(cls, params).amplitudes) == _bits(want), (cls, params)
+    for cls in range(1, 10):
+        rows = [p.as_tuple(CLASS_ARITY[cls]) for c, p in cases if c == cls]
+        amps, valid = normal_forms(cls, rows)
+        assert valid.all()
+        for row, params in zip(amps, [p for c, p in cases if c == cls]):
+            assert _bits(row) == _bits(reference.normal_form(cls, params).amplitudes)
+
+
+def test_normal_forms_flag_invalid_rows():
+    amps, valid = normal_forms(2, [(0.5, 0.5, 0.5), (-0.1, -0.1, -0.1), (np.nan, 0, 0), (1, 1, 1)])
+    assert valid.tolist() == [True, False, False, True]
+    assert _bits(amps[3]) == _bits(normal_form(2, NormalFormParams(1, 1, 1)).amplitudes)
+    assert normal_forms(1, [(0, 0, 0, 0)])[1].tolist() == [False]
+    with pytest.raises(ValueError, match="vanishes"):
+        normal_form(1, NormalFormParams())
+    with pytest.raises(ValueError, match="rows of 3"):
+        normal_forms(2, [(0.5, 0.5)])

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from conftest import random_pure_state, random_unitary2
 from qtangle import (
@@ -19,9 +19,12 @@ from qtangle import (
 )
 from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params
 from qtangle.qstate import _phase_fix
+import qtangle.tangles as tangles
 from qtangle.states import (
     CLASS_ARITY,
     NormalFormParams,
+    draw_slocc,
+    dress,
     ghz,
     normal_form,
     random_slocc_state,
@@ -32,7 +35,9 @@ from qtangle.tangles import (
     METHODS,
     SUPPORT_TOL,
     TRIPLES,
+    _augmented,
     _companion_roots,
+    _plane_bound,
     _quartic_coeffs,
     _quartic_degree,
     _simplex_solve,
@@ -290,8 +295,9 @@ def _outward(direction, on, inner):
 _DELTAS = (-1e-2, -1e-4, -2e-6, 2e-6, 1e-4, 1e-2)  # < 0 inward, > 0 outward
 
 
-def test_simplex_solve_matches_lp_on_random_simplices(rng):
-    inside = outside = 0
+def _random_simplex_cases(rng):
+    """Random simplices (4, 3) with points (K, 3) at least 1e-6 inside or
+    outside them, pushed off each face, and whether each point is inside."""
     for _ in range(15):
         w = _unit(rng.normal(size=(4, 3)))
         faces = [np.delete(w, k, axis=0) for k in range(4)]
@@ -303,13 +309,22 @@ def test_simplex_solve_matches_lp_on_random_simplices(rng):
             # them at least 1e-6 inside or outside the tetrahedron.
             margin = np.min([(f[0] - points) @ n for f, n in zip(faces, normals)], axis=0)
             keep = np.abs(margin) >= 1e-6
-            _check_against_lp(w, points[keep], margin[keep] > 0)
-            inside += np.sum(margin >= 1e-6)
-            outside += np.sum(margin <= -1e-6)
+            yield w, points[keep], margin[keep] > 0
+
+
+def test_simplex_solve_matches_lp_on_random_simplices(rng):
+    inside = outside = 0
+    for w, points, expected in _random_simplex_cases(rng):
+        _check_against_lp(w, points, expected)
+        inside += np.sum(expected)
+        outside += np.sum(~expected)
     assert inside >= 100 and outside >= 100
 
 
-def test_simplex_solve_matches_lp_on_degenerate_hulls(rng):
+def _degenerate_hull_cases(rng):
+    """Simplices (4, 3) whose hull is a triangle, a segment or a planar
+    quadrilateral, with points (K, 3) in it or just off it, and whether each
+    point is in it."""
     for _ in range(10):
         v = _unit(rng.normal(size=(3, 3)))
         # A repeated root: conv is the triangle v0 v1 v2.
@@ -319,13 +334,13 @@ def test_simplex_solve_matches_lp_on_degenerate_hulls(rng):
                _pushed_off(rng, v, off_plane, (2e-6, -1e-3)),
                _pushed_off(rng, v[:2], _outward(np.cross(off_plane, v[1] - v[0]), v[0], v[2]),
                            (2e-6, 1e-2))]
-        _check_against_lp(tri, np.concatenate(pts), [True] * 4 + [False] * 4)
+        yield tri, np.concatenate(pts), [True] * 4 + [False] * 4
         # Two repeated roots: conv is the segment v0 v1.
         seg = v[[0, 0, 1, 1]]
         across = _unit(np.cross(v[1] - v[0], rng.normal(size=3)))
         pts = [rng.dirichlet(np.ones(2) * 5.0, size=3) @ v[:2],
                _pushed_off(rng, v[:2], across, (2e-6, -1e-3))]
-        _check_against_lp(seg, np.concatenate(pts), [True] * 3 + [False] * 2)
+        yield seg, np.concatenate(pts), [True] * 3 + [False] * 2
         # Four coplanar vertices on one latitude circle: conv is a quadrilateral.
         z, phis = rng.uniform(-0.9, 0.9), np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))
         rho_z = np.sqrt(1.0 - z * z)
@@ -338,7 +353,12 @@ def test_simplex_solve_matches_lp_on_degenerate_hulls(rng):
             normal = _outward(np.cross(pole, edge[1] - edge[0]), edge[0], circle.mean(axis=0))
             pts.append(_pushed_off(rng, edge, normal, (2e-6,)))
         pts = np.concatenate(pts)
-        _check_against_lp(circle, pts, [True] * 4 + [False] * (len(pts) - 4))
+        yield circle, pts, [True] * 4 + [False] * (len(pts) - 4)
+
+
+def test_simplex_solve_matches_lp_on_degenerate_hulls(rng):
+    for w, points, expected in _degenerate_hull_cases(rng):
+        _check_against_lp(w, points, expected)
 
 
 def _marginals(rng):
@@ -386,6 +406,67 @@ def test_simplex_member_matches_lp_on_normal_form_marginals(rng):
         counts[(np.linalg.matrix_rank(columns) == 4, member)] += 1
     assert counts[(False, True)] >= 100 and counts[(False, False)] >= 100
     assert counts[(True, True)] + counts[(True, False)] >= 10
+
+
+# The face-plane certificate that rules points out before NNLS, on the same
+# three sets: its bound is below the NNLS residual, and _simplex_solve gives
+# the memberships and member weights of one NNLS fit per point.
+
+
+def _certificate_cases(rng):
+    """Stacks of simplices (K, 4, 3) and points (K, 3): the random and the
+    degenerate simplices above, and the W-simplex of every mixed normal-form
+    marginal with its state (0, 0, p1 - p2)."""
+    for w, points, _ in itertools.chain(_random_simplex_cases(rng), _degenerate_hull_cases(rng)):
+        yield np.repeat(w[None], len(points), axis=0), points
+    ws, rs = [], []
+    for _, dec in _marginals(rng):
+        vertices = _package_vertices(dec.e1, dec.e2)
+        if vertices is not None:
+            ws.append(vertices)
+            rs.append([0.0, 0.0, 2.0 * dec.lam - 1.0])
+    yield np.array(ws), np.array(rs)
+
+
+def test_plane_bound_is_below_the_nnls_residual(rng):
+    decided = members = 0
+    for w, r in _certificate_cases(rng):
+        a, b = _augmented(w, r)
+        fits = [nnls(a_i, b_i) for a_i, b_i in zip(a, b)]
+        resid = np.array([res for _, res in fits])
+        bound = _plane_bound(a, b)
+        out = bound > SUPPORT_TOL
+        assert np.all(resid[out] >= bound[out] - 1e-15)
+        member, weights = _simplex_solve(w, r)
+        assert member.tolist() == (resid < SUPPORT_TOL).tolist()
+        for got, (want, _) in zip(weights[member], itertools.compress(fits, member)):
+            assert _bits(got) == _bits(want)
+        decided += np.sum(out)
+        members += np.sum(member)
+    assert decided >= 500 and members >= 500  # measured: 522 of 808 non-members, 593 members
+
+
+def test_plane_bound_decides_almost_every_campaign_candidate(monkeypatch):
+    amps = np.concatenate([
+        dress(cls, [draw_slocc(cls, sample_seed(20260823, cls, i)) for i in range(300)])[0]
+        for cls in range(1, 9)
+    ])
+    counts = {"candidates": 0, "nnls": 0}
+    solve, fit = tangles._simplex_solve, tangles.nnls
+
+    def counted_solve(w, r):
+        counts["candidates"] += len(w)
+        return solve(w, r)
+
+    def counted_fit(a, b):
+        counts["nnls"] += 1
+        return fit(a, b)
+
+    monkeypatch.setattr(tangles, "_simplex_solve", counted_solve)
+    monkeypatch.setattr(tangles, "nnls", counted_fit)
+    tangle_columns(amps)
+    assert counts["candidates"] >= 9000
+    assert counts["nnls"] <= 0.02 * counts["candidates"]
 
 
 # The package's W-class vertices against the reference's, as Bloch vectors
