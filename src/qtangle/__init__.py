@@ -1,7 +1,6 @@
 """Tangle measures and strong-monogamy verification for few-qubit states."""
 
 from .monogamy import (
-    ExponentSchedule,
     SmReport,
     ckw_residual,
     ghzw_analytic,
@@ -9,7 +8,6 @@ from .monogamy import (
     residual_columns,
     residual_three_tangle,
     sm_report_all_foci,
-    tau4_lower_bound,
 )
 from .qstate import (
     DensityMatrix,
@@ -35,7 +33,6 @@ from .states import (
 from .tangles import (
     TangleBoundResult,
     TangleColumns,
-    four_qubit_tangles,
     pure_tangles,
     tangle_columns,
     three_tangle_pure,

@@ -105,8 +105,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     span = args.a_max - args.a_min
-    if not (0 < args.step < np.inf and 0 <= span < np.inf):  # also rejects NaN
-        raise ValueError("the sweep grid needs a finite --step > 0 and --a-max >= --a-min")
+    # Also rejects NaN, and a step so small that the grid has no finite count.
+    if not (0 < args.step < np.inf and 0 <= span / args.step < np.inf):
+        raise ValueError(
+            "the sweep grid needs a finite --step > 0, --a-max >= --a-min and a finite step count"
+        )
     n_steps = int(round(span / args.step))
     grid = args.a_min + args.step * np.arange(n_steps + 1)
     result = sweep_family(

@@ -17,10 +17,10 @@ from .monogamy import (
     FOCUS_PAIRS,
     FOCUS_TRIPLES,
     PARTNERS,
-    ExponentSchedule,
     _check_focus,
+    _check_mu3,
     residual_columns,
-    tau4_lower_bound,
+    sm_report_all_foci,
 )
 from .qstate import PureState
 from .states import (
@@ -83,9 +83,11 @@ class CampaignConfig:
             raise ValueError("campaign classes must lie in 1..8 (class 9 has a separable focus)")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        ExponentSchedule(mu3=self.mu3)  # the one check on mu3
+        _check_mu3(self.mu3)
         _check_threshold(self.negativity_threshold)
 
 
@@ -202,7 +204,8 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     res_hist = {cls: np.zeros(len(RESIDUAL_BINS) - 1, dtype=int) for cls in cfg.classes}
     t1_hist = {cls: np.zeros(len(TAU1_BINS) - 1, dtype=int) for cls in cfg.classes}
     methods = {cls: np.zeros(len(METHODS), dtype=int) for cls in cfg.classes}
-    pool = Pool(cfg.workers) if cfg.workers > 1 else None
+    workers = min(cfg.workers, len(tasks))
+    pool = Pool(workers) if workers > 1 else None
     with pool or nullcontext(), open(csv_path, "w", newline="") as fh:
         results = pool.imap(_chunk_rows, tasks) if pool else map(_chunk_rows, tasks)
         writer = csv.writer(fh, lineterminator="\n")
@@ -277,12 +280,12 @@ def sweep_family(
     """Residual lower bounds along a one-parameter normal-form family."""
     if cls not in SWEEP_BINDINGS:
         raise ValueError(f"no sweep binding for class {cls}; classes {sorted(SWEEP_BINDINGS)}")
-    sched = ExponentSchedule(mu3=mu3)
+    _check_mu3(mu3)
     _check_threshold(threshold)
     points = np.array([float(a) for a in a_values])
     amps, valid = normal_forms(cls, np.multiply.outer(points, _SWEEP_SCALES[cls]))
     grid, flagged = points[valid].tolist(), points[~valid].tolist()
-    residuals = residual_columns(tangle_columns(amps[valid]), sched.mu3).tolist()
+    residuals = residual_columns(tangle_columns(amps[valid]), mu3).tolist()
     rows = [(a, *res) for a, res in zip(grid, residuals)]
     violations = [
         (a, focus, r)
@@ -422,30 +425,28 @@ def write_table1_csv(entries: list, csv_path) -> None:
 
 
 def tangle_report(psi: PureState, focus: int, mu3: float = 1.5) -> dict:
-    """Printable tangle breakdown for 2-4 qubit pure states."""
+    """Printable tangle breakdown for 2-4 qubit pure states. For four qubits
+    every term comes from the strong-monogamy report the residual is built on."""
+    _check_mu3(mu3)
     n = psi.n_qubits
     if n not in (2, 3, 4):
         raise ValueError(f"tangle report supports 2-4 qubits, got {n}")
-    if n == 4:
-        # Every term comes from the report the residual itself is built on.
-        sm = tau4_lower_bound(psi, focus, ExponentSchedule(mu3=mu3))
-        return {
-            "n_qubits": n,
-            "focus": focus,
-            "tau1": sm.tau1,
-            "tau2_terms": sm.tau2_terms,
-            "ckw_residual": sm.tau1 - sum(sm.tau2_terms.values()),
-            "sm_report": sm.to_json_dict(),
-        }
     _check_focus(focus, n)
-    tau1, tau2 = pure_tangles(psi)
-    report: dict = {"n_qubits": n, "focus": focus, "tau1": tau1[focus]}
-    if n == 2:
-        report["tau2"] = tau2[(1, 2)]
-        return report
-    partners = [q for q in range(1, n + 1) if q != focus]
-    terms = {j: tau2[tuple(sorted((focus, j)))] for j in partners}
-    report["tau2_terms"] = terms
-    report["ckw_residual"] = tau1[focus] - sum(terms.values())
-    report["tau3"] = three_tangle_pure(psi)
-    return report
+    if n == 4:
+        sm = sm_report_all_foci(psi, mu3)[focus - 1]
+        tau1, terms, last = sm.tau1, sm.tau2_terms, {"sm_report": sm.to_json_dict()}
+    else:
+        tau1s, tau2 = pure_tangles(psi)
+        if n == 2:
+            return {"n_qubits": n, "focus": focus, "tau1": tau1s[focus], "tau2": tau2[(1, 2)]}
+        tau1, last = tau1s[focus], {"tau3": three_tangle_pure(psi)}
+        # Each pair with the focus, by its other qubit: in partner order.
+        terms = {j: t for pair, t in tau2.items() if focus in pair for j in pair if j != focus}
+    return {
+        "n_qubits": n,
+        "focus": focus,
+        "tau1": tau1,
+        "tau2_terms": terms,
+        "ckw_residual": tau1 - sum(terms.values()),
+        **last,
+    }

@@ -17,31 +17,12 @@ from .states import GhzwParams, ghzw
 from .tangles import PAIRS, TRIPLES, TangleColumns, pure_tangles, tangle_columns
 
 # For each focus 1..4, its partners in increasing order, and the columns of
-# its three pairs (by partner) and three triples (by pair of partners).
+# its three pairs and three triples. Dropping the focus from increasing tuples
+# keeps their order, so the columns come in partner order (by partner, and by
+# pair of partners in combinations order).
 PARTNERS = tuple(tuple(q for q in range(1, 5) if q != f) for f in range(1, 5))
-FOCUS_PAIRS = [
-    [PAIRS.index(tuple(sorted((f, j)))) for j in ps] for f, ps in zip(range(1, 5), PARTNERS)
-]
-FOCUS_TRIPLES = [
-    [TRIPLES.index(tuple(sorted((f, j, k)))) for j, k in combinations(ps, 2)]
-    for f, ps in zip(range(1, 5), PARTNERS)
-]
-
-
-@dataclass(frozen=True)
-class ExponentSchedule:
-    """Exponents applied to the m-partite terms; the pairwise exponent is
-    fixed at 1, the three-tangle exponent defaults to 3/2."""
-
-    mu3: float = 1.5
-
-    def __post_init__(self):
-        if not self.mu3 > 0:  # also rejects NaN
-            raise ValueError(f"mu3 must be positive, got {self.mu3}")
-
-    @property
-    def mu(self) -> dict:
-        return {2: 1.0, 3: self.mu3}
+FOCUS_PAIRS = [[i for i, pair in enumerate(PAIRS) if f in pair] for f in range(1, 5)]
+FOCUS_TRIPLES = [[i for i, triple in enumerate(TRIPLES) if f in triple] for f in range(1, 5)]
 
 
 @dataclass(frozen=True)
@@ -64,6 +45,12 @@ class SmReport:
             "residual_lower": self.residual_lower,
             "mu3": self.mu3,
         }
+
+
+def _check_mu3(mu3: float) -> None:
+    """The one check on a three-tangle exponent."""
+    if not mu3 > 0:  # also rejects NaN
+        raise ValueError(f"mu3 must be positive, got {mu3}")
 
 
 def _check_focus(focus: int, n: int) -> None:
@@ -90,14 +77,6 @@ def ckw_residual(psi: PureState, focus: int) -> float:
     return tau1[focus] - sum(t for pair, t in tau2.items() if focus in pair)
 
 
-def tau4_lower_bound(
-    psi4: PureState, focus: int, sched: ExponentSchedule = ExponentSchedule()
-) -> SmReport:
-    """Lower bound on the residual four-tangle for one focus qubit."""
-    _check_focus(focus, 4)
-    return sm_report_all_foci(psi4, sched)[focus - 1]
-
-
 def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
     """Strong-monogamy residuals (S, 4) by focus: tau1 minus the focus's
     three two-tangles minus its three three-tangle bounds to the power mu3,
@@ -112,29 +91,28 @@ def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
     return residual - (t3[..., 0] + t3[..., 1] + t3[..., 2])
 
 
-def sm_report_all_foci(
-    psi4: PureState, sched: ExponentSchedule = ExponentSchedule()
-) -> list[SmReport]:
+def sm_report_all_foci(psi4: PureState, mu3: float = 1.5) -> list[SmReport]:
     """Reports for all four foci: the one-state view of ``tangle_columns``
-    and ``residual_columns``."""
+    and ``residual_columns``, each focus's terms picked by FOCUS_PAIRS and
+    FOCUS_TRIPLES in partner order."""
+    _check_mu3(mu3)
     cols = tangle_columns(psi4.amplitudes[None])
-    tau1, tau2, tau3 = cols.state(0)
-    residuals = residual_columns(cols, sched.mu3)[0].tolist()
-    reports = []
-    for focus, partners, residual in zip(range(1, 5), PARTNERS, residuals):
-        reports.append(
-            SmReport(
-                focus=focus,
-                tau1=tau1[focus],
-                tau2_terms={j: tau2[tuple(sorted((focus, j)))] for j in partners},
-                tau3_bounds={
-                    (j, k): tau3[tuple(sorted((focus, j, k)))] for j, k in combinations(partners, 2)
-                },
-                residual_lower=residual,
-                mu3=sched.mu3,
-            )
+    tau1, tau2 = cols.tau1[0].tolist(), cols.tau2[0].tolist()
+    residuals = residual_columns(cols, mu3)[0].tolist()
+    return [
+        SmReport(
+            focus=f + 1,
+            tau1=tau1[f],
+            tau2_terms={j: tau2[p] for j, p in zip(PARTNERS[f], FOCUS_PAIRS[f])},
+            tau3_bounds={
+                jk: cols.tau3.result((0, t))
+                for jk, t in zip(combinations(PARTNERS[f], 2), FOCUS_TRIPLES[f])
+            },
+            residual_lower=residuals[f],
+            mu3=mu3,
         )
-    return reports
+        for f in range(4)
+    ]
 
 
 def ghzw_analytic(p: GhzwParams) -> dict:
@@ -168,7 +146,7 @@ def ghzw_consistency_check(p: GhzwParams) -> dict:
         failures.append(f"two_tangle {t2} exceeds bound {ref['tau2_bound']}")
     details = {"tau1": t1, "tau2": t2, **ref}
     if p.n == 4:
-        residual = tau4_lower_bound(psi, 1).residual_lower
+        residual = sm_report_all_foci(psi)[0].residual_lower
         details["residual_lower"] = residual
         if residual < ref["residual_floor"] - 1e-6:
             failures.append(

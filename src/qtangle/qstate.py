@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +40,11 @@ def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v * (pivot.conjugate() / np.abs(pivot))
 
 
+def _check_qubit_count(n: int) -> None:
+    if not (MIN_QUBITS <= n <= MAX_QUBITS):
+        raise ValueError(f"n_qubits={n} outside supported range {MIN_QUBITS}..{MAX_QUBITS}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state of ``n_qubits`` qubits (2..8)."""
@@ -53,8 +58,7 @@ class PureState:
         amps = np.asarray(amplitudes, dtype=complex).ravel()
         if n_qubits is None:
             n_qubits = int(round(np.log2(amps.size)))
-        if not (MIN_QUBITS <= n_qubits <= MAX_QUBITS):
-            raise ValueError(f"n_qubits={n_qubits} outside supported range {MIN_QUBITS}..{MAX_QUBITS}")
+        _check_qubit_count(n_qubits)
         if amps.size != 2**n_qubits:
             raise ValueError(f"amplitude vector has length {amps.size}, expected {2**n_qubits}")
         if not np.isfinite(amps).all():
@@ -223,6 +227,7 @@ def state_from_json_dict(obj: dict) -> PureState:
         amps = np.array([complex(re, im) for re, im in raw])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
+    _check_qubit_count(n)  # before 2**n, which a huge n makes huge
     if amps.size != 2**n:
         raise ValueError(f"state file declares n={n} but has {amps.size} amplitudes")
     norm = np.linalg.norm(amps)

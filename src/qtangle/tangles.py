@@ -16,9 +16,8 @@ qubits), so no reduced density matrix is formed, and the bound runs on the
 Bloch vectors of all triples of all states at once. Every per-matrix step
 is a LAPACK or BLAS call on the same small matrix whatever the stack size,
 and the rest is elementwise, so a state's numbers do not depend on the
-stack it came in. ``pure_tangles`` (2-8 qubits), ``four_qubit_tangles`` and
-``three_tangle_upper`` (one three-qubit density matrix) are one-state views
-of the same code.
+stack it came in. ``pure_tangles`` (2-8 qubits) and ``three_tangle_upper``
+(one three-qubit density matrix) are one-state views of the same code.
 """
 
 from __future__ import annotations
@@ -382,14 +381,6 @@ class TangleColumns(NamedTuple):
     tau2: np.ndarray
     tau3: BoundColumns
 
-    def state(self, i: int) -> tuple[dict, dict, dict]:
-        """State i's tangles by focus, pair and triple (TangleBoundResult)."""
-        return (
-            dict(zip(range(1, 5), self.tau1[i].tolist())),
-            dict(zip(PAIRS, self.tau2[i].tolist())),
-            {t: self.tau3.result((i, j)) for j, t in enumerate(TRIPLES)},
-        )
-
 
 def tangle_columns(amps: np.ndarray) -> TangleColumns:
     """Every tangle of a stack of normalized four-qubit amplitude vectors
@@ -406,14 +397,6 @@ def tangle_columns(amps: np.ndarray) -> TangleColumns:
     shape = (len(amps), len(TRIPLES))
     bounds = BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
     return TangleColumns(tau1, tau2, bounds)
-
-
-def four_qubit_tangles(psi4: PureState) -> tuple[dict, dict, dict]:
-    """Every tangle of a four-qubit pure state: the one-tangles by focus, the
-    two-tangles by pair and the three-tangle upper bounds (TangleBoundResult)
-    by triple, with qubits numbered 1..4 and pairs and triples as increasing
-    tuples. The one-state view of ``tangle_columns``."""
-    return tangle_columns(psi4.amplitudes[None]).state(0)
 
 
 def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:

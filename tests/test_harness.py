@@ -120,6 +120,32 @@ def test_campaign_rows_self_consistent(tmp_path):
     assert summary.min_residual == pytest.approx(min(residuals), abs=0)
 
 
+def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
+    sizes = []
+
+    class SequentialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "Pool", SequentialPool)
+    run_campaign(CampaignConfig(classes=(1,), samples_per_class=64, workers=8), tmp_path / "a.csv")
+    assert sizes == []  # one chunk: no pool
+    for workers in (8, 2, 1):
+        cfg = CampaignConfig(classes=(1, 2, 3), samples_per_class=65, workers=workers)
+        run_campaign(cfg, tmp_path / f"w{workers}.csv")
+    assert sizes == [6, 2]  # three classes of two chunks each
+    assert (tmp_path / "w8.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
+
 def test_campaign_deterministic_across_workers(tmp_path):
     cfg1 = CampaignConfig(samples_per_class=5, master_seed=3, workers=1)
     cfg4 = CampaignConfig(samples_per_class=5, master_seed=3, workers=4)
@@ -266,6 +292,8 @@ def test_campaign_config_validation():
         CampaignConfig(classes=(1, 9))
     with pytest.raises(ValueError):
         CampaignConfig(samples_per_class=0)
+    with pytest.raises(ValueError, match="master_seed"):
+        CampaignConfig(master_seed=-1)
     for bad in (0.0, float("nan")):
         with pytest.raises(ValueError, match="mu3"):
             CampaignConfig(mu3=bad)
@@ -395,6 +423,15 @@ def test_cli_tangle_malformed_file(tmp_path):
     assert main(["tangle", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_tangle_rejects_qubit_count_out_of_range(tmp_path, capsys):
+    # The declared n is checked before 2**n is formed.
+    path = tmp_path / "big.json"
+    for n in (10**6, -1):
+        path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0]]}))
+        assert main(["tangle", str(path)]) == 2
+        assert "outside supported range 2..8" in capsys.readouterr().err
+
+
 def test_cli_tangle_rejects_nan_amplitude(tmp_path, capsys):
     path = tmp_path / "nan.json"
     amps = [[0.25, 0.0]] * 16
@@ -427,7 +464,13 @@ def test_cli_sweep_flags_a_negative_grid_point(capsys):
 
 @pytest.mark.parametrize(
     "grid",
-    [["--step", "0"], ["--step", "-0.01"], ["--step", "nan"], ["--a-min", "1", "--a-max", "0.5"]],
+    [
+        ["--step", "0"],
+        ["--step", "-0.01"],
+        ["--step", "nan"],
+        ["--a-min", "1", "--a-max", "0.5"],
+        ["--a-max", "0.1", "--step", "5e-324"],  # too many steps to count
+    ],
 )
 def test_cli_sweep_rejects_bad_grid(tmp_path, capsys, grid):
     out = tmp_path / "sweep.csv"
@@ -452,6 +495,20 @@ def test_cli_rejects_bad_mu3(tmp_path, mu3):
     sweep = ["sweep", "--class", "5", "--a-max", "0.1", "--step", "0.1", "--out", str(out)]
     assert main([*sweep, "--mu3", mu3]) == 2
     assert not out.exists()
+    for psi in (ghz(2), w(3), ghz(4)):
+        path = tmp_path / f"state{psi.n_qubits}.json"
+        state_to_json(psi, path)
+        assert main(["tangle", str(path), "--mu3", mu3]) == 2
+        with pytest.raises(ValueError, match="mu3"):
+            tangle_report(psi, 1, mu3=float(mu3))
+
+
+def test_cli_verify_rejects_negative_seed(tmp_path, capsys):
+    out, summary = tmp_path / "v.csv", tmp_path / "v.json"
+    args = ["verify", "--classes", "1", "--samples", "2", "--seed", "-1", "--out", str(out)]
+    assert main([*args, "--summary", str(summary)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
 
 
 @pytest.mark.parametrize("classes", ["", "8-1"])

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_pure_state
 from qtangle import (
-    ExponentSchedule,
     GhzwParams,
     PureState,
     apply_local_operators,
@@ -13,11 +12,11 @@ from qtangle import (
     partial_trace,
     residual_three_tangle,
     sm_report_all_foci,
-    tau4_lower_bound,
     three_tangle_pure,
     three_tangle_upper,
 )
 from qtangle.harness import SWEEP_BINDINGS
+from qtangle.monogamy import _check_mu3
 from qtangle.states import ghz, ghzw, normal_form, random_slocc_state, sample_seed, w
 from reference import one_tangle, two_tangle
 
@@ -27,12 +26,13 @@ TAU2_TOL = 2e-8  # the reference's eigh/sqrt step loses up to ~1e-8 on rank-defi
 TAU3_TOL = 1e-8
 
 
-def test_exponent_schedule():
-    sched = ExponentSchedule()
-    assert sched.mu == {2: 1.0, 3: 1.5}
+def test_check_mu3():
+    _check_mu3(1.5)
     for bad in (-1.0, 0.0, float("nan")):
-        with pytest.raises(ValueError):
-            ExponentSchedule(mu3=bad)
+        with pytest.raises(ValueError, match="mu3"):
+            _check_mu3(bad)
+        with pytest.raises(ValueError, match="mu3"):
+            sm_report_all_foci(ghz(4), bad)
 
 
 def test_residual_three_tangle_examples():
@@ -96,33 +96,30 @@ def test_ckw_residual_examples(rng):
 
 
 def test_tau4_lower_bound_ghz4():
-    for focus in range(1, 5):
-        rep = tau4_lower_bound(ghz(4), focus)
+    for rep in sm_report_all_foci(ghz(4)):
         assert rep.tau1 == pytest.approx(1.0, abs=1e-9)
         assert rep.residual_lower == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tau4_lower_bound_w4():
-    rep = tau4_lower_bound(w(4), 1)
+    rep = sm_report_all_foci(w(4))[0]
     assert rep.residual_lower == pytest.approx(0.0, abs=1e-9)
 
 
 def test_tau4_lower_bound_g9():
-    g9 = normal_form(9)
-    for focus in range(1, 5):
-        rep = tau4_lower_bound(g9, focus)
+    reports = sm_report_all_foci(normal_form(9))
+    for rep in reports:
         assert rep.residual_lower == pytest.approx(0.0, abs=1e-9)
     # the q2q3q4 marginal is a pure GHZ of three qubits
-    rep2 = tau4_lower_bound(g9, 2)
+    rep2 = reports[1]
     assert rep2.tau3_bounds[(3, 4)].method == "exact-pure"
     assert rep2.tau3_bounds[(3, 4)].value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sm_report_self_consistency(rng):
-    sched = ExponentSchedule()
     for _ in range(10):
         psi = random_pure_state(rng, 4)
-        for rep in sm_report_all_foci(psi, sched):
+        for rep in sm_report_all_foci(psi):
             recomputed = (
                 rep.tau1
                 - sum(rep.tau2_terms.values())
@@ -130,14 +127,6 @@ def test_sm_report_self_consistency(rng):
             )
             assert rep.residual_lower == pytest.approx(recomputed, abs=1e-12)
             assert rep.residual_lower <= ckw_residual(psi, rep.focus) + 1e-12
-
-
-def test_sm_report_matches_single_focus(rng):
-    psi = random_pure_state(rng, 4)
-    reports = sm_report_all_foci(psi)
-    for rep in reports:
-        single = tau4_lower_bound(psi, rep.focus)
-        assert single.residual_lower == pytest.approx(rep.residual_lower, abs=1e-12)
 
 
 def _reference_states():
@@ -206,10 +195,7 @@ def test_schedule_monotonicity(rng):
     # larger mu3 never decreases the residual when all bounds are <= 1
     for _ in range(10):
         psi = random_pure_state(rng, 4)
-        res = [
-            tau4_lower_bound(psi, 1, ExponentSchedule(mu3=m)).residual_lower
-            for m in (1.5, 2.0, 3.0)
-        ]
+        res = [sm_report_all_foci(psi, m)[0].residual_lower for m in (1.5, 2.0, 3.0)]
         assert res[0] <= res[1] + 1e-12 <= res[2] + 2e-12
 
 

@@ -9,10 +9,11 @@ from qtangle import (
     DensityMatrix,
     PureState,
     apply_local_operators,
-    four_qubit_tangles,
     partial_trace,
     pure_tangles,
     rank2_decompose,
+    residual_columns,
+    sm_report_all_foci,
     tangle_columns,
     three_tangle_pure,
     three_tangle_upper,
@@ -567,7 +568,7 @@ def test_rdl_line_geometry_matches_8x8_matrices(rng):
 
 def test_four_qubit_tangles_rejects_nan_state():
     with pytest.raises(ValueError, match="norm"):
-        four_qubit_tangles(PureState(n_qubits=4, amplitudes=np.full(16, np.nan, dtype=complex)))
+        tangle_columns(np.full((1, 16), np.nan, dtype=complex))
     with pytest.raises(ValueError, match="norm"):
         pure_tangles(PureState(n_qubits=3, amplitudes=np.full(8, np.nan, dtype=complex)))
 
@@ -660,14 +661,23 @@ def test_tangle_columns_match_the_one_state_views(rng):
     cols = tangle_columns(amps)
     for i, v in enumerate(amps):
         psi = PureState(n_qubits=4, amplitudes=v)
-        tau1, tau2, tau3 = four_qubit_tangles(psi)
+        tau1, tau2 = pure_tangles(psi)
         assert list(tau1.values()) == cols.tau1[i].tolist()
         assert list(tau2.values()) == cols.tau2[i].tolist()
-        assert (tau1, tau2) == pure_tangles(psi)
-        for j, (triple, bound) in enumerate(tau3.items()):
-            assert triple == TRIPLES[j]
-            assert bound.value == cols.tau3.value[i, j]
-            assert bound.method == METHODS[cols.tau3.method[i, j]]
+        reports = sm_report_all_foci(psi)
+        assert [rep.residual_lower for rep in reports] == residual_columns(cols, 1.5)[i].tolist()
+        for rep in reports:
+            f = rep.focus
+            partners = [q for q in range(1, 5) if q != f]
+            assert rep.tau1 == tau1[f]
+            assert rep.tau2_terms == {j: tau2[tuple(sorted((f, j)))] for j in partners}
+            assert list(rep.tau2_terms) == partners
+            assert list(rep.tau3_bounds) == list(itertools.combinations(partners, 2))
+            for (j, k), bound in rep.tau3_bounds.items():
+                t = TRIPLES.index(tuple(sorted((f, j, k))))
+                assert bound == cols.tau3.result((i, t))
+                assert bound.value == cols.tau3.value[i, t]
+                assert bound.method == METHODS[cols.tau3.method[i, t]]
 
 
 def test_tangle_columns_rejects_bad_stacks():
