@@ -28,7 +28,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .qstate import RANK_TOL, DensityMatrix, PureState, _phase_fix, rank2_decompose
 
@@ -40,7 +39,7 @@ _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _QUARTIC_NODES = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
 _QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
 
-SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.0e-16, non-members >= 9.7e-5
+SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-members >= 7.3e-4
 PI_TOL = 1e-9  # on |r - p| of pi-coincidence; measured: coincident <= 5.6e-16, others >= 0.045
 VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-15 vs >= 5.0e-9
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
@@ -232,6 +231,74 @@ def _plane_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fmax.reduce(bound, axis=1)
 
 
+# Support s of a four-column system holds column j iff bit j of s is set:
+# _HOLDS[j] (16, 1) marks the supports that hold column j, and support s took
+# column j after the partial support _PREFIX[j][s] = s mod 2^j of columns < j.
+_HOLDS = (np.arange(16)[None, :, None] >> np.arange(4)[:, None, None]) & 1 == 1
+_PREFIX = [np.arange(16) % 2**j for j in range(4)]
+# Points per _nnls call, so that the fit's memory does not grow with the
+# stack: a 20,000-point class-5 sweep peaked at 304 MB in one call and at
+# 210 MB in blocks of this size.
+_NNLS_BLOCK = 1024
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum of u * v over the leading axis of length 4, term by term in order,
+    so that an entry's bits do not depend on the other entries."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative least squares of stacked systems (``_augmented``) with four
+    columns: the weights x >= 0 (K, 4) that minimize |A x - b|, and that
+    residual (K,).
+
+    The optimum is the least-squares solution on its own support, and no
+    other support's nonnegative solution has a smaller residual; so all 16
+    supports are solved, one with a negative or non-finite weight is dropped,
+    and the least residual |A x - b|, recomputed from x, wins. Each support
+    is solved by modified Gram-Schmidt on its columns and the right side,
+    which is backward stable, so a member's residual is roundoff whatever the
+    conditioning. No cutoff decides a rank: a dependent column gets a zero
+    pivot (non-finite weights) or wild weights, and wild nonnegative weights
+    cannot win, since the last row of A is ones and that of b is 1, so
+    sum x <= 1 + |A x - b|.
+
+    The supports share their Gram-Schmidt steps: each of the 2^j partial
+    supports over the columns before j either skips column j or takes it,
+    so the 16 supports cost 15 projection steps in all. The arrays are laid
+    out (row, column, support, K), so every step is elementwise over the
+    stack.
+    """
+    k = len(a)
+    # The columns not yet processed and the right side, reduced by each
+    # partial support: (row, column, support, K).
+    m = np.concatenate([a, b[:, :, None]], axis=2).transpose(1, 2, 0)[:, :, None]
+    pivots, rows = [], []  # per column j: R[j, j] and R[j, j+1:] (with the right side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):
+            col, rest = m[:, 0], m[:, 1:]
+            pivot = np.sqrt(_dot(col, col))
+            q = col / pivot
+            row = _dot(q[:, None], rest)
+            m = np.concatenate([rest, rest - q[:, None] * row], axis=2)  # skip, take
+            pivots.append(pivot)
+            rows.append(row)
+        x = np.zeros((4, 16, k))
+        for j in range(3, -1, -1):
+            row, pivot = rows[j][:, _PREFIX[j]], pivots[j][_PREFIX[j]]
+            t = row[-1]
+            for i in range(j + 1, 4):
+                t = t - row[i - j - 1] * x[i]
+            x[j] = np.where(_HOLDS[j], t / pivot, 0.0)
+        res = _dot(a.transpose(2, 1, 0)[:, :, None], x[:, None]) - b.T[:, None]
+        resid = np.sqrt(_dot(res, res))
+    resid[~((x >= 0.0).all(axis=0) & (resid < np.inf))] = np.inf  # NaN fails both
+    best = np.argmin(resid, axis=0)
+    stack = np.arange(k)
+    return x[:, best, stack].T, resid[best, stack]
+
+
 def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each Bloch vector r (K, 3) is a convex mixture of its four
     simplex vertices w (K, 4, 3), and the nonnegative weights (K, 4) of a
@@ -240,17 +307,19 @@ def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     r is a member iff the nonnegative least-squares fit of its system
     "3 Bloch coordinates + normalization" has a residual below SUPPORT_TOL.
     A point whose face-plane bound on that residual (``_plane_bound``)
-    exceeds SUPPORT_TOL is not a member without a fit; every other point
-    takes one NNLS fit. The fit needs no rank decision: repeated roots and
-    coplanar vertices take the same path, and a member gets one of its
-    decompositions.
+    exceeds SUPPORT_TOL is not a member without a fit; the other points are
+    fitted together by ``_nnls``, in blocks. The fit needs no rank decision:
+    repeated roots and coplanar vertices take the same path, and a member
+    gets one of its decompositions.
     """
     member = np.zeros(len(w), dtype=bool)
     weights = np.full((len(w), 4), np.nan)
     a, b = _augmented(w, r)
-    for i in np.flatnonzero(~(_plane_bound(a, b) > SUPPORT_TOL)):
-        weights[i], resid = nnls(a[i], b[i])
-        member[i] = resid < SUPPORT_TOL
+    fit = np.flatnonzero(~(_plane_bound(a, b) > SUPPORT_TOL))
+    for start in range(0, fit.size, _NNLS_BLOCK):
+        block = fit[start : start + _NNLS_BLOCK]
+        weights[block], resid = _nnls(a[block], b[block])
+        member[block] = resid < SUPPORT_TOL
     return member, weights
 
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +473,8 @@ def test_cli_sweep_flags_a_negative_grid_point(capsys):
         ["--step", "nan"],
         ["--a-min", "1", "--a-max", "0.5"],
         ["--a-max", "0.1", "--step", "5e-324"],  # too many steps to count
+        ["--a-max", "2", "--step", "1e-14"],  # 2e14 points: more than MAX_SWEEP_POINTS
+        ["--a-max", "1", "--step", "1e-5"],  # 100,001 points: one more than the cap
     ],
 )
 def test_cli_sweep_rejects_bad_grid(tmp_path, capsys, grid):
@@ -559,3 +564,14 @@ def test_cli_table1(tmp_path):
 
 def test_cli_usage_error():
     assert main(["bogus"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only reference; the package and its CLI are numpy-only.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qtangle, qtangle.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
