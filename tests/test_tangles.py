@@ -18,8 +18,8 @@ from qtangle import (
     three_tangle_pure,
     three_tangle_upper,
 )
-from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params
-from qtangle.qstate import _phase_fix
+from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params, table1_check
+from qtangle.qstate import RANK_TOL, _phase_fix
 import qtangle.tangles as tangles
 from qtangle.states import (
     CLASS_ARITY,
@@ -464,8 +464,7 @@ def _assert_decomposes(w, r, weights):
     assert np.all(np.linalg.norm(np.einsum("kj,kji->ki", weights, w) - r, axis=1) < SUPPORT_TOL)
 
 
-def test_plane_bound_is_below_the_nnls_residual(rng, monkeypatch):
-    monkeypatch.setattr(tangles, "_NNLS_BLOCK", 16)  # several fit blocks per set
+def test_plane_bound_is_below_the_nnls_residual(rng):
     decided = members = 0
     for w, r in _certificate_cases(rng):
         a, b = _augmented(w, r)
@@ -652,6 +651,15 @@ def test_tangles_invariant_under_local_unitaries(rng):
 # ------------------------------------------------------------- column engine
 
 
+def _table1_states():
+    """The default normal forms of ``table1_check``, class by class."""
+    return [
+        normal_form(cls, _table1_params(cls, t))
+        for cls in range(1, 10)
+        for t in ([None] if CLASS_ARITY[cls] == 0 else _TABLE1_GRID)
+    ]
+
+
 def _engine_states(rng):
     """Amplitude stack whose triple marginals take every path of the bound:
     60 sampler states, GHZ4, W4, every sweep and Table 1 normal form, and
@@ -663,10 +671,7 @@ def _engine_states(rng):
         for cls in SWEEP_BINDINGS
         for a in np.linspace(0.0, 2.0, 41)
     ]
-    for cls in range(1, 10):
-        for t in [None] if CLASS_ARITY[cls] == 0 else _TABLE1_GRID:
-            params = NormalFormParams() if t is None else _table1_params(cls, t)
-            states.append(normal_form(cls, params))
+    states += _table1_states()
     w3 = w(3).amplitudes
     for _ in range(3):
         e1 = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -697,6 +702,45 @@ def test_tangle_columns_do_not_depend_on_the_stack(rng):
     mixed = (s**2)[..., 1].ravel() >= 1e-8
     assert set(degree[mixed].tolist()) == {-1, 0, 1, 2, 3, 4}
     assert not mixed.all()
+
+
+def test_rank2_bounds_fit_all_quartic_degrees_at_once(monkeypatch):
+    rank2, solve, fit = tangles._rank2_bounds, tangles._simplex_solve, tangles._nnls
+    seen, calls = [], {"solve": 0, "fit": 0}
+
+    def recorded(spectrum, support):
+        seen.append((spectrum.reshape(-1, 2), support.reshape(-1, 2, 8)))
+        return rank2(spectrum, support)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tangles, "_rank2_bounds", recorded)
+    monkeypatch.setattr(tangles, "_simplex_solve", counted("solve", solve))
+    monkeypatch.setattr(tangles, "_nnls", counted("fit", fit))
+    bounds = tangles._triple_bounds(np.array([psi.amplitudes for psi in _table1_states()]))
+    assert len(seen) == 1 and calls["solve"] == 1 and calls["fit"] <= 1
+    (spectrum, support), = seen
+    degree = _quartic_degree(_quartic_coeffs(support))
+    assert {0, 1, 2, 4} <= set(degree[spectrum[:, 1] >= RANK_TOL].tolist())
+    # The same columns as one call per degree, as the roots are found.
+    flat = [c.reshape(len(degree), *c.shape[2:]) for c in bounds]
+    for d in np.unique(degree):
+        group = degree == d
+        for got, want in zip(flat, rank2(spectrum[group], support[group])):
+            assert _bits(got[group]) == _bits(want), d
+
+
+def test_table1_check_computes_no_one_or_two_tangles(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("table1 needs only the three-tangle bounds")
+
+    monkeypatch.setattr(tangles, "_pure_columns", refuse)
+    assert len(table1_check()) == 4 * len(_table1_states())
 
 
 def test_tangle_columns_match_the_one_state_views(rng):
