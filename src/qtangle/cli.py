@@ -2,7 +2,8 @@
 
 Subcommands: verify (Monte Carlo campaign), sweep (one-parameter family),
 tangle (report for a state file), table1 (normal-form bound cross-check).
-Exit codes: 0 ok, 1 violations found, 2 usage error, 3 campaign samples failed.
+Exit codes: 0 ok, 1 violations found, 2 usage or input error (an unreadable
+input or unwritable output included), 3 campaign samples failed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    VIOLATION_THRESHOLD,
     CampaignConfig,
     run_campaign,
     sweep_family,
@@ -21,6 +23,7 @@ from .harness import (
     tangle_report,
     write_table1_csv,
 )
+from .monogamy import MU3
 from .qstate import state_from_json
 
 EXIT_OK = 0
@@ -51,33 +54,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a Monte Carlo campaign over SLOCC classes")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--classes", default="1-8", help="classes to sample, e.g. 1-8 or 1,3,5")
     p.add_argument("--samples", type=int, default=10000, help="samples per class")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--mu3", type=float, default=1.5, help="exponent on the three-tangle terms")
-    p.add_argument("--threshold", type=float, default=-1e-7, help="negativity threshold")
+    p.add_argument("--mu3", type=float, default=MU3, help="exponent on the three-tangle terms")
+    p.add_argument(
+        "--threshold", type=float, default=VIOLATION_THRESHOLD, help="negativity threshold"
+    )
     p.add_argument("--out", default="campaign.csv", help="CSV output path")
     p.add_argument("--summary", default=None, help="JSON summary path")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true", help="print the summary as JSON")
 
     p = sub.add_parser("sweep", help="sweep a one-parameter normal-form family")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--class", dest="slocc_class", type=int, required=True, choices=range(2, 7))
     p.add_argument("--a-min", type=float, default=0.0)
     p.add_argument("--a-max", type=float, default=2.0)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--mu3", type=float, default=1.5)
-    p.add_argument("--threshold", type=float, default=-1e-7)
+    p.add_argument("--mu3", type=float, default=MU3)
+    p.add_argument("--threshold", type=float, default=VIOLATION_THRESHOLD)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("tangle", help="tangle report for a JSON state file")
+    p.set_defaults(run=_cmd_tangle)
     p.add_argument("state_file")
     p.add_argument("--focus", type=int, default=1)
-    p.add_argument("--mu3", type=float, default=1.5)
+    p.add_argument("--mu3", type=float, default=MU3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("table1", help="normal-form marginal bound cross-check")
+    p.set_defaults(run=_cmd_table1)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--json", action="store_true")
     return parser
@@ -142,12 +151,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tangle(args) -> int:
-    try:
-        psi = state_from_json(args.state_file)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"cannot read state file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = tangle_report(psi, args.focus, mu3=args.mu3)
+    report = tangle_report(state_from_json(args.state_file), args.focus, mu3=args.mu3)
     if args.json:
         print(json.dumps(report))
         return EXIT_OK
@@ -173,23 +177,7 @@ def _cmd_table1(args) -> int:
     entries = table1_check()
     bad = [e for e in entries if e.violation]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "class": e.slocc_class,
-                        "param": e.param_value,
-                        "triple": list(e.triple),
-                        "declared_zero": e.declared_zero,
-                        "table_bound": e.table_bound,
-                        "rdl_value": e.rdl_value,
-                        "rdl_method": e.rdl_method,
-                        "violation": e.violation,
-                    }
-                    for e in entries
-                ]
-            )
-        )
+        print(json.dumps([e.to_json_dict() for e in entries]))
     else:
         print(f"{len(entries)} marginal checks, {len(bad)} zero-row violations")
         for e in bad:
@@ -228,18 +216,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "tangle":
-            return _cmd_tangle(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 
@@ -16,6 +16,7 @@ import numpy as np
 from .monogamy import (
     FOCUS_PAIRS,
     FOCUS_TRIPLES,
+    MU3,
     PARTNERS,
     _check_focus,
     _check_mu3,
@@ -64,6 +65,9 @@ CSV_FIELDS = [
 
 _PARTNER_LABELS = ["-".join(map(str, ps)) for ps in PARTNERS]
 
+# The default cutoff below which a residual counts as a violation.
+VIOLATION_THRESHOLD = -1e-7
+
 RESIDUAL_BINS = np.linspace(-0.05, 1.0, 22)
 TAU1_BINS = np.linspace(0.0, 1.0, 21)
 
@@ -79,8 +83,8 @@ class CampaignConfig:
     classes: tuple = tuple(range(1, 9))
     samples_per_class: int = 100
     master_seed: int = 0
-    mu3: float = 1.5
-    negativity_threshold: float = -1e-7
+    mu3: float = MU3
+    negativity_threshold: float = VIOLATION_THRESHOLD
     workers: int = 1
 
     def __post_init__(self):
@@ -121,6 +125,16 @@ CHUNK_SIZE = 128
 def _chunks(n: int) -> list:
     """(start, stop) of each chunk of CHUNK_SIZE states among n."""
     return [(start, min(start + CHUNK_SIZE, n)) for start in range(0, n, CHUNK_SIZE)]
+
+
+@contextmanager
+def _csv_file(path, header):
+    """A CSV writer on a new file at path, its header row written: the one
+    dialect of every CSV the package writes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        yield writer
 
 
 def _sub_seed(master_seed: int, cls: int, idx: int) -> str:
@@ -219,11 +233,11 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     t1_hist = {cls: np.zeros(len(TAU1_BINS) - 1, dtype=int) for cls in cfg.classes}
     methods = {cls: np.zeros(len(METHODS), dtype=int) for cls in cfg.classes}
     workers = min(cfg.workers, len(tasks))
-    pool = Pool(workers) if workers > 1 else None
-    with pool or nullcontext(), open(csv_path, "w", newline="") as fh:
+    # The file opens first, so an unwritable path fails before any worker starts.
+    with _csv_file(csv_path, CSV_FIELDS) as writer, (
+        Pool(workers) if workers > 1 else nullcontext()
+    ) as pool:
         results = pool.imap(_chunk_rows, tasks) if pool else map(_chunk_rows, tasks)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
         for cls, rows, indices, residuals, tau1s, counts, chunk_errors in results:
             errors.extend(chunk_errors)
             writer.writerows(rows)
@@ -287,8 +301,8 @@ class SweepResult:
 def sweep_family(
     cls: int,
     a_values,
-    mu3: float = 1.5,
-    threshold: float = -1e-7,
+    mu3: float = MU3,
+    threshold: float = VIOLATION_THRESHOLD,
     csv_path=None,
 ) -> SweepResult:
     """Residual lower bounds along a one-parameter normal-form family."""
@@ -310,57 +324,44 @@ def sweep_family(
         if r < threshold
     ]
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"])
-            for row in rows:
-                writer.writerow([repr(v) for v in row])
+        header = ["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"]
+        with _csv_file(csv_path, header) as writer:
+            writer.writerows([repr(v) for v in row] for row in rows)
     return SweepResult(slocc_class=cls, rows=rows, flagged=flagged, violations=violations)
 
 
-def _table1_bound(cls: int, pv: tuple, triple: tuple) -> float | None:
-    """Printed analytic upper bound for one marginal, None when the table
-    only asserts an exact zero (or nothing) for it."""
+def _table1_printed(cls: int, pv: tuple, triple: tuple) -> tuple[bool, float | None]:
+    """Table 1 for one marginal: whether it declares the three-tangle zero,
+    and its printed analytic upper bound (None where it prints none)."""
+    if cls == 1:
+        return True, None
     if cls == 2:
         a, b, c = pv
-        return 4 * abs(c) * abs(a**2 - b**2) / (abs(a) ** 2 + abs(b) ** 2 + 2 * abs(c) ** 2 + 1) ** 2
-    if cls == 3 and triple in ((1, 2, 4), (2, 3, 4)):
+        denominator = (abs(a) ** 2 + abs(b) ** 2 + 2 * abs(c) ** 2 + 1) ** 2
+        return False, 4 * abs(c) * abs(a**2 - b**2) / denominator
+    if cls == 3:
+        if triple in ((1, 2, 3), (1, 3, 4)):
+            return True, None
         a, b = pv
-        return 4 * abs(a) * abs(b) / (1 + abs(a) ** 2 + abs(b) ** 2) ** 2
+        return False, 4 * abs(a) * abs(b) / (1 + abs(a) ** 2 + abs(b) ** 2) ** 2
     if cls == 4:
         a, b = pv
-        return 2 * abs(a**2 - b**2) / (2 + 3 * abs(a) ** 2 + abs(b) ** 2) ** 2
+        return False, 2 * abs(a**2 - b**2) / (2 + 3 * abs(a) ** 2 + abs(b) ** 2) ** 2
     if cls == 5:
-        (a,) = pv
+        a = abs(pv[0])
         if triple in ((1, 2, 3), (1, 3, 4)):
-            return 16 * abs(a) ** 2 / (3 + 4 * abs(a) ** 2) ** 2
-        return 4 / (3 + 4 * abs(a) ** 2) ** 2
-    if cls == 6 and triple == (2, 3, 4):
-        (a,) = pv
-        if abs(a) >= 2 ** (2 / 3):
-            return 0.0
-        return abs(a) * (abs(a) ** 3 - 4) ** 2 / (2 * abs(a) ** 2 + 3) ** 2
-    if cls in (7, 8) and triple != (2, 3, 4):
-        return 0.25
-    if cls == 9 and triple == (2, 3, 4):
-        return 1.0
-    return None
-
-
-def _table1_declared_zero(cls: int, pv: tuple, triple: tuple) -> bool:
-    if cls == 1:
-        return True
-    if cls == 3:
-        return triple in ((1, 2, 3), (1, 3, 4))
+            return False, 16 * a**2 / (3 + 4 * a**2) ** 2
+        return False, 4 / (3 + 4 * a**2) ** 2
     if cls == 6:
+        a = abs(pv[0])
         if triple != (2, 3, 4):
-            return True
-        return abs(pv[0]) >= 2 ** (2 / 3)
+            return True, None
+        if a >= 2 ** (2 / 3):
+            return True, 0.0
+        return False, a * (a**3 - 4) ** 2 / (2 * a**2 + 3) ** 2
     if cls in (7, 8):
-        return triple == (2, 3, 4)
-    if cls == 9:
-        return triple != (2, 3, 4)
-    return False
+        return (True, None) if triple == (2, 3, 4) else (False, 0.25)
+    return (False, 1.0) if triple == (2, 3, 4) else (True, None)  # class 9
 
 
 # Deterministic parameter grids per class: a real ramp plus small fixed
@@ -382,6 +383,12 @@ def _table1_params(cls: int, t: float | None) -> NormalFormParams:
     return NormalFormParams()
 
 
+TABLE1_FIELDS = (
+    "class", "param", "triple", "declared_zero", "table_bound", "rdl_value", "rdl_method",
+    "violation",
+)  # fmt: skip
+
+
 @dataclass
 class Table1Entry:
     slocc_class: int
@@ -392,6 +399,10 @@ class Table1Entry:
     rdl_value: float
     rdl_method: str
     violation: bool
+
+    def to_json_dict(self) -> dict:
+        """The entry under the names of the CSV header, in its order."""
+        return dict(zip(TABLE1_FIELDS, (getattr(self, f.name) for f in fields(self))))
 
 
 def table1_check(grid=None) -> list[Table1Entry]:
@@ -413,14 +424,14 @@ def table1_check(grid=None) -> list[Table1Entry]:
         values, methods = bounds.value.tolist(), bounds.method.tolist()
         for (cls, t, pv), state_values, state_methods in zip(cases[start:stop], values, methods):
             for triple, value, method in zip(TRIPLES, state_values, state_methods):
-                declared = _table1_declared_zero(cls, pv, triple)
+                declared, printed = _table1_printed(cls, pv, triple)
                 entries.append(
                     Table1Entry(
                         slocc_class=cls,
                         param_value=t,
                         triple=triple,
                         declared_zero=declared,
-                        table_bound=_table1_bound(cls, pv, triple),
+                        table_bound=printed,
                         rdl_value=value,
                         rdl_method=METHODS[method],
                         violation=declared and value >= 1e-6,
@@ -431,12 +442,7 @@ def table1_check(grid=None) -> list[Table1Entry]:
 
 def write_table1_csv(entries: list, csv_path) -> None:
     """One CSV row per Table1Entry, in the order given."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["class", "param", "triple", "declared_zero", "table_bound", "rdl_value",
-             "rdl_method", "violation"]
-        )
+    with _csv_file(csv_path, TABLE1_FIELDS) as writer:
         for e in entries:
             writer.writerow(
                 [e.slocc_class, e.param_value, "|".join(map(str, e.triple)),
@@ -445,7 +451,7 @@ def write_table1_csv(entries: list, csv_path) -> None:
             )
 
 
-def tangle_report(psi: PureState, focus: int, mu3: float = 1.5) -> dict:
+def tangle_report(psi: PureState, focus: int, mu3: float = MU3) -> dict:
     """Printable tangle breakdown for 2-4 qubit pure states. For four qubits
     every term comes from the strong-monogamy report the residual is built on."""
     _check_mu3(mu3)

@@ -24,6 +24,10 @@ PARTNERS = tuple(tuple(q for q in range(1, 5) if q != f) for f in range(1, 5))
 FOCUS_PAIRS = [[i for i, pair in enumerate(PAIRS) if f in pair] for f in range(1, 5)]
 FOCUS_TRIPLES = [[i for i, triple in enumerate(TRIPLES) if f in triple] for f in range(1, 5)]
 
+# The paper's exponent on the three-tangle terms, m/2 for m = 3: the default
+# of every mu3 in the package and the CLI.
+MU3 = 1.5
+
 
 @dataclass(frozen=True)
 class SmReport:
@@ -91,7 +95,7 @@ def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
     return residual - (t3[..., 0] + t3[..., 1] + t3[..., 2])
 
 
-def sm_report_all_foci(psi4: PureState, mu3: float = 1.5) -> list[SmReport]:
+def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[SmReport]:
     """Reports for all four foci: the one-state view of ``tangle_columns``
     and ``residual_columns``, each focus's terms picked by FOCUS_PAIRS and
     FOCUS_TRIPLES in partner order."""

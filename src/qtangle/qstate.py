@@ -22,6 +22,9 @@ import numpy as np
 RANK_TOL = 1e-8
 PSD_TOL = 1e-10
 HERM_TOL = 1e-12
+# The smallest norm of an amplitude vector that can be normalized, in
+# PureState.from_amplitudes and in its stacked form _unit_rows.
+ZERO_NORM = 1e-12
 
 MIN_QUBITS = 2
 MAX_QUBITS = 8
@@ -31,10 +34,10 @@ class RankError(ValueError):
     """Effective rank of a density matrix exceeds what the caller allows."""
 
 
-def _phase_fix(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a global phase so the first nonzero component is real positive;
-    a stack of vectors is fixed along its last axis."""
-    big = np.abs(v) > tol
+def _phase_fix(v: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first component above 1e-12 in modulus is
+    real positive; a stack of vectors is fixed along its last axis."""
+    big = np.abs(v) > 1e-12
     pivot = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
     pivot = np.where(big.any(axis=-1, keepdims=True), pivot, 1.0)
     return v * (pivot.conjugate() / np.abs(pivot))
@@ -64,7 +67,7 @@ class PureState:
         if not np.isfinite(amps).all():
             raise ValueError("amplitude vector has non-finite entries")
         norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
+        if norm < ZERO_NORM:
             raise ValueError("zero amplitude vector")
         return cls(n_qubits=n_qubits, amplitudes=amps / norm, original_norm=norm)
 
@@ -85,11 +88,11 @@ class PureState:
 def _unit_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of a complex stack (S, d) over its norm, and which rows
     ``PureState.from_amplitudes`` would accept: finite, with norm at least
-    1e-12. The norm is the arithmetic of ``np.linalg.norm`` on one row, and
+    ZERO_NORM. The norm is the arithmetic of ``np.linalg.norm`` on one row, and
     the division that of one vector by its norm, so an accepted row has the
     bits of ``from_amplitudes``."""
     norms = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
-    ok = np.isfinite(amps).all(axis=1) & (norms >= 1e-12)
+    ok = np.isfinite(amps).all(axis=1) & (norms >= ZERO_NORM)
     with np.errstate(divide="ignore", invalid="ignore"):
         return amps / norms[:, None], ok
 

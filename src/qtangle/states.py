@@ -231,23 +231,26 @@ def _det1(gaussians: np.ndarray) -> tuple[np.ndarray, list]:
     return ops, [abs(d) >= 1e-6 for d in det.tolist()]
 
 
-def _redraw_operators(draw: SloccDraw, max_tries: int = 100) -> np.ndarray:
+_MAX_REDRAWS = 100
+
+
+def _redraw_operators(draw: SloccDraw) -> np.ndarray:
     """The four operators (4, 2, 2) of a draw with a singular first draw:
-    operator by operator, each takes the first accepted of up to max_tries
+    operator by operator, each takes the first accepted of up to _MAX_REDRAWS
     blocks, from the first draws in order and then from a copy of the draw's
     stream, so that a draw gives the same operators every time."""
     blocks = list(draw.gaussians)
     rng = copy.deepcopy(draw.rng)
     ops = []
     for _ in range(4):
-        for _ in range(max_tries):
+        for _ in range(_MAX_REDRAWS):
             block = blocks.pop(0) if blocks else rng.normal(0.0, np.sqrt(0.5), (2, 2, 2))
             op, accepted = _det1(block[None])
             if accepted[0]:
                 ops.append(op[0])
                 break
         else:
-            raise RuntimeError(f"rejected {max_tries} singular draws in a row; RNG looks broken")
+            raise RuntimeError(f"rejected {_MAX_REDRAWS} singular draws in a row; RNG looks broken")
     return np.array(ops)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -458,11 +459,13 @@ def test_cli_tangle(tmp_path, capsys):
     assert report["sm_report"]["residual_lower"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_cli_tangle_malformed_file(tmp_path):
+def test_cli_tangle_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "amplitudes": [[1, 0]]}')
     assert main(["tangle", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert main(["tangle", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_tangle_rejects_qubit_count_out_of_range(tmp_path, capsys):
@@ -599,6 +602,49 @@ def test_cli_table1(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 252
     assert all(row["violation"] == "0" for row in rows)
+
+
+def test_cli_table1_json_matches_its_csv(tmp_path, capsys):
+    out = tmp_path / "t1.csv"
+    assert main(["table1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["table1", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+
+    def as_csv(key, value):
+        if value is None:
+            return ""
+        if key == "triple":
+            return "|".join(map(str, value))
+        if isinstance(value, bool):
+            return str(int(value))
+        return repr(value) if key == "rdl_value" else str(value)
+
+    assert len(entries) == len(rows) == 252
+    for entry, row in zip(entries, rows):
+        assert list(entry) == header
+        assert [as_csv(key, value) for key, value in entry.items()] == row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--classes", "1", "--samples", "2", "--out", "{missing}/v.csv"],
+        ["verify", "--classes", "1-2", "--samples", "2", "--workers", "2",
+         "--out", "{missing}/v.csv"],
+        ["verify", "--classes", "1", "--samples", "2", "--out", "{tmp}/v.csv",
+         "--summary", "{missing}/v.json"],
+        ["sweep", "--class", "5", "--a-max", "0.1", "--out", "{missing}/s.csv"],
+        ["table1", "--out", "{missing}/t1.csv"],
+    ],
+)  # fmt: skip
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert multiprocessing.active_children() == []  # no worker left behind
 
 
 def test_cli_usage_error():
