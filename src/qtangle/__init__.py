@@ -9,17 +9,7 @@ from .monogamy import (
     residual_three_tangle,
     sm_report_all_foci,
 )
-from .qstate import (
-    DensityMatrix,
-    PureState,
-    Rank2Decomposition,
-    RankError,
-    apply_local_operators,
-    partial_trace,
-    rank2_decompose,
-    state_from_json,
-    state_to_json,
-)
+from .qstate import PureState, apply_local_operators, state_from_json, state_to_json
 from .states import (
     GhzwParams,
     NormalFormParams,
@@ -36,7 +26,6 @@ from .tangles import (
     pure_tangles,
     tangle_columns,
     three_tangle_pure,
-    three_tangle_upper,
 )
 
 __version__ = "0.1.0"

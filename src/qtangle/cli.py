@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -196,30 +197,37 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _join_threshold(argv: list) -> list:
-    """Write "--threshold X" as "--threshold=X" when X is a number: argparse
-    takes a separate "-1e-6" for an option name, since only plain decimals
-    count as negative numbers."""
+def _join_negative_values(argv: list) -> list:
+    """Write "--option X" as "--option=X" when X parses as a negative number:
+    argparse takes a separate "-1e-3" for an option name, since only plain
+    decimals count as negative numbers."""
     out: list = []
     for token in argv:
-        if out and out[-1] == "--threshold" and _is_number(token):
+        if out and out[-1].startswith("--") and token.startswith("-") and _is_number(token):
             out[-1] += "=" + token
         else:
             out.append(token)
     return out
 
 
+def _print_warning(message, *args, **kwargs) -> None:
+    """A warning as one "warning:" line on stderr, without a source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_threshold(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.run(args)
-    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.run(args)
+        except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ qubits), so no reduced density matrix is formed, and the bound runs on the
 Bloch vectors of all triples of all states at once. Every per-matrix step
 is a LAPACK or BLAS call on the same small matrix whatever the stack size,
 and the rest is elementwise, so a state's numbers do not depend on the
-stack it came in. ``pure_tangles`` (2-8 qubits) and ``three_tangle_upper``
-(one three-qubit density matrix) are one-state views of the same code.
+stack it came in. ``pure_tangles`` (2-8 qubits) is a one-state view of the
+same code, and ``BoundColumns.result`` reads one bound as a TangleBoundResult.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import RANK_TOL, DensityMatrix, PureState, _phase_fix, rank2_decompose
+from .qstate import PureState
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -39,6 +39,7 @@ _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _QUARTIC_NODES = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
 _QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
 
+RANK_TOL = 1e-8  # on the second squared singular value of a triple's 8x2 reshape
 SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-members >= 7.3e-4
 PI_TOL = 1e-9  # on |r - p| of pi-coincidence; measured: coincident <= 5.6e-16, others >= 0.045
 VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-15 vs >= 5.0e-9
@@ -52,6 +53,15 @@ RDL_DIAGNOSTICS = ("kappa", "trace_norm_ratio", "tau3_phi", "raw_value")
 
 PAIRS = tuple(combinations((1, 2, 3, 4), 2))
 TRIPLES = tuple(combinations((1, 2, 3, 4), 3))
+
+
+def _phase_fix(v: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first component above 1e-12 in modulus is
+    real positive; a stack of vectors is fixed along its last axis."""
+    big = np.abs(v) > 1e-12
+    pivot = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
+    pivot = np.where(big.any(axis=-1, keepdims=True), pivot, 1.0)
+    return v * (pivot.conjugate() / np.abs(pivot))
 
 
 @cache
@@ -468,12 +478,3 @@ def tangle_columns(amps: np.ndarray) -> TangleColumns:
     if amps.ndim != 2 or amps.shape[1] != 16:
         raise ValueError(f"expected four-qubit amplitudes of shape (S, 16), got {amps.shape}")
     return TangleColumns(*_pure_columns(amps, 4), _triple_bounds(amps))
-
-
-def three_tangle_upper(rho3: DensityMatrix) -> TangleBoundResult:
-    """Upper bound on the three-tangle of a rank <= 2 three-qubit state."""
-    if rho3.dim != 8:
-        raise ValueError(f"expected a three-qubit state, got dim={rho3.dim}")
-    dec = rank2_decompose(rho3)
-    bounds = _rank2_bounds(np.array([[dec.lam, 1.0 - dec.lam]]), np.stack([dec.e1, dec.e2])[None])
-    return bounds.result(0)

@@ -17,8 +17,8 @@ scipy's own finite differences.
 import numpy as np
 from scipy.optimize import minimize
 
-from qtangle.qstate import DensityMatrix, rank2_decompose
 from qtangle.tangles import _tau3_quartic_form
+from reference import rank2_eigh
 
 # scipy's L-BFGS-B forward differences: an absolute step of 1e-8, replaced by
 # sqrt(eps) * sign(x) * max(1, |x|) where x + 1e-8 rounds back to x.
@@ -69,12 +69,11 @@ _roof_fg = _with_gradient(_roof_objective)
 _surrogate_fg = _with_gradient(_surrogate)
 
 
-def convex_roof_tau3(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> float:
-    """Squared infimum of the decomposition-averaged root-three-tangle."""
-    dec = rank2_decompose(rho)
-    weighted = np.vstack(
-        [np.sqrt(dec.lam) * dec.e1, np.sqrt(1.0 - dec.lam) * dec.e2]
-    )  # 2 x 8
+def convex_roof_tau3(rho: np.ndarray, restarts: int = 32, seed: int = 0) -> float:
+    """Squared infimum of the decomposition-averaged root-three-tangle of a
+    rank-2 three-qubit density matrix (8, 8)."""
+    lam, e1, e2 = rank2_eigh(rho)
+    weighted = np.vstack([np.sqrt(lam) * e1, np.sqrt(1.0 - lam) * e2])  # 2 x 8
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(restarts):

@@ -2,8 +2,11 @@
 
 Each tangle reference takes one reduced density matrix or one rank-2 support
 at a time, by a route independent of the package's amplitude-tensor path:
-``one_tangle`` is 4 det of ``partial_trace``, ``two_tangle`` is Wootters'
-formula through ``eigh``, and ``wclass_states`` finds the zero-tangle states
+``partial_trace`` forms the reduced density matrix by tensor contraction,
+``one_tangle`` is 4 det of it, ``two_tangle`` is Wootters' formula through
+``eigh``, ``rank2_eigh`` takes a rank-2 support from ``eigh`` instead of the
+package's SVD of the amplitude tensor, ``rank2_bound`` bounds that support
+with the package's bound, and ``wclass_states`` finds the zero-tangle states
 of a rank-2 support with ``np.roots`` instead of companion matrices.
 
 The sampler reference is the sequential definition of a sample's random
@@ -15,7 +18,7 @@ bits.
 
 import numpy as np
 
-from qtangle.qstate import DensityMatrix, PureState, apply_local_operators, partial_trace
+from qtangle.qstate import PureState, apply_local_operators
 from qtangle.states import (
     _PARAM_NAMES,
     CLASS_ARITY,
@@ -23,7 +26,7 @@ from qtangle.states import (
     SloccProvenance,
     _check_class,
 )
-from qtangle.tangles import _tau3_quartic_form
+from qtangle.tangles import TangleBoundResult, _phase_fix, _rank2_bounds, _tau3_quartic_form
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -36,17 +39,25 @@ _HUGE_ROOT = 1e6
 _VANISHING = 1e-11
 
 
+def partial_trace(psi: PureState, keep: tuple) -> np.ndarray:
+    """Reduced density matrix on the kept qubits (increasing, 1-based), in
+    the induced bit ordering, with its roundoff asymmetry scrubbed."""
+    n = psi.n_qubits
+    traced = [q - 1 for q in range(1, n + 1) if q not in keep]
+    t = psi.amplitudes.reshape((2,) * n)
+    rho = np.tensordot(t, t.conj(), axes=(traced, traced)).reshape(2 ** len(keep), -1)
+    return 0.5 * (rho + rho.conj().T)
+
+
 def one_tangle(psi: PureState, focus: int) -> float:
     """4 det of the focus-qubit marginal (its linear entropy)."""
     rho = partial_trace(psi, (focus,))
-    return float(np.clip(4.0 * np.linalg.det(rho.entries).real, 0.0, 1.0))
+    return float(np.clip(4.0 * np.linalg.det(rho).real, 0.0, 1.0))
 
 
-def two_tangle(rho_pair: DensityMatrix) -> float:
-    """Squared concurrence of a two-qubit state via the spin-flipped spectrum."""
-    if rho_pair.dim != 4:
-        raise ValueError(f"two_tangle expects a 4x4 density matrix, got dim={rho_pair.dim}")
-    rho = rho_pair.entries
+def two_tangle(rho: np.ndarray) -> float:
+    """Squared concurrence of a two-qubit density matrix (4, 4) via the
+    spin-flipped spectrum."""
     # The eigenvalues of rho (Syy rho* Syy) equal the squared singular values
     # of sqrt(rho) Syy sqrt(rho)*, which is the numerically stable route.
     evals, evecs = np.linalg.eigh(rho)
@@ -54,6 +65,25 @@ def two_tangle(rho_pair: DensityMatrix) -> float:
     lams = np.linalg.svd(b @ _SIGMA_YY @ b.conj(), compute_uv=False)
     c = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
     return float(min(c * c, 1.0))
+
+
+def rank2_eigh(rho: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The spectral form lam |e1><e1| + (1 - lam) |e2><e2| of a rank-2
+    density matrix: eigh, eigenvalues in descending order, lam clipped to
+    [0.5, 1], and the two leading eigenvectors with their phases fixed."""
+    evals, evecs = np.linalg.eigh(rho)
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    evecs = evecs[:, order]
+    lam = float(np.clip(evals[0], 0.5, 1.0))
+    return lam, _phase_fix(evecs[:, 0]), _phase_fix(evecs[:, 1])
+
+
+def rank2_bound(rho: np.ndarray) -> TangleBoundResult:
+    """The package's three-tangle bound of a rank-2 three-qubit density
+    matrix (8, 8), on the support that ``rank2_eigh`` gives."""
+    lam, e1, e2 = rank2_eigh(rho)
+    return _rank2_bounds(np.array([[lam, 1.0 - lam]]), np.stack([e1, e2])[None]).result(0)
 
 
 def trace_norm(m: np.ndarray) -> float:

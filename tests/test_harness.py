@@ -324,18 +324,14 @@ def test_sweep_class5_nonnegative(tmp_path):
 
 def test_sweep_class6_bound_switch():
     # q2q3q4 marginal bound turns exactly zero once a >= 2^(2/3)
-    from qtangle import partial_trace, three_tangle_upper
+    from qtangle import tangle_columns
     from qtangle.states import normal_form
 
     switch = 2 ** (2 / 3)
-    below = three_tangle_upper(
-        partial_trace(normal_form(6, NormalFormParams(a=switch - 0.2)), (2, 3, 4))
-    )
-    above = three_tangle_upper(
-        partial_trace(normal_form(6, NormalFormParams(a=switch + 0.01)), (2, 3, 4))
-    )
-    assert below.value > 1e-4
-    assert above.value < 1e-6
+    amps = [normal_form(6, NormalFormParams(a=a)).amplitudes for a in (switch - 0.2, switch + 0.01)]
+    below, above = tangle_columns(np.array(amps)).tau3.value[:, 3]  # triple (2, 3, 4)
+    assert below > 1e-4
+    assert above < 1e-6
 
 
 def test_sweep_degenerate_flagging():
@@ -589,10 +585,25 @@ def test_cli_threshold_in_exponent_form(tmp_path, capsys):
     assert summary.exists()
     sweep = ["sweep", "--class", "5", "--a-max", "0.1", "--step", "0.1", "--out", str(out)]
     assert main([*sweep, "--threshold", "-1e-6"]) == 0
-    # the value reaches the check: an infinite one is rejected, not misparsed
+    # every option takes a negative value in exponent form, not only --threshold
     capsys.readouterr()
+    grid = ["--a-min", "-1e-3", "--a-max", "0.01", "--step", "0.01", "--json"]
+    assert main(["sweep", "--class", "5", *grid]) == 0
+    assert json.loads(capsys.readouterr().out)["flagged"] == [-0.001]
+    # the value reaches the check: an infinite or negative one is rejected, not misparsed
     assert main([*sweep, "--threshold", "-inf"]) == 2
     assert "threshold must be finite" in capsys.readouterr().err
+    assert main([*sweep, "--mu3", "-1e-3"]) == 2
+    assert "mu3 must be positive" in capsys.readouterr().err
+
+
+def test_cli_tangle_prints_a_norm_warning_as_one_line(tmp_path, capsys):
+    path = tmp_path / "norm2.json"
+    path.write_text(json.dumps({"n": 4, "amplitudes": [[1, 0]] + [[0, 0]] * 14 + [[1, 0]]}))
+    assert main(["tangle", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: input state norm 1.41421356 deviates from 1; normalizing\n"
+    assert captured.out.startswith("n = 4, focus = 1\n")
 
 
 def test_cli_table1(tmp_path):

@@ -6,20 +6,15 @@ from scipy.optimize import linprog, nnls
 
 from conftest import random_pure_state, random_unitary2
 from qtangle import (
-    DensityMatrix,
     PureState,
     apply_local_operators,
-    partial_trace,
     pure_tangles,
-    rank2_decompose,
     residual_columns,
     sm_report_all_foci,
     tangle_columns,
     three_tangle_pure,
-    three_tangle_upper,
 )
 from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params, table1_check
-from qtangle.qstate import RANK_TOL, _phase_fix
 import qtangle.tangles as tangles
 from qtangle.states import (
     CLASS_ARITY,
@@ -34,10 +29,12 @@ from qtangle.states import (
 )
 from qtangle.tangles import (
     METHODS,
+    RANK_TOL,
     SUPPORT_TOL,
     TRIPLES,
     _augmented,
     _companion_roots,
+    _phase_fix,
     _plane_bound,
     _quartic_coeffs,
     _quartic_degree,
@@ -45,7 +42,15 @@ from qtangle.tangles import (
     _unfoldings,
     _wclass_bloch,
 )
-from reference import one_tangle, trace_norm, two_tangle, wclass_states
+from reference import (
+    one_tangle,
+    partial_trace,
+    rank2_bound,
+    rank2_eigh,
+    trace_norm,
+    two_tangle,
+    wclass_states,
+)
 
 
 def bell_pair():
@@ -66,7 +71,7 @@ def test_one_tangle_linear_entropy_identity(rng):
         psi = random_pure_state(rng, 4)
         for focus in range(1, 5):
             rho = partial_trace(psi, (focus,))
-            lin = 2.0 * (1.0 - np.trace(rho.entries @ rho.entries).real)
+            lin = 2.0 * (1.0 - np.trace(rho @ rho).real)
             assert one_tangle(psi, focus) == pytest.approx(lin, abs=1e-10)
 
 
@@ -74,10 +79,9 @@ def test_one_tangle_linear_entropy_identity(rng):
 
 
 def test_two_tangle_examples():
-    assert two_tangle(bell_pair().projector()) == pytest.approx(1.0, abs=1e-12)
-    assert two_tangle(PureState.from_amplitudes([1, 0, 0, 0]).projector()) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert two_tangle(partial_trace(bell_pair(), (1, 2))) == pytest.approx(1.0, abs=1e-12)
+    product = PureState.from_amplitudes([1, 0, 0, 0])
+    assert two_tangle(partial_trace(product, (1, 2))) == pytest.approx(0.0, abs=1e-12)
     assert two_tangle(partial_trace(w(4), (1, 2))) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -86,7 +90,7 @@ def test_two_tangle_pure_determinant_identity(rng):
         psi = random_pure_state(rng, 2)
         c = psi.amplitudes
         expected = 4.0 * abs(c[0] * c[3] - c[1] * c[2]) ** 2
-        assert two_tangle(psi.projector()) == pytest.approx(expected, abs=1e-10)
+        assert two_tangle(partial_trace(psi, (1, 2))) == pytest.approx(expected, abs=1e-10)
 
 
 # ---------------------------------------------------------- three_tangle_pure
@@ -134,8 +138,7 @@ def test_three_tangle_wrong_size():
 
 
 def _support(rho):
-    dec = rank2_decompose(rho)
-    return dec.e1, dec.e2
+    return rank2_eigh(rho)[1:]
 
 
 def _package_vertices(e1, e2):
@@ -190,7 +193,7 @@ def test_wclass_roots_distinct_root_case(rng):
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v -= np.vdot(g, v) * g
     v /= np.linalg.norm(v)
-    e1, e2 = _support(DensityMatrix.from_entries(_mixture([g, v], [0.6, 0.4])))
+    e1, e2 = _support(_mixture([g, v], [0.6, 0.4]))
     coeffs = _quartic_coeffs(np.stack([e1, e2])[None])
     assert _quartic_degree(coeffs)[0] == 4
     roots = _companion_roots(coeffs)[0]
@@ -201,12 +204,10 @@ def test_wclass_roots_distinct_root_case(rng):
 
 def test_wclass_roots_degenerate_span():
     # span of |000> and |011>: the tangle polynomial vanishes identically
-    rho = DensityMatrix.from_entries(
-        np.diag([0.5, 0, 0, 0.5, 0, 0, 0, 0]).astype(complex)
-    )
+    rho = np.diag([0.5, 0, 0, 0.5, 0, 0, 0, 0]).astype(complex)
     e1, e2 = _support(rho)
     assert _package_vertices(e1, e2) is None
-    res = three_tangle_upper(rho)
+    res = rank2_bound(rho)
     assert (res.value, res.method, res.diagnostics) == (0.0, "simplex-zero", {})
     for v in wclass_states(e1, e2):
         assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-12
@@ -219,13 +220,14 @@ def test_simplex_member_pi_itself(rng):
     for _ in range(10):
         psi = random_pure_state(rng, 4)
         pi = _mixture(wclass_states(*_support(partial_trace(psi, (1, 2, 3)))), [0.25] * 4)
-        res = three_tangle_upper(DensityMatrix.from_entries(0.5 * (pi + pi.conj().T)))
+        res = rank2_bound(0.5 * (pi + pi.conj().T))
         assert (res.value, res.method) == (0.0, "pi-coincidence")
 
 
 def test_simplex_member_ghz4_marginal():
-    for triple in itertools.combinations(range(1, 5), 3):
-        res = three_tangle_upper(partial_trace(ghz(4), triple))
+    bounds = tangle_columns(ghz(4).amplitudes[None]).tau3
+    for t in range(len(TRIPLES)):
+        res = bounds.result((0, t))
         assert (res.value, res.method) == (0.0, "pi-coincidence")
 
 
@@ -238,7 +240,7 @@ def test_simplex_member_rejects_ghz3(rng):
         v -= np.vdot(e1, v) * e1
         v /= np.linalg.norm(v)
         rho = 0.95 * np.outer(e1, e1.conj()) + 0.05 * np.outer(v, v.conj())
-        res = three_tangle_upper(DensityMatrix.from_entries(rho))
+        res = rank2_bound(rho)
         assert res.method == "rdl-line" and res.value > 0.5
 
 
@@ -363,8 +365,9 @@ def test_simplex_solve_matches_lp_on_degenerate_hulls(rng):
 
 
 def _marginals(rng):
-    """Every mixed triple marginal, with its rank-2 decomposition, of the
-    sweep and Table 1 normal forms, GHZ4, W4 and 60 random states."""
+    """Every mixed triple marginal, with its spectral form lam, e1, e2 from
+    ``rank2_eigh``, of the sweep and Table 1 normal forms, GHZ4, W4 and 60
+    random states."""
     states = [
         normal_form(cls, SWEEP_BINDINGS[cls](float(a)))
         for cls in SWEEP_BINDINGS
@@ -378,9 +381,9 @@ def _marginals(rng):
     for psi in states:
         for triple in itertools.combinations(range(1, 5), 3):
             rho = partial_trace(psi, triple)
-            dec = rank2_decompose(rho)
-            if not dec.pure:
-                yield rho, dec
+            lam, e1, e2 = rank2_eigh(rho)
+            if 1.0 - lam >= RANK_TOL:
+                yield rho, lam, e1, e2
 
 
 def test_simplex_member_matches_lp_on_normal_form_marginals(rng):
@@ -388,14 +391,15 @@ def test_simplex_member_matches_lp_on_normal_form_marginals(rng):
     # deficient. The package's decision (a zero bound by simplex-zero or
     # pi-coincidence) is checked on the 8x8 matrices against an LP: rho
     # against the projectors of the reference W-class states, real and
-    # imaginary parts. Their order is the package's, so its weights rebuild rho.
+    # imaginary parts. Their order is the package's on the same support, so
+    # its weights rebuild rho.
     counts = {(full, m): 0 for full in (True, False) for m in (True, False)}
-    for rho, dec in _marginals(rng):
-        res = three_tangle_upper(rho)
+    for rho, _, e1, e2 in _marginals(rng):
+        res = rank2_bound(rho)
         member = res.method in ("simplex-zero", "pi-coincidence")
-        states = wclass_states(dec.e1, dec.e2)
+        states = wclass_states(e1, e2)
         proj = np.array([np.outer(v, v.conj()).ravel() for v in states]).T
-        target = rho.entries.ravel()
+        target = rho.ravel()
         columns = np.concatenate([proj.real, proj.imag])
         d = _lp_distance(columns, np.concatenate([target.real, target.imag]))
         assert d < 1e-9 or d >= 1e-6  # the tolerance cannot decide the case
@@ -422,11 +426,11 @@ def _certificate_cases(rng):
     for w, points, _ in itertools.chain(_random_simplex_cases(rng), _degenerate_hull_cases(rng)):
         yield np.repeat(w[None], len(points), axis=0), points
     ws, rs = [], []
-    for _, dec in _marginals(rng):
-        vertices = _package_vertices(dec.e1, dec.e2)
+    for _, lam, e1, e2 in _marginals(rng):
+        vertices = _package_vertices(e1, e2)
         if vertices is not None:
             ws.append(vertices)
-            rs.append([0.0, 0.0, 2.0 * dec.lam - 1.0])
+            rs.append([0.0, 0.0, 2.0 * lam - 1.0])
     yield np.array(ws), np.array(rs)
 
 
@@ -524,11 +528,11 @@ MEAN_TOL = 1e-7
 
 def test_wclass_vertices_match_reference(rng):
     compared = 0
-    for _, dec in _marginals(rng):
-        w = _package_vertices(dec.e1, dec.e2)
+    for _, _, e1, e2 in _marginals(rng):
+        w = _package_vertices(e1, e2)
         if w is None:  # covered by the membership test: a zero bound
             continue
-        ref = _bloch(wclass_states(dec.e1, dec.e2), dec.e1, dec.e2)
+        ref = _bloch(wclass_states(e1, e2), e1, e2)
         gap = min(
             np.max(np.linalg.norm(w[list(p)] - ref, axis=1))
             for p in itertools.permutations(range(4))
@@ -539,17 +543,25 @@ def test_wclass_vertices_match_reference(rng):
     assert compared >= 800
 
 
-# ----------------------------------------------------------- three_tangle_upper
+# ------------------------------------------------------ the three-tangle bound
+#
+# The engine bounds the triple marginals of four-qubit states; a hand-built
+# rank-2 three-qubit state is bounded by rank2_bound on its eigh support.
+
+
+def _triple_bound(amps, t):
+    """The engine's bound of triple TRIPLES[t] of one four-qubit state."""
+    return tangle_columns(np.asarray(amps)[None]).tau3.result((0, t))
 
 
 def test_upper_exact_pure():
-    res = three_tangle_upper(ghz(3).projector())
+    res = _triple_bound(np.kron(ghz(3).amplitudes, [1.0, 0.0]), 0)  # GHZ3 on (1, 2, 3)
     assert res.method == "exact-pure"
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_upper_pi_coincidence():
-    res = three_tangle_upper(partial_trace(ghz(4), (1, 2, 3)))
+    res = _triple_bound(ghz(4).amplitudes, 0)
     assert res.method == "pi-coincidence"
     assert res.value == 0.0
 
@@ -560,7 +572,7 @@ def test_upper_simplex_zero_for_constructed_mixtures(rng):
         psi = random_pure_state(rng, 4)
         rho = partial_trace(psi, (1, 2, 3))
         mix = _mixture(wclass_states(*_support(rho)), rng.dirichlet(np.ones(4)))
-        res = three_tangle_upper(DensityMatrix.from_entries(0.5 * (mix + mix.conj().T)))
+        res = rank2_bound(0.5 * (mix + mix.conj().T))
         assert res.value == 0.0
         if res.method == "simplex-zero":
             hits += 1
@@ -568,18 +580,21 @@ def test_upper_simplex_zero_for_constructed_mixtures(rng):
 
 
 def test_upper_value_range_and_rank_guard(rng):
-    for _ in range(30):
-        psi = random_pure_state(rng, 4)
-        res = three_tangle_upper(partial_trace(psi, (2, 3, 4)))
+    amps = np.array([random_pure_state(rng, 4).amplitudes for _ in range(30)])
+    bounds = tangle_columns(amps).tau3
+    for i in range(30):
+        res = bounds.result((i, 3))  # triple (2, 3, 4)
         assert 0.0 <= res.value <= 1.0
         if res.method == "rdl-line":
             assert res.diagnostics["kappa"] > 0
-    from qtangle import RankError
-
-    with pytest.raises(RankError):
-        three_tangle_upper(
-            DensityMatrix.from_entries(np.diag([0.5, 0.25, 0.25, 0, 0, 0, 0, 0]).astype(complex))
-        )
+    # A triple whose second squared singular value is below RANK_TOL is
+    # bounded as the pure state it is within that tolerance.
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v /= np.linalg.norm(v)
+    for eps, pure in ((0.5 * RANK_TOL, True), (2.0 * RANK_TOL, False)):
+        amps = np.kron(np.sqrt(1.0 - eps) * ghz(3).amplitudes, [1.0, 0.0])
+        amps += np.kron(np.sqrt(eps) * v, [0.0, 1.0])
+        assert (_triple_bound(amps, 0).method == "exact-pure") == pure
 
 
 def test_rdl_line_geometry_matches_8x8_matrices(rng):
@@ -587,18 +602,19 @@ def test_rdl_line_geometry_matches_8x8_matrices(rng):
     # support frame: pi is the W-mixture, rho + t (rho - pi) is the pure
     # surface state, and the bound rescales that state's exact three-tangle.
     checked = 0
-    for _ in range(40):
-        psi = random_pure_state(rng, 4)
-        for triple in itertools.combinations(range(1, 5), 3):
-            rho = partial_trace(psi, triple)
-            res = three_tangle_upper(rho)
+    states = [random_pure_state(rng, 4) for _ in range(40)]
+    bounds = tangle_columns(np.array([psi.amplitudes for psi in states])).tau3
+    for i, psi in enumerate(states):
+        for k, triple in enumerate(TRIPLES):
+            res = bounds.result((i, k))
             if res.method != "rdl-line":
                 continue
+            rho = partial_trace(psi, triple)
             diag = res.diagnostics
             pi = _mixture(wclass_states(*_support(rho)), [0.25] * 4)
-            t = diag["kappa"] / trace_norm(rho.entries - pi)
+            t = diag["kappa"] / trace_norm(rho - pi)
             assert diag["trace_norm_ratio"] == pytest.approx(1.0 / (1.0 + t) ** 2, rel=1e-11)
-            evals, evecs = np.linalg.eigh((1.0 + t) * rho.entries - t * pi)
+            evals, evecs = np.linalg.eigh((1.0 + t) * rho - t * pi)
             assert evals[-1] == pytest.approx(1.0, abs=1e-8)
             assert np.max(np.abs(evals[:-1])) < 1e-8
             surface = PureState.from_amplitudes(evecs[:, -1], n_qubits=3)
@@ -626,8 +642,7 @@ def test_pure_tangles_match_per_marginal_reference(rng):
             for focus, value in tau1.items():
                 assert abs(value - one_tangle(psi, focus)) <= 1e-12
             for pair, value in tau2.items():
-                rho = psi.projector() if n == 2 else partial_trace(psi, pair)
-                assert abs(value - two_tangle(rho)) <= 1e-12
+                assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
 
 
 def test_pure_tangles_examples():
