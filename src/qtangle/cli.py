@@ -119,15 +119,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # The grid ends at its last point not above --a-max. The span gets a few
+    # ulps of its endpoints as slack, at most half a step, so that a step
+    # that divides it up to roundoff keeps its last point.
     span = args.a_max - args.a_min
+    slack = min(4 * sys.float_info.epsilon * (abs(args.a_min) + abs(args.a_max)), args.step / 2)
+    steps = (span + slack) / args.step if args.step > 0 else np.nan
     # Also rejects NaN, and a step so small that the grid's count overflows.
-    if not (0 < args.step < np.inf and 0 <= span / args.step <= MAX_SWEEP_POINTS - 1):
+    if not (args.step < np.inf and span >= 0 and steps < MAX_SWEEP_POINTS):
         raise ValueError(
             "the sweep grid needs a finite --step > 0, --a-max >= --a-min and "
             f"at most {MAX_SWEEP_POINTS} points"
         )
-    n_steps = int(round(span / args.step))
-    grid = args.a_min + args.step * np.arange(n_steps + 1)
+    grid = args.a_min + args.step * np.arange(int(steps) + 1)
     result = sweep_family(
         args.slocc_class, grid, mu3=args.mu3, threshold=args.threshold, csv_path=args.out
     )

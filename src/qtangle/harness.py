@@ -152,7 +152,10 @@ def _error_record(cls: int, idx: int, master_seed: int, exc: Exception) -> dict:
     }
 
 
-def _evaluate(cls: int, draws: list, mu3: float) -> tuple:
+def _evaluate(cls: int, indices, master_seed: int, mu3: float) -> tuple:
+    """Engine columns and residuals of the listed samples of a class, each
+    drawn from its sub-seed, dressed and bounded in one stack."""
+    draws = [draw_slocc(cls, sample_seed(master_seed, cls, idx)) for idx in indices]
     cols = tangle_columns(dress(cls, draws)[0])
     return cols, residual_columns(cols, mu3)
 
@@ -162,52 +165,37 @@ def _chunk_rows(task: tuple) -> tuple:
     one-tangles and bound-method counts, and a record per failed sample;
     top level so workers can pickle it.
 
-    A sample whose draw fails is recorded alone. If the stacked evaluation
-    fails, each sample is evaluated alone, so a failure is still recorded
-    against the sample that caused it."""
+    The chunk is evaluated in one stacked call. If that call fails, each
+    sample is evaluated alone, so a failure is recorded against the sample
+    that caused it."""
     cls, start, stop, master_seed, mu3 = task
-    draws, errors = {}, []
-    for idx in range(start, stop):
-        try:
-            draws[idx] = draw_slocc(cls, sample_seed(master_seed, cls, idx))
-        except Exception as exc:
-            errors.append(_error_record(cls, idx, master_seed, exc))
-    parts = []
-    if draws:
-        try:
-            parts.append((list(draws), _evaluate(cls, list(draws.values()), mu3)))
-        except Exception:
-            for idx, draw in draws.items():
-                try:
-                    parts.append(([idx], _evaluate(cls, [draw], mu3)))
-                except Exception as exc:
-                    errors.append(_error_record(cls, idx, master_seed, exc))
-    errors.sort(key=lambda e: e["sample_index"])
-    rows, residuals, tau1s = [], [], []
+    parts, errors = [], []
+    try:
+        parts.append((range(start, stop), _evaluate(cls, range(start, stop), master_seed, mu3)))
+    except Exception:
+        for idx in range(start, stop):
+            try:
+                parts.append(([idx], _evaluate(cls, [idx], master_seed, mu3)))
+            except Exception as exc:
+                errors.append(_error_record(cls, idx, master_seed, exc))
+    rows, residuals, tau1s = [], np.empty(0), np.empty(0)
     methods = np.zeros(len(METHODS), dtype=int)
     for indices, (cols, res) in parts:
-        tau1 = [list(map(repr, r)) for r in cols.tau1.tolist()]
-        tau2 = [list(map(repr, r)) for r in cols.tau2.tolist()]
-        tau3 = [list(map(repr, r)) for r in cols.tau3.value.tolist()]
-        method = [[METHODS[m] for m in r] for r in cols.tau3.method.tolist()]
-        residual = [list(map(repr, r)) for r in res.tolist()]
-        for i, idx in enumerate(indices):
+        # The value cells (S, 4, 11) of each sample's four rows: each value is
+        # formatted once, then picked for every focus it serves.
+        tau1, tau2, tau3, residual = (
+            np.array([list(map(repr, r)) for r in c.tolist()], dtype=object)
+            for c in (cols.tau1, cols.tau2, cols.tau3.value, res)
+        )
+        method = np.array(METHODS, dtype=object)[cols.tau3.method]
+        cells = np.dstack([tau1, tau2[:, FOCUS_PAIRS], tau3[:, FOCUS_TRIPLES],
+                           method[:, FOCUS_TRIPLES], residual])  # fmt: skip
+        for idx, state in zip(indices, cells.tolist()):
             sub_seed = _sub_seed(master_seed, cls, idx)
-            for f in range(4):
-                p, t = FOCUS_PAIRS[f], FOCUS_TRIPLES[f]
-                rows.append([
-                    cls, idx, sub_seed, f + 1, _PARTNER_LABELS[f], tau1[i][f],
-                    tau2[i][p[0]], tau2[i][p[1]], tau2[i][p[2]],
-                    tau3[i][t[0]], tau3[i][t[1]], tau3[i][t[2]],
-                    method[i][t[0]], method[i][t[1]], method[i][t[2]],
-                    residual[i][f],
-                ])  # fmt: skip
-        residuals.append(res.ravel())
-        tau1s.append(cols.tau1.ravel())
+            rows += ([cls, idx, sub_seed, f + 1, _PARTNER_LABELS[f], *c] for f, c in enumerate(state))
+        residuals, tau1s = np.append(residuals, res), np.append(tau1s, cols.tau1)
         methods += np.bincount(cols.tau3.method.ravel(), minlength=len(METHODS))
-    indices = [idx for part, _ in parts for idx in part]
-    residuals, tau1s = (np.concatenate(c) if c else np.empty(0) for c in (residuals, tau1s))
-    return cls, rows, indices, residuals, tau1s, methods, errors
+    return cls, rows, residuals, tau1s, methods, errors
 
 
 def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSummary:
@@ -238,7 +226,7 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
         Pool(workers) if workers > 1 else nullcontext()
     ) as pool:
         results = pool.imap(_chunk_rows, tasks) if pool else map(_chunk_rows, tasks)
-        for cls, rows, indices, residuals, tau1s, counts, chunk_errors in results:
+        for cls, rows, residuals, tau1s, counts, chunk_errors in results:
             errors.extend(chunk_errors)
             writer.writerows(rows)
             total_points += len(rows)
@@ -249,13 +237,7 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
             if len(rows) and (min_residual is None or residuals.min() < min_residual):
                 i = int(np.argmin(residuals))  # the first row at the minimum
                 min_residual = float(residuals[i])
-                idx = indices[i // 4]
-                min_at = {
-                    "class": cls,
-                    "sample_index": idx,
-                    "sub_seed": _sub_seed(cfg.master_seed, cls, idx),
-                    "focus": i % 4 + 1,
-                }
+                min_at = dict(zip(CSV_FIELDS[:4], rows[i][:4]))  # its class, sample and focus
     per_class = {
         str(cls): {
             "residual_hist": res_hist[cls].tolist(),

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-# The smallest norm of an amplitude vector that can be normalized, in
-# PureState.from_amplitudes and in its stacked form _unit_rows.
+# The smallest norm of an amplitude vector that can be normalized by
+# _unit_rows, the one normalizer of amplitude vectors.
 ZERO_NORM = 1e-12
 
 MIN_QUBITS = 2
@@ -48,14 +48,13 @@ class PureState:
             raise ValueError(f"amplitude vector has length {amps.size}, expected {2**n_qubits}")
         if not np.isfinite(amps).all():
             raise ValueError("amplitude vector has non-finite entries")
-        norm = float(np.linalg.norm(amps))
+        unit, norms, ok = _unit_rows(amps[None])
+        norm = float(norms[0])
         if norm < ZERO_NORM:
             raise ValueError("zero amplitude vector")
-        return cls(n_qubits=n_qubits, amplitudes=amps / norm, original_norm=norm)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
+        if not ok[0]:
+            raise ValueError("amplitude vector's squared norm overflows")
+        return cls(n_qubits=n_qubits, amplitudes=unit[0], original_norm=norm)
 
     def to_json_dict(self) -> dict:
         return {
@@ -64,16 +63,15 @@ class PureState:
         }
 
 
-def _unit_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of a complex stack (S, d) over its norm, and which rows
-    ``PureState.from_amplitudes`` would accept: finite, with norm at least
-    ZERO_NORM. The norm is the arithmetic of ``np.linalg.norm`` on one row, and
-    the division that of one vector by its norm, so an accepted row has the
-    bits of ``from_amplitudes``."""
-    norms = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
-    ok = np.isfinite(amps).all(axis=1) & (norms >= ZERO_NORM)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return amps / norms[:, None], ok
+def _unit_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of a complex stack (S, d) over its norm, the norms, and which
+    rows are usable: a finite norm (finite entries whose squares do not
+    overflow) of at least ZERO_NORM. The norm is the arithmetic of
+    ``np.linalg.norm`` on one row, and the division that of one vector by its
+    norm. ``PureState.from_amplitudes`` normalizes through it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+        return amps / norms[:, None], norms, np.isfinite(norms) & (norms >= ZERO_NORM)
 
 
 def _local_images(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -123,10 +121,12 @@ def state_from_json_dict(obj: dict) -> PureState:
     _check_qubit_count(n)  # before 2**n, which a huge n makes huge
     if amps.size != 2**n:
         raise ValueError(f"state file declares n={n} but has {amps.size} amplitudes")
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-6:
-        warnings.warn(f"input state norm {norm:.8f} deviates from 1; normalizing", stacklevel=2)
-    return PureState.from_amplitudes(amps, n_qubits=n)
+    psi = PureState.from_amplitudes(amps, n_qubits=n)
+    if abs(psi.original_norm - 1.0) > 1e-6:
+        warnings.warn(
+            f"input state norm {psi.original_norm:.8f} deviates from 1; normalizing", stacklevel=2
+        )
+    return psi
 
 
 def state_from_json(path) -> PureState:

@@ -159,8 +159,8 @@ _PATTERNS = {
 def normal_forms(cls: int, values) -> tuple[np.ndarray, np.ndarray]:
     """Normalized normal forms (S, 16) of one family for parameter rows
     (S, arity) in a, b, c, d order, and which rows are valid: real parts
-    nonnegative, as NormalFormParams requires, and a pattern that is finite
-    and does not vanish (norm below 1e-12). Every normal form is built here;
+    nonnegative, as NormalFormParams requires, and a pattern whose norm is
+    finite and not below 1e-12. Every normal form is built here;
     invalid rows are not usable amplitudes."""
     cls = _check_class(cls)
     values = np.asarray(values, dtype=complex)
@@ -170,7 +170,7 @@ def normal_forms(cls: int, values) -> tuple[np.ndarray, np.ndarray]:
     for value, indices in _PATTERNS[cls]:
         # Added to zero, not assigned: a -0.0 part of a value ends up +0.0.
         amps[:, indices] += np.reshape(value(*values.T), (-1, 1))
-    unit, ok = _unit_rows(amps)
+    unit, _, ok = _unit_rows(amps)
     return unit, ok & ~(values.real < 0).any(axis=1)
 
 
@@ -265,9 +265,10 @@ def dress(cls: int, draws: list) -> tuple[np.ndarray, np.ndarray]:
         ops[i] = _redraw_operators(draws[i])
     base = _valid_normal_forms(cls, np.array([d.params for d in draws]))
     images = _local_images(base, ops)
-    amps, ok = _unit_rows(images)
+    amps, norms, ok = _unit_rows(images)
     if not ok.all():
-        PureState.from_amplitudes(images[np.argmin(ok)])  # raises its error for the row
+        bad = norms[np.argmin(ok)]
+        raise ValueError(f"a dressed state has norm {bad}, which cannot be normalized")
     return amps, ops
 
 

@@ -197,6 +197,24 @@ def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch)
         assert same, f"{workers} workers wrote other bytes than one"
 
 
+def test_campaign_min_residual_at_names_its_row(tmp_path, monkeypatch):
+    # Chunks of 5 among 23 samples of 8 classes: the minimum can sit in any
+    # chunk. At this seed it is class 4, sample 17 (the fourth chunk's third
+    # sample), focus 3.
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
+    for workers in (1, 2):
+        cfg = CampaignConfig(samples_per_class=23, master_seed=20260827, workers=workers)
+        summary = run_campaign(cfg, tmp_path / f"w{workers}.csv")
+        rows = read_rows(tmp_path / f"w{workers}.csv")
+        row = next(r for r in rows if float(r["residual_lower"]) == summary.min_residual)
+        assert summary.min_residual_at == {
+            "class": int(row["class"]),
+            "sample_index": int(row["sample_index"]),
+            "sub_seed": row["sub_seed"],
+            "focus": int(row["focus"]),
+        }
+
+
 def test_campaign_summary_counts_bound_methods(tmp_path):
     cfg = CampaignConfig(samples_per_class=12, master_seed=4)
     summary = run_campaign(cfg, tmp_path / "out.csv")
@@ -491,6 +509,14 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     with open(out) as fh:
         assert len(fh.readlines()) == 6  # header + 5 grid points
+    # A step that does not divide the span stops at the last point below --a-max.
+    grid = ["--a-min", "0", "--a-max", "1", "--step", "0.6"]
+    assert main(["sweep", "--class", "5", *grid, "--out", str(out)]) == 0
+    assert [row["a"] for row in read_rows(out)] == ["0.0", "0.6"]
+    # One that divides it up to the roundoff of the endpoints keeps the last point.
+    grid = ["--a-min", "3027.3", "--a-max", "3031.2", "--step", "0.1"]
+    assert main(["sweep", "--class", "5", *grid, "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 40
 
 
 def test_cli_sweep_flags_a_negative_grid_point(capsys):
@@ -501,6 +527,20 @@ def test_cli_sweep_flags_a_negative_grid_point(capsys):
     assert code == 0
     assert out["flagged"] == [-0.1]
     assert [row[0] for row in out["rows"]] == [0.0, 0.1]
+
+
+def test_cli_flags_or_rejects_a_state_whose_norm_overflows(tmp_path, capsys):
+    # Squares of 1e200 overflow: the norm is inf, and no state is normalized by it.
+    code = main(["sweep", "--class", "5", "--a-min", "1e200", "--a-max", "1e200", "--step", "1",
+                 "--json"])  # fmt: skip
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["flagged"] == [1e200]
+    path = tmp_path / "big.json"  # 1e200 GHZ3
+    amps = [[1e200, 0.0]] + [[0.0, 0.0]] * 6 + [[1e200, 0.0]]
+    path.write_text(json.dumps({"n": 3, "amplitudes": amps}))
+    assert main(["tangle", str(path)]) == 2
+    assert capsys.readouterr().err == "error: amplitude vector's squared norm overflows\n"
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,8 @@ def test_purestate_rejects_bad_lengths():
         PureState.from_amplitudes([1.0, 0.0])  # 1 qubit unsupported
     with pytest.raises(ValueError):
         PureState.from_amplitudes(np.zeros(4))
+    with pytest.raises(ValueError, match="squared norm overflows"):  # not a zero state
+        PureState.from_amplitudes(1e200 * ghz(3).amplitudes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from a log of 0 on the way
         with pytest.raises(ValueError, match="outside supported range"):
