@@ -13,11 +13,15 @@ vectors and returns every one-tangle, two-tangle and three-tangle bound as
 arrays. Each kind of marginal is a stack of matricizations of the tensor
 (2 x 2^(n-1) per focus, 4 x 2^(n-2) per pair, 8x2 per triple of four
 qubits), so no reduced density matrix is formed, and the bound runs on the
-Bloch vectors of all triples of all states at once. Every per-matrix step
-is a LAPACK or BLAS call on the same small matrix whatever the stack size,
-and the rest is elementwise, so a state's numbers do not depend on the
-stack it came in. ``pure_tangles`` (2-8 qubits) is a one-state view of the
-same code, and ``BoundColumns.result`` reads one bound as a TangleBoundResult.
+Bloch vectors of all triples of all states at once. The bound makes no
+LAPACK call: a triple's spectrum and support come from the closed-form
+eigendecomposition of its 2x2 Gram matrix (``_rank2_support``) and the W
+roots from a closed-form, backward-stable quartic solver (``_wclass_roots``),
+both elementwise over the stack. The tau matrices' singular values are a
+LAPACK call per small matrix, the same whatever the stack size, so a
+state's numbers do not depend on the stack it came in. ``pure_tangles``
+(2-8 qubits) is a one-state view of the same code, and
+``BoundColumns.result`` reads one bound as a TangleBoundResult.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-membe
 PI_TOL = 1e-9  # on |r - p| of pi-coincidence; measured: coincident <= 5.6e-16, others >= 0.045
 VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-15 vs >= 5.0e-9
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
+POLISH_STEPS = 2  # guarded Newton steps after Ferrari, see _quartic_roots
 NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input
 
 # Bound methods; a method column holds indices into this tuple.
@@ -171,30 +176,164 @@ def _quartic_degree(coeffs: np.ndarray) -> np.ndarray:
     return np.where(scale < VANISHING_TOL, -1, degree)
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Sorted roots of stacked polynomials (K, d+1) of one common degree d
-    (coefficients low to high, nonzero leading term), as eigenvalues of
-    their companion matrices."""
-    k, d = coeffs.shape[0], coeffs.shape[1] - 1
-    if d == 0:
-        return np.empty((k, 0), dtype=complex)
-    comp = np.zeros((k, d, d), dtype=complex)
-    comp[:, 1:, :-1] = np.eye(d - 1)
-    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-    return np.sort_complex(np.linalg.eigvals(comp))
+# Cube roots of unity, for the three roots of a cubic.
+_CUBE_ROOTS_OF_1 = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
 
 
-def _wclass_bloch(roots: np.ndarray) -> np.ndarray:
-    """Bloch vectors (K, 4, 3) of the W-class states e1 + z e2 for the finite
-    roots (K, d), by stereographic projection; the 4 - d roots at infinity
-    are e2, the south pole."""
-    k, d = roots.shape
-    w = np.zeros((k, 4, 3))
-    w[:, :, 2] = -1.0
+def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both roots of each monic quadratic z^2 + b z + c: the one of larger
+    modulus from the formula whose sum does not cancel, the other as c over it
+    (0 where both are 0, b = c = 0)."""
+    s = np.sqrt(b * b - 4.0 * c)
+    big = -0.5 * np.where(b.real * s.real + b.imag * s.imag < 0.0, b - s, b + s)
+    return big, c / np.where(big == 0.0, 1.0, big)
+
+
+def _cubic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The three roots (K, 3) of each monic cubic z^3 + a z^2 + b z + c, by
+    Cardano's formula with the cube of larger modulus."""
+    p = b - a * a / 3.0
+    q = (2.0 * a * a * a - 9.0 * a * b + 27.0 * c) / 27.0
+    s = np.sqrt(0.25 * q * q + p * p * p / 27.0)
+    u3 = -0.5 * np.where(q.real * s.real + q.imag * s.imag < 0.0, q - 2.0 * s, q + 2.0 * s)
+    u = np.power(u3, 1.0 / 3.0)[:, None] * _CUBE_ROOTS_OF_1
+    # u = 0 only where p = q = 0, and then v = 0.
+    return u - p[:, None] / (3.0 * np.where(u == 0.0, 1.0, u)) - a[:, None] / 3.0
+
+
+def _depressed_factors(p, q, r) -> tuple:
+    """Monic quadratic factors (x^2 + a1 x + b1)(x^2 + a2 x + b2) of each
+    depressed quartic x^4 + p x^2 + q x + r, by Ferrari's method.
+
+    Each root m of the resolvent cubic pairs the roots: a1 = -a2 = sqrt(m) is
+    the sum of a pair and b1 + b2 = p + m. The pairing with the largest |m| is
+    taken, so that no step divides by a vanishing sum. b1, b2 then follow
+    from b1 b2 = r (either order) or from a1 (b2 - b1) = q; each loses the
+    other equation where it is ill-conditioned (b1 ~ b2, or a small a1), so
+    of the three candidates the one that best keeps the equation it did not
+    use, relative to the size of its terms, wins.
+    """
+    m = _cubic_roots(2.0 * p, p * p - 4.0 * r, -q * q)  # (K, 3)
+    largest = np.argmax(m.real * m.real + m.imag * m.imag, axis=1)
+    m = np.take_along_axis(m, largest[:, None], axis=1)[:, 0]
+    a, y = np.sqrt(m), p + m
+    b1, b2 = _quadratic_roots(-y, r)
+    bq = 0.5 * y - 0.5 * q / np.where(a == 0.0, 1.0, a)  # a = 0 only where p = q = r = 0
+    a_abs, b_abs = np.abs(a), np.abs(b1) + np.abs(b2)
+    with np.errstate(invalid="ignore"):  # 0/0 where all terms vanish: exact
+        error = np.stack([
+            np.abs(a * (b2 - b1) - q) / (a_abs * b_abs + np.abs(q)),
+            np.abs(a * (b1 - b2) - q) / (a_abs * b_abs + np.abs(q)),
+            np.abs(bq * (y - bq) - r) / (np.abs(bq * (y - bq)) + np.abs(r)),
+        ])  # fmt: skip
+    best = np.argmin(np.nan_to_num(error), axis=0)
+    lo = np.choose(best, [b1, b2, bq])
+    return a, lo, -a, y - lo
+
+
+def _vieta_error(roots: np.ndarray, monic: tuple, scale: np.ndarray) -> np.ndarray:
+    """Largest difference between the coefficients (z^3, z^2, z, 1) of
+    prod (z - z_k) over the roots (K, 4) and those of the monic quartics,
+    over ``scale``; inf where not finite."""
+    z1, z2, z3, z4 = roots.T
+    s12, s34, p12, p34 = z1 + z2, z3 + z4, z1 * z2, z3 * z4
+    a3, a2, a1, a0 = monic
+    error = np.abs(s12 + s34 + a3)
+    error = np.fmax(error, np.abs(p12 + p34 + s12 * s34 - a2))
+    error = np.fmax(error, np.abs(s12 * p34 + s34 * p12 + a1))
+    error = np.fmax(error, np.abs(p12 * p34 - a0))
+    return np.where(error < np.inf, error / scale, np.inf)  # NaN fails the test too
+
+
+def _polished(roots: np.ndarray, error: np.ndarray, monic: tuple, scale: np.ndarray) -> tuple:
+    """One Newton step on the factorization (z - z1)(z - z2) (z - z3)(z - z4)
+    of each monic quartic into the quadratics z^2 + a1 z + b1 and
+    z^2 + a2 z + b2, kept only where the roots of the new factors have a
+    smaller ``_vieta_error`` than the given one; the roots and their error.
+
+    The step solves the 4x4 Jacobian of the product's coefficients in closed
+    form. Its determinant is the resultant of the two factors, small where
+    they share a root cluster; such a step is then not kept.
+    """
+    a1, b1 = -(roots[:, 0] + roots[:, 1]), roots[:, 0] * roots[:, 1]
+    a2, b2 = -(roots[:, 2] + roots[:, 3]), roots[:, 2] * roots[:, 3]
+    c3, c2, c1, c0 = monic
+    r1, r2 = c3 - a1 - a2, c2 - b1 - b2 - a1 * a2
+    r3, r4 = c1 - a1 * b2 - a2 * b1, c0 - b1 * b2
+    da, db, g = a1 - a2, b1 - b2, a1 * b2 - a2 * b1
+    x = r1 * g + r2 * db - r3 * da
+    with np.errstate(all="ignore"):
+        det = db * db + da * g
+        step = (r1 * (a1 * g + b1 * db) - r2 * g - r3 * db + r4 * da) / det
+        new = np.stack([
+            *_quadratic_roots(a1 + step, b1 + (b1 * x + r4 * (a1 * da - db)) / det),
+            *_quadratic_roots(a2 + r1 - step, b2 - (b2 * x + r4 * (a2 * da - db)) / det),
+        ], axis=1)  # fmt: skip
+        new_error = _vieta_error(new, monic, scale)
+    better = new_error < error
+    return np.where(better[:, None], new, roots), np.where(better, new_error, error)
+
+
+def _quartic_roots(monic: tuple) -> np.ndarray:
+    """The four roots (K, 4) of each monic quartic z^4 + A z^3 + B z^2 + C z + D,
+    given (A, B, C, D).
+
+    Ferrari's method runs on the quartic shifted to the mean of its roots,
+    where a root cluster sits near 0 and each resolvent step is relative to
+    the cluster's own size. Shifting the roots back costs accuracy in small
+    roots next to a far one, so POLISH_STEPS guarded Newton steps on the
+    factorization in the original variable follow (``_polished``). Each step
+    is kept only where it lowers the Vieta error (relative to the largest
+    coefficient, the leading 1 included), so the roots stay the exact roots of
+    a quartic within roundoff of the given one: a backward-stable solver,
+    which keeps the mean of the roots' Bloch vectors well conditioned even
+    where single roots of a fourfold cluster are not.
+    """
+    a3, a2, a1, a0 = monic
+    h = 0.25 * a3
+    hh = h * h
+    p = a2 - 6.0 * hh
+    q = a1 - 2.0 * a2 * h + 8.0 * hh * h
+    r = a0 - a1 * h + a2 * hh - 3.0 * hh * hh
+    f1, g1, f2, g2 = _depressed_factors(p, q, r)
+    roots = np.stack([*_quadratic_roots(f1, g1), *_quadratic_roots(f2, g2)], axis=1) - h[:, None]
+    scale = np.fmax(np.fmax(np.abs(a3), np.abs(a2)), np.fmax(np.abs(a1), np.abs(a0)))
+    scale = np.fmax(scale, 1.0)
+    error = _vieta_error(roots, monic, scale)
+    for _ in range(POLISH_STEPS):
+        roots, error = _polished(roots, error, monic, scale)
+    return roots
+
+
+def _wclass_roots(coeffs: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Roots (K, 4) of each polynomial sum_k coeffs[k] z^k (K, 5) up to its
+    ``_quartic_degree`` d >= 0: the d finite roots sorted by ``np.sort_complex``,
+    then NaN for the 4 - d roots at infinity. Closed forms by degree, each
+    elementwise over its rows, so a row's roots do not depend on the others."""
+    roots = np.full((len(coeffs), 4), np.nan, dtype=complex)
+    lead = np.take_along_axis(coeffs, np.maximum(degree, 0)[:, None], axis=1)
+    monic = coeffs[:, :4] / np.where(lead == 0.0, 1.0, lead)  # lead = 0 only in degree -1
+    # Each degree's rows, skipped when there are none: a solver's fixed cost
+    # is that of its numpy calls, whatever the number of rows.
+    four, three, two, one = (degree == d for d in (4, 3, 2, 1))
+    if four.any():
+        roots[four] = _quartic_roots(tuple(monic[four, ::-1].T))
+    if three.any():
+        roots[three, :3] = _cubic_roots(monic[three, 2], monic[three, 1], monic[three, 0])
+    if two.any():
+        roots[two, :2] = np.stack(_quadratic_roots(monic[two, 1], monic[two, 0]), axis=1)
+    roots[one, 0] = -monic[one, 0]
+    return np.sort_complex(roots)
+
+
+def _wclass_bloch(roots: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Bloch vectors (K, 4, 3) of the W-class states e1 + z e2 for the roots
+    (K, 4) of ``_wclass_roots``, by stereographic projection; the 4 - d roots
+    at infinity are e2, the south pole."""
     z2 = np.abs(roots) ** 2
-    w[:, :d] = np.stack([2.0 * roots.real, 2.0 * roots.imag, 1.0 - z2], axis=-1)
-    w[:, :d] /= (1.0 + z2)[..., None]
-    return w
+    w = np.stack([2.0 * roots.real, 2.0 * roots.imag, 1.0 - z2], axis=-1) / (1.0 + z2)[..., None]
+    finite = np.arange(4) < degree[:, None]
+    return np.where(finite[..., None], w, np.array([0.0, 0.0, -1.0]))
 
 
 def _augmented(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +527,17 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> Bo
 def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     """Three-tangle upper bounds of stacked rank <= 2 three-qubit states,
     given their spectra (..., 2) and orthonormal support rows (..., 2, 8);
-    the columns are flat over the leading shape."""
+    the columns are flat over the leading shape.
+
+    Error budget of the W-class roots: with every other step alike, the bound
+    from ``_wclass_roots`` and the bound from the same quartics' roots at 40
+    digits (mpmath) differ by at most 5.6e-10 over the 9,300 quartics of
+    ``verify --samples 300 --seed 20260823`` (companion-matrix eigvals:
+    2.2e-9), 3.3e-10 over ``table1`` and 7.5e-10 over the class-4 ``sweep``
+    of 0..2 step 0.01; no method differs. Near-fourfold roots carry it:
+    their single roots are conditioned to about 1e-4, their symmetric
+    functions to roundoff.
+    """
     coeffs = _quartic_coeffs(support).reshape(-1, 5)
     spectrum = spectrum.reshape(-1, 2)
     degree = _quartic_degree(coeffs)
@@ -403,11 +552,7 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
         bounds.value[i] = min(4.0 * abs(coeffs[i, 0]), 1.0)
         bounds.method[i] = EXACT_PURE
     mixed = np.flatnonzero(~pure & (degree >= 0))
-    # Only the roots need a common degree; every other step runs once on all.
-    w = np.empty((mixed.size, 4, 3))
-    for d in np.unique(degree[mixed]):
-        group = degree[mixed] == d
-        w[group] = _wclass_bloch(_companion_roots(coeffs[mixed[group], : d + 1]))
+    w = _wclass_bloch(_wclass_roots(coeffs[mixed], degree[mixed]), degree[mixed])
     for column, part in zip(bounds, _mixed_bounds(spectrum[mixed], coeffs[mixed], w)):
         column[mixed] = part
     return bounds
@@ -430,8 +575,12 @@ def _pure_columns(amps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     # Wootters' tau matrix M^T (Syy) M of the 4 x 2^(n-2) pair-by-rest reshape
     # has the spin-flip spectrum lambda_i as its singular values; below four
-    # qubits it has fewer than four, and the missing ones are 0.
+    # qubits it has fewer than four, and the missing ones are 0. Above four,
+    # M^T = Q R first: Q (R Syy R^T) Q^T has the singular values of the 4x4
+    # R Syy R^T, so M is replaced by R^T.
     m = amps[:, _unfoldings(n, tuple(combinations(qubits, 2)))]
+    if m.shape[-1] > 4:
+        m = np.linalg.qr(m.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
     lams = np.linalg.svd(m.swapaxes(-1, -2) @ _SIGMA_YY @ m, compute_uv=False)
     missing = np.zeros(lams.shape[:-1] + (max(0, 4 - lams.shape[-1]),))
     lams = np.concatenate([lams, missing], axis=-1)
@@ -459,14 +608,51 @@ class TangleColumns(NamedTuple):
     tau3: BoundColumns
 
 
+def _rank2_support(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum (..., 2), descending, and the phase-fixed orthonormal
+    support rows (..., 2, 8) of the marginal M M^dag of each triple-by-rest
+    reshape M = [x y], given its columns x and y (..., 8), from the
+    eigendecomposition of the 2x2 Gram matrix G = M^dag M in closed form.
+
+    p1 comes from the trace and the eigenvalue gap, and p2 = det G / p1 with
+    det G the sum of the squared 2x2 minors of M (Cauchy-Binet), so a small
+    p2 keeps its relative accuracy. Each support vector is M v / |M v| for the
+    eigenvector v of G, the second one first made orthogonal to the first.
+    Where p2 = 0 exactly the second vector is 0; a pure marginal's bound
+    reads only the first. Every step is elementwise or a sum over the last
+    axis, so a marginal's numbers do not depend on the stack.
+    """
+    g11 = np.sum(x.real * x.real + x.imag * x.imag, axis=-1)
+    g22 = np.sum(y.real * y.real + y.imag * y.imag, axis=-1)
+    g12 = np.sum(x.conj() * y, axis=-1)
+    d = 0.5 * (g11 - g22)
+    gap = np.sqrt(d * d + g12.real * g12.real + g12.imag * g12.imag)
+    p1 = 0.5 * (g11 + g22) + gap
+    minors = x[..., :, None] * y[..., None, :]
+    minors = minors - minors.swapaxes(-1, -2)  # each pair of rows twice
+    det = 0.5 * np.sum(minors.real * minors.real + minors.imag * minors.imag, axis=(-2, -1))
+    # The eigenvector (v0, v1) of p1, from the column of G - p2 I that does
+    # not cancel; where G = p1 I (e = 0), any basis.
+    e = gap + np.abs(d)
+    v0 = np.where(d < 0.0, g12, np.where(e == 0.0, 1.0, e))[..., None]
+    v1 = np.where(d < 0.0, e, g12.conj())[..., None]
+    u1 = x * v0 + y * v1
+    u2 = y * v0.conj() - x * v1.conj()
+    u1 = u1 / np.sqrt(np.sum(u1.real * u1.real + u1.imag * u1.imag, axis=-1, keepdims=True))
+    u2 = u2 - u1 * np.sum(u1.conj() * u2, axis=-1, keepdims=True)
+    n2 = np.sqrt(np.sum(u2.real * u2.real + u2.imag * u2.imag, axis=-1, keepdims=True))
+    u2 = u2 / np.where(n2 > 0.0, n2, 1.0)
+    return np.stack([p1, det / p1], axis=-1), _phase_fix(np.stack([u1, u2], axis=-2))
+
+
 def _triple_bounds(amps: np.ndarray) -> BoundColumns:
     """The three-tangle bounds (S, 4) by triple, in TRIPLES order, of a stack
     of normalized four-qubit amplitude vectors (S, 16) that the caller has
     checked."""
-    # The 8x2 triple-by-rest reshape U S V^dag gives the rank-2 spectrum S^2
-    # and support U of each three-qubit marginal.
-    u, s, _ = np.linalg.svd(amps[:, _unfoldings(4, TRIPLES)], full_matrices=False)
-    bounds = _rank2_bounds(s**2, _phase_fix(u.swapaxes(-1, -2)))
+    # The two columns (S, 4, 8) of each 8x2 triple-by-rest reshape, each
+    # contiguous, so that every sum sees the same layout in any stack.
+    x, y = np.ascontiguousarray(np.moveaxis(amps[:, _unfoldings(4, TRIPLES)], -1, 0))
+    bounds = _rank2_bounds(*_rank2_support(x, y))
     shape = (len(amps), len(TRIPLES))
     return BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
 

@@ -5,9 +5,12 @@ at a time, by a route independent of the package's amplitude-tensor path:
 ``partial_trace`` forms the reduced density matrix by tensor contraction,
 ``one_tangle`` is 4 det of it, ``two_tangle`` is Wootters' formula through
 ``eigh``, ``rank2_eigh`` takes a rank-2 support from ``eigh`` instead of the
-package's SVD of the amplitude tensor, ``rank2_bound`` bounds that support
-with the package's bound, and ``wclass_states`` finds the zero-tangle states
-of a rank-2 support with ``np.roots`` instead of companion matrices.
+package's closed-form eigendecomposition of each 8x2 reshape's Gram matrix,
+``rank2_bound`` bounds that support with the package's bound, and
+``wclass_states`` finds the zero-tangle states of a rank-2 support with
+``np.roots`` instead of the package's closed-form (Ferrari) quartic solver.
+``companion_roots`` is the batched companion-matrix ``eigvals`` route to the
+same roots, the baseline the package's solver is held to in accuracy.
 
 The sampler reference is the sequential definition of a sample's random
 stream: ``draw_slocc`` draws the normal-form parameters one value at a time,
@@ -115,6 +118,20 @@ def wclass_states(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     states = [e1 + z * e2 for z in finite] + [e1 / z + e2 for z in roots[huge]]
     states += [e2] * (4 - len(states))
     return np.array([v / np.linalg.norm(v) for v in states])
+
+
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Sorted roots of stacked polynomials (K, d+1) of one common degree d
+    (coefficients low to high, nonzero leading term), as eigenvalues of
+    their companion matrices: the eigvals route the package took before its
+    closed-form solver."""
+    k, d = coeffs.shape[0], coeffs.shape[1] - 1
+    if d == 0:
+        return np.empty((k, 0), dtype=complex)
+    comp = np.zeros((k, d, d), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
+    return np.sort_complex(np.linalg.eigvals(comp))
 
 
 # -- the sequential sampler ------------------------------------------------------

@@ -33,16 +33,19 @@ from qtangle.tangles import (
     SUPPORT_TOL,
     TRIPLES,
     _augmented,
-    _companion_roots,
+    _mixed_bounds,
     _phase_fix,
     _plane_bound,
     _quartic_coeffs,
     _quartic_degree,
+    _rank2_support,
     _simplex_solve,
     _unfoldings,
     _wclass_bloch,
+    _wclass_roots,
 )
 from reference import (
+    companion_roots,
     one_tangle,
     partial_trace,
     rank2_bound,
@@ -145,10 +148,10 @@ def _package_vertices(e1, e2):
     """The package's W-class Bloch vectors (4, 3) of the span of e1, e2, or
     None where its quartic vanishes identically."""
     coeffs = _quartic_coeffs(np.stack([e1, e2])[None])
-    degree = int(_quartic_degree(coeffs)[0])
-    if degree < 0:
+    degree = _quartic_degree(coeffs)
+    if degree[0] < 0:
         return None
-    return _wclass_bloch(_companion_roots(coeffs[:, : degree + 1]))[0]
+    return _wclass_bloch(_wclass_roots(coeffs, degree), degree)[0]
 
 
 def _bloch(states, e1, e2):
@@ -196,7 +199,7 @@ def test_wclass_roots_distinct_root_case(rng):
     e1, e2 = _support(_mixture([g, v], [0.6, 0.4]))
     coeffs = _quartic_coeffs(np.stack([e1, e2])[None])
     assert _quartic_degree(coeffs)[0] == 4
-    roots = _companion_roots(coeffs)[0]
+    roots = _wclass_roots(coeffs, _quartic_degree(coeffs))[0]
     assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 1e-3
     for v in _from_bloch(_package_vertices(e1, e2), e1, e2):
         assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-9
@@ -211,6 +214,183 @@ def test_wclass_roots_degenerate_span():
     assert (res.value, res.method, res.diagnostics) == (0.0, "simplex-zero", {})
     for v in wclass_states(e1, e2):
         assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-12
+
+
+# ------------------------------------------------ W-class roots at 40 digits
+#
+# The quartics of the contract's campaign (its first samples of each class,
+# tests/contract.py), of every Table 1 normal form and of the five sweeps on
+# a coarse grid, with their roots from the package, from companion-matrix
+# eigvals and from mpmath at 40 digits.
+
+CONTRACT_SEED = 20260823
+# Vieta residual of the package's roots: the coefficients of lead * prod
+# (z - z_k) against the quartic's, relative to its largest coefficient.
+# Measured on all 10,181 degree-4 quartics of the contract's verify
+# (300 samples per class), table1 and sweep outputs: at most 7.9e-15, with
+# eigvals at most 8.5e-15; on this set 1.9e-15 and 8.4e-15.
+VIETA_TOL = 1e-14
+# |bound(package roots) - bound(40-digit roots)|, every other step alike,
+# measured over the same outputs: at most 5.6e-10 on the campaign's 9,300
+# quartics (eigvals: 2.2e-9), 3.3e-10 on table1, 7.5e-10 on the class-4
+# sweep, 6.4e-10 on this set; see _rank2_bounds. Pinned with 2.7x headroom.
+ROOT_BOUND_TOL = 2e-9
+
+
+def _contract_quartics():
+    """Spectra (K, 2), quartics (K, 5) and degrees (K,) of the mixed triple
+    marginals whose quartic does not vanish."""
+    states = [
+        random_slocc_state(cls, sample_seed(CONTRACT_SEED, cls, i))[0]
+        for cls in range(1, 9)
+        for i in range(24)
+    ]
+    states += _table1_states()
+    states += [
+        normal_form(cls, SWEEP_BINDINGS[cls](float(a)))
+        for cls in SWEEP_BINDINGS
+        for a in np.linspace(0.0, 2.0, 21)
+    ]
+    spectrum, coeffs, degree = _triple_quartics(states)
+    keep = (spectrum[:, 1] >= RANK_TOL) & (degree >= 0)
+    return spectrum[keep], coeffs[keep], degree[keep]
+
+
+def _triple_quartics(states):
+    """Spectra (K, 2), quartics (K, 5) and degrees (K,) of the triple
+    marginals of four-qubit states, four per state in TRIPLES order."""
+    m = np.array([psi.amplitudes for psi in states])[:, _unfoldings(4, TRIPLES)]
+    spectrum, support = _rank2_support(*np.ascontiguousarray(np.moveaxis(m, -1, 0)))
+    coeffs = _quartic_coeffs(support).reshape(-1, 5)
+    return spectrum.reshape(-1, 2), coeffs, _quartic_degree(coeffs)
+
+
+def _mp_roots(mpmath, coeffs, degree, start):
+    """The finite roots of each quartic to 40 digits, by mpmath's
+    Durand-Kerner iteration started at ``start``, sorted, NaN-padded to 4."""
+    roots = np.full((len(coeffs), 4), np.nan, dtype=complex)
+    with mpmath.workdps(40):
+        for i, (c, d) in enumerate(zip(coeffs, degree)):
+            if d == 0:
+                continue
+            found = mpmath.polyroots(
+                [mpmath.mpc(complex(x)) for x in c[d::-1]],
+                maxsteps=50,
+                extraprec=100,
+                roots_init=[mpmath.mpc(complex(z)) for z in start[i, :d]],
+            )
+            roots[i, :d] = np.sort_complex([complex(z) for z in found])
+    return roots
+
+
+def _vieta_residual(mpmath, coeffs, degree, roots):
+    """Largest coefficient of coeffs[d] prod (z - z_k) - p(z), expanded at 40
+    digits, relative to the largest coefficient of p."""
+    out = np.zeros(len(coeffs))
+    with mpmath.workdps(40):
+        for i, (c, d) in enumerate(zip(coeffs, degree)):
+            poly = [mpmath.mpc(complex(c[d]))]  # high to low
+            for z in roots[i, :d]:
+                poly = [a - complex(z) * b for a, b in zip(poly + [0], [0] + poly)]
+            diff = [abs(a - mpmath.mpc(complex(x))) for a, x in zip(poly, c[d::-1])]
+            out[i] = float(max(diff)) / np.abs(c).max()
+    return out
+
+
+def _forward_error(roots, ref, degree):
+    """Largest |z - z_ref| / max(1, |z_ref|) of each quartic's roots under the
+    best matching of the two root sets."""
+    out = np.zeros(len(roots))
+    for i, d in enumerate(degree):
+        scale = np.maximum(1.0, np.abs(ref[i, :d]))
+        out[i] = min(
+            (np.abs(roots[i, list(p)] - ref[i, :d]) / scale).max(initial=0.0)
+            for p in itertools.permutations(range(d))
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def contract_roots():
+    mpmath = pytest.importorskip("mpmath")
+    spectrum, coeffs, degree = _contract_quartics()
+    roots = _wclass_roots(coeffs, degree)
+    eig = np.full_like(roots, np.nan)
+    for d in np.unique(degree):
+        rows = degree == d
+        eig[rows, :d] = companion_roots(coeffs[rows, : d + 1])
+    return mpmath, spectrum, coeffs, degree, roots, eig, _mp_roots(mpmath, coeffs, degree, eig)
+
+
+def test_wclass_roots_are_backward_stable(contract_roots):
+    mpmath, _, coeffs, degree, roots, eig, _ = contract_roots
+    assert {0, 1, 2, 4} <= set(degree.tolist())
+    ours = _vieta_residual(mpmath, coeffs, degree, roots)
+    theirs = _vieta_residual(mpmath, coeffs, degree, eig)
+    assert ours.max() <= VIETA_TOL
+    assert ours.max() <= theirs.max()
+
+
+def test_wclass_roots_are_as_accurate_as_eigvals(contract_roots):
+    # Forward error against the 40-digit roots, measured on this set
+    # (package vs eigvals): median 4.6e-10 vs 1.8e-9, 99th percentile 6.8e-5
+    # vs 1.2e-4, largest 1.2e-4 vs 1.7e-4, sum 0.0041 vs 0.0140. The largest
+    # errors are in fourfold clusters, whose single roots any backward-stable
+    # solver only finds to about 1e-4.
+    _, _, _, degree, roots, eig, ref = contract_roots
+    ours, theirs = _forward_error(roots, ref, degree), _forward_error(eig, ref, degree)
+    for q in (0.5, 0.9, 0.99, 1.0):
+        assert np.quantile(ours, q) <= np.quantile(theirs, q)
+    assert ours.sum() <= theirs.sum()
+
+
+def test_wclass_root_error_budget(contract_roots):
+    # The bound from the package's roots against the bound from the 40-digit
+    # roots, everything else computed alike: see ROOT_BOUND_TOL.
+    _, spectrum, coeffs, degree, roots, _, ref = contract_roots
+    bounds = [_mixed_bounds(spectrum, coeffs, _wclass_bloch(r, degree)) for r in (roots, ref)]
+    assert (bounds[0].method == bounds[1].method).all()
+    assert np.abs(bounds[0].value - bounds[1].value).max() <= ROOT_BOUND_TOL
+
+
+def test_wclass_roots_edge_cases():
+    def roots_of(coeffs):
+        coeffs = np.array(coeffs, dtype=complex)[None]
+        return _wclass_roots(coeffs, _quartic_degree(coeffs))[0]
+
+    # Degrees 0-3: the finite roots first, then NaN for the roots at infinity.
+    assert np.isnan(roots_of([2.0, 0, 0, 0, 0])).all()
+    linear = roots_of([3.0, 2.0, 0, 0, 0])
+    assert linear[0] == -1.5 and np.isnan(linear[1:]).all()
+    for finite in ([0.5j, -2.0], [1.0 + 1.0j, -0.3, 2.0]):
+        got = roots_of(np.poly(finite)[::-1].tolist() + [0.0] * (4 - len(finite)))
+        assert np.allclose(got[: len(finite)], np.sort_complex(finite), rtol=0, atol=1e-14)
+        assert np.isnan(got[len(finite) :]).all()
+    # Exact double and fourfold roots.
+    assert (roots_of([4.0, -4.0, 1.0, 0, 0])[:2] == 2.0).all()
+    assert (roots_of(np.poly([1.0j] * 4)[::-1]) == 1.0j).all()
+    # Marginals of the class-3 and class-6 normal forms and of GHZ4 whose
+    # quartic is z^2 up to roundoff: a double root at 0 (e1) and one at
+    # infinity (e2). GHZ4's four bounds stay pi-coincidence.
+    cases = [(normal_form(cls, SWEEP_BINDINGS[cls](0.7)), count) for cls, count in ((3, 2), (6, 3))]
+    for psi, count in cases + [(ghz(4), 4)]:
+        _, coeffs, degree = _triple_quartics([psi])
+        roots = _wclass_roots(coeffs, degree)
+        zeros, infinite = (roots[:, :2] == 0.0).all(axis=1), np.isnan(roots[:, 2:]).all(axis=1)
+        assert ((degree == 2) & zeros & infinite).sum() == count
+    cols = tangle_columns(ghz(4).amplitudes[None])
+    assert set(cols.tau3.method.ravel().tolist()) == {METHODS.index("pi-coincidence")}
+    # A fourfold cluster of radius 1e-4 about 1 + 2i. Rounding its
+    # coefficients moves the single roots by about 1e-4; their mean, -A/4,
+    # and the other Vieta functions stay within roundoff.
+    z0 = 1.0 + 2.0j
+    cluster = z0 + 1e-4 * np.exp(0.5j * np.pi * np.arange(4) + 0.3j)
+    coeffs = np.poly(cluster)[::-1]
+    got = roots_of(coeffs)
+    assert np.abs(got - z0).max() <= 1e-3
+    assert abs(got.mean() - cluster.mean()) <= 1e-15
+    expanded = np.poly(got)[::-1]
+    assert np.abs(expanded - coeffs).max() <= VIETA_TOL * np.abs(coeffs).max()
 
 
 # ------------------------------------------------------ W-simplex membership
@@ -641,6 +821,18 @@ def test_pure_tangles_match_per_marginal_reference(rng):
             assert list(tau2) == list(itertools.combinations(qubits, 2))
             for focus, value in tau1.items():
                 assert abs(value - one_tangle(psi, focus)) <= 1e-12
+            for pair, value in tau2.items():
+                assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
+
+
+def test_pure_tangles_above_four_qubits_match_reference(rng):
+    # Above four qubits each pair-by-rest reshape is first reduced to its
+    # 4x4 triangular factor: check it where that factor is rank deficient
+    # (GHZ, W, a Bell pair times a random rest) and on a random state.
+    for n in range(5, 9):
+        bell_rest = np.kron(bell_pair().amplitudes, random_pure_state(rng, n - 2).amplitudes)
+        for psi in (ghz(n), w(n), PureState.from_amplitudes(bell_rest), random_pure_state(rng, n)):
+            _, tau2 = pure_tangles(psi)
             for pair, value in tau2.items():
                 assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
 
