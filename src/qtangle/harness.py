@@ -28,10 +28,9 @@ from .states import (
     CLASS_ARITY,
     NormalFormParams,
     _valid_normal_forms,
-    draw_slocc,
+    draw_samples,
     dress,
     normal_forms,
-    sample_seed,
 )
 from .tangles import (
     METHODS,
@@ -64,6 +63,29 @@ CSV_FIELDS = [
 ]
 
 _PARTNER_LABELS = ["-".join(map(str, ps)) for ps in PARTNERS]
+
+
+def _state_lines() -> str:
+    """The CSV lines of one campaign state, one per focus, as one str.format
+    template. Its fields: 0 the class, 1 the sample index, 2 the sub-seed,
+    then the state's values from 3 on, each formatted once: tau1 (4), tau2
+    (6), tau3 (4), the residuals (4) and the method tags (4). Each focus picks
+    its terms by FOCUS_PAIRS and FOCUS_TRIPLES."""
+    tau1, tau2, tau3, residual, method = 3, 7, 13, 17, 21
+    lines = []
+    for f, label in enumerate(_PARTNER_LABELS):
+        cells = [
+            "{0}", "{1}", "{2}", str(f + 1), label, f"{{{tau1 + f}}}",
+            *(f"{{{tau2 + p}}}" for p in FOCUS_PAIRS[f]),
+            *(f"{{{tau3 + t}}}" for t in FOCUS_TRIPLES[f]),
+            *(f"{{{method + t}}}" for t in FOCUS_TRIPLES[f]),
+            f"{{{residual + f}}}",
+        ]  # fmt: skip
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+_STATE_LINES = _state_lines()
 
 # The default cutoff below which a residual counts as a violation.
 VIOLATION_THRESHOLD = -1e-7
@@ -129,12 +151,13 @@ def _chunks(n: int) -> list:
 
 @contextmanager
 def _csv_file(path, header):
-    """A CSV writer on a new file at path, its header row written: the one
-    dialect of every CSV the package writes."""
+    """A new file at path and a CSV writer on it, its header row written: the
+    one dialect of every CSV the package writes. Text written to the file
+    directly must be what the writer would write."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        yield writer
+        yield fh, writer
 
 
 def _sub_seed(master_seed: int, cls: int, idx: int) -> str:
@@ -155,15 +178,15 @@ def _error_record(cls: int, idx: int, master_seed: int, exc: Exception) -> dict:
 def _evaluate(cls: int, indices, master_seed: int, mu3: float) -> tuple:
     """Engine columns and residuals of the listed samples of a class, each
     drawn from its sub-seed, dressed and bounded in one stack."""
-    draws = [draw_slocc(cls, sample_seed(master_seed, cls, idx)) for idx in indices]
-    cols = tangle_columns(dress(cls, draws)[0])
+    cols = tangle_columns(dress(cls, draw_samples(cls, master_seed, indices))[0])
     return cols, residual_columns(cols, mu3)
 
 
 def _chunk_rows(task: tuple) -> tuple:
-    """CSV rows for one chunk of samples of a class, with their residuals,
-    one-tangles and bound-method counts, and a record per failed sample;
-    top level so workers can pickle it.
+    """The CSV text of one chunk of samples of a class (four lines per
+    sample), the indices of the samples it holds, their residuals (S, 4),
+    one-tangles and bound-method counts, and a record per failed sample; top
+    level so workers can pickle it.
 
     The chunk is evaluated in one stacked call. If that call fails, each
     sample is evaluated alone, so a failure is recorded against the sample
@@ -178,24 +201,19 @@ def _chunk_rows(task: tuple) -> tuple:
                 parts.append(([idx], _evaluate(cls, [idx], master_seed, mu3)))
             except Exception as exc:
                 errors.append(_error_record(cls, idx, master_seed, exc))
-    rows, residuals, tau1s = [], np.empty(0), np.empty(0)
+    text, indices, residuals, tau1s = [], [], np.empty((0, 4)), np.empty((0, 4))
     methods = np.zeros(len(METHODS), dtype=int)
-    for indices, (cols, res) in parts:
-        # The value cells (S, 4, 11) of each sample's four rows: each value is
-        # formatted once, then picked for every focus it serves.
-        tau1, tau2, tau3, residual = (
-            np.array([list(map(repr, r)) for r in c.tolist()], dtype=object)
-            for c in (cols.tau1, cols.tau2, cols.tau3.value, res)
+    for part, (cols, res) in parts:
+        values = np.concatenate([cols.tau1, cols.tau2, cols.tau3.value, res], axis=1).tolist()
+        tags = np.array(METHODS, dtype=object)[cols.tau3.method].tolist()
+        text += (
+            _STATE_LINES.format(cls, idx, _sub_seed(master_seed, cls, idx), *map(repr, v), *t)
+            for idx, v, t in zip(part, values, tags)
         )
-        method = np.array(METHODS, dtype=object)[cols.tau3.method]
-        cells = np.dstack([tau1, tau2[:, FOCUS_PAIRS], tau3[:, FOCUS_TRIPLES],
-                           method[:, FOCUS_TRIPLES], residual])  # fmt: skip
-        for idx, state in zip(indices, cells.tolist()):
-            sub_seed = _sub_seed(master_seed, cls, idx)
-            rows += ([cls, idx, sub_seed, f + 1, _PARTNER_LABELS[f], *c] for f, c in enumerate(state))
-        residuals, tau1s = np.append(residuals, res), np.append(tau1s, cols.tau1)
+        indices += part
+        residuals, tau1s = np.concatenate([residuals, res]), np.concatenate([tau1s, cols.tau1])
         methods += np.bincount(cols.tau3.method.ravel(), minlength=len(METHODS))
-    return cls, rows, residuals, tau1s, methods, errors
+    return cls, "".join(text), indices, residuals, tau1s, methods, errors
 
 
 def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSummary:
@@ -222,22 +240,23 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     methods = {cls: np.zeros(len(METHODS), dtype=int) for cls in cfg.classes}
     workers = min(cfg.workers, len(tasks))
     # The file opens first, so an unwritable path fails before any worker starts.
-    with _csv_file(csv_path, CSV_FIELDS) as writer, (
+    with _csv_file(csv_path, CSV_FIELDS) as (fh, _), (
         Pool(workers) if workers > 1 else nullcontext()
     ) as pool:
         results = pool.imap(_chunk_rows, tasks) if pool else map(_chunk_rows, tasks)
-        for cls, rows, residuals, tau1s, counts, chunk_errors in results:
+        for cls, text, indices, residuals, tau1s, counts, chunk_errors in results:
             errors.extend(chunk_errors)
-            writer.writerows(rows)
-            total_points += len(rows)
+            fh.write(text)
+            total_points += residuals.size
             res_hist[cls] += np.histogram(residuals, bins=RESIDUAL_BINS)[0]
             t1_hist[cls] += np.histogram(tau1s, bins=TAU1_BINS)[0]
             methods[cls] += counts
             violation_count += int(np.count_nonzero(residuals < cfg.negativity_threshold))
-            if len(rows) and (min_residual is None or residuals.min() < min_residual):
+            if indices and (min_residual is None or residuals.min() < min_residual):
                 i = int(np.argmin(residuals))  # the first row at the minimum
-                min_residual = float(residuals[i])
-                min_at = dict(zip(CSV_FIELDS[:4], rows[i][:4]))  # its class, sample and focus
+                min_residual = float(residuals.flat[i])
+                idx, focus = indices[i // 4], i % 4 + 1  # its sample and focus
+                min_at = dict(zip(CSV_FIELDS, (cls, idx, _sub_seed(cfg.master_seed, cls, idx), focus)))
     per_class = {
         str(cls): {
             "residual_hist": res_hist[cls].tolist(),
@@ -307,7 +326,7 @@ def sweep_family(
     ]
     if csv_path is not None:
         header = ["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"]
-        with _csv_file(csv_path, header) as writer:
+        with _csv_file(csv_path, header) as (_, writer):
             writer.writerows([repr(v) for v in row] for row in rows)
     return SweepResult(slocc_class=cls, rows=rows, flagged=flagged, violations=violations)
 
@@ -424,7 +443,7 @@ def table1_check(grid=None) -> list[Table1Entry]:
 
 def write_table1_csv(entries: list, csv_path) -> None:
     """One CSV row per Table1Entry, in the order given."""
-    with _csv_file(csv_path, TABLE1_FIELDS) as writer:
+    with _csv_file(csv_path, TABLE1_FIELDS) as (_, writer):
         for e in entries:
             writer.writerow(
                 [e.slocc_class, e.param_value, "|".join(map(str, e.triple)),

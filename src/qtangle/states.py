@@ -3,12 +3,14 @@ normal-form families, and the seeded random sampler that dresses a normal
 form with determinant-1 local operators.
 
 Normal forms and sampled states are built for a whole stack of parameter
-rows or draws at once; ``normal_form`` and ``random_slocc_state`` are
-one-row calls of the same code."""
+rows or draws at once, and a stack's seeds are hashed at once;
+``normal_form`` and ``random_slocc_state`` are one-row calls of the same
+code."""
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -189,36 +191,163 @@ def normal_form(cls: int, params: NormalFormParams = NormalFormParams()) -> Pure
     return PureState(n_qubits=4, amplitudes=amps[0])
 
 
+def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    """The seed sequence of an integer seed; a seed sequence as it is."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+
+
 def sample_seed(master_seed: int, cls: int, index: int) -> np.random.SeedSequence:
     """Fixed splittable mixing of (master seed, class, sample index)."""
     return np.random.SeedSequence([int(master_seed), int(cls), int(index)])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# uint32 words filled by hashmix from the entropy words, mixed word into word,
+# then read out by generate_state. Each hashmix call takes the next value of a
+# hash constant; every product wraps modulo 2**32.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 successive values of a hash constant: init, times mult each step."""
+    values = [init]
+    for _ in range(n):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)
+
+
+def _seed_hash(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of an
+    (S, n) uint32 entropy array, all rows at once. The hash runs over the
+    pool's columns together: a source word mixes into the other three pool
+    words with three consecutive hashmix calls, and it does not change while
+    they do."""
+    rows, n = entropy.shape
+    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(n, _POOL_SIZE))
+
+    def hashmix(values: np.ndarray, call: int) -> np.ndarray:
+        # Column j is hashed by call number call + j.
+        k = values.shape[1]
+        values = (values ^ hash_a[call : call + k]) * hash_a[call + 1 : call + 1 + k]
+        return values ^ (values >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        values = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return values ^ (values >> 16)
+
+    words = np.zeros((rows, max(n, _POOL_SIZE)), dtype=np.uint32)
+    words[:, :n] = entropy  # a short entropy hashes zeros into the rest of the pool
+    pool = hashmix(words[:, :_POOL_SIZE], 0)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, [src] * 3], _POOL_SIZE + 3 * src))
+    for src in range(_POOL_SIZE, n):
+        pool = mix(pool, hashmix(words[:, [src] * _POOL_SIZE], _POOL_SIZE * src))
+    hash_b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ hash_b[:-1]) * hash_b[1:]
+    state = (state ^ (state >> 16)).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32  # two words per uint64, the low one first
+
+
+def _uint32_words(n: int) -> list:
+    """A nonnegative integer as SeedSequence reads it: its 32-bit words, the
+    least significant first; [0] for 0."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def sample_seed_words(master_seed: int, cls: int, indices) -> np.ndarray:
+    """``sample_seed(master_seed, cls, i).generate_state(4, np.uint64)`` for
+    each listed index i below 2**64, as an (S, 4) array: the PCG64 seed of
+    each sample's stream, the seeds of the whole stack hashed at once. An
+    index of one 32-bit word and one of two make entropies of different
+    lengths, so each length is hashed in its own pass."""
+    prefix = _uint32_words(int(master_seed)) + _uint32_words(int(cls))
+    indices = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    entropy = np.empty((len(indices), len(prefix) + 2), dtype=np.uint32)
+    entropy[:, : len(prefix)] = prefix
+    entropy[:, -2], entropy[:, -1] = indices & 0xFFFFFFFF, indices >> 32
+    two_words = entropy[:, -1] > 0
+    words = np.empty((len(indices), 4), dtype=np.uint64)
+    for rows, width in ((~two_words, -1), (two_words, None)):
+        if rows.any():
+            words[rows] = _seed_hash(entropy[rows, :width])
+    return words
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence of one PCG64 whose four uint64 seed words are given.
+    Made on first use: importing numpy.random takes about 13 ms, and only the
+    sampler needs it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if (n_words, np.dtype(dtype)) != (4, np.uint64):
+                raise ValueError("seed words serve PCG64's request for 4 uint64 words only")
+            return self.words
+
+    return SeedWords
+
+
+def _generator(seed: np.random.bit_generator.ISeedSequence) -> np.random.Generator:
+    """A sample's stream: the generator ``np.random.default_rng(seed)`` builds."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 class SloccDraw(NamedTuple):
     """One sample's random numbers, in its stream's order: the normal-form
-    parameters (Re ~ U[0, 1], Im ~ U[-1, 1]; a, b, c, d order) and the first
-    draw of each of the four local operators (standard complex Gaussian
-    entries; operator, real/imaginary part, row, column). ``rng`` is the
-    stream after them, continued by an operator whose first draw is
-    singular."""
+    parameters' uniform doubles (Re and Im of each parameter in turn, a, b,
+    c, d order) and the first draw of each of the four local operators
+    (standard complex Gaussian entries; operator, real/imaginary part, row,
+    column). ``rng`` is the stream after them, continued by an operator whose
+    first draw is singular."""
 
-    seq: np.random.SeedSequence
-    params: np.ndarray  # (arity,) complex
+    uniforms: np.ndarray  # (2 * arity,) in [0, 1)
     gaussians: np.ndarray  # (4, 2, 2, 2)
     rng: np.random.Generator
 
 
+def _params(uniforms) -> np.ndarray:
+    """Normal-form parameters (S, arity) of drawn uniforms (S, 2 * arity):
+    Re ~ U[0, 1] and Im ~ U[-1, 1], the doubles rng.uniform(0, 1) and
+    rng.uniform(-1, 1) give for the same draws (low + (high - low) u)."""
+    u = np.array(uniforms, dtype=float)
+    u[:, 1::2] = u[:, 1::2] * 2.0 - 1.0
+    return u.view(complex)
+
+
+# The standard deviation of the real and of the imaginary part of an operator entry.
+_SCALE = np.sqrt(0.5)
+
+
+def _draw(cls: int, seed: np.random.bit_generator.ISeedSequence) -> SloccDraw:
+    """Read one sample's stream in its fixed order: the normal-form
+    parameters, then the four local operators."""
+    rng = _generator(seed)
+    return SloccDraw(rng.random(2 * CLASS_ARITY[cls]), rng.normal(0.0, _SCALE, (4, 2, 2, 2)), rng)
+
+
 def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> SloccDraw:
-    """One sample's own random stream, drawn in a fixed order: the
-    normal-form parameters, then the four local operators."""
-    cls = _check_class(cls)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    rng = np.random.default_rng(seq)
-    # The doubles rng.uniform(0, 1) and rng.uniform(-1, 1) draw for Re and Im
-    # of each parameter in turn, with their arithmetic low + (high - low) u.
-    u = rng.random(2 * CLASS_ARITY[cls])
-    u[1::2] = u[1::2] * 2.0 - 1.0
-    return SloccDraw(seq, u.view(complex), rng.normal(0.0, np.sqrt(0.5), (4, 2, 2, 2)), rng)
+    """One sample's own random stream, seeded by any integer or seed sequence."""
+    return _draw(_check_class(cls), _seed_sequence(seed))
+
+
+def draw_samples(cls: int, master_seed: int, indices) -> list:
+    """``draw_slocc(cls, sample_seed(master_seed, cls, i))`` for each listed
+    index, the same draws, with the seeds hashed for the whole stack at once."""
+    cls, seed_words = _check_class(cls), _seed_words_type()
+    return [_draw(cls, seed_words(w)) for w in sample_seed_words(master_seed, cls, indices)]
 
 
 def _det1(gaussians: np.ndarray) -> tuple[np.ndarray, list]:
@@ -244,7 +373,7 @@ def _redraw_operators(draw: SloccDraw) -> np.ndarray:
     ops = []
     for _ in range(4):
         for _ in range(_MAX_REDRAWS):
-            block = blocks.pop(0) if blocks else rng.normal(0.0, np.sqrt(0.5), (2, 2, 2))
+            block = blocks.pop(0) if blocks else rng.normal(0.0, _SCALE, (2, 2, 2))
             op, accepted = _det1(block[None])
             if accepted[0]:
                 ops.append(op[0])
@@ -256,14 +385,14 @@ def _redraw_operators(draw: SloccDraw) -> np.ndarray:
 
 def dress(cls: int, draws: list) -> tuple[np.ndarray, np.ndarray]:
     """Normalized amplitudes (S, 16) of drawn samples of one class
-    (``draw_slocc`` results), and their det-1 operators (S, 4, 2, 2): the
+    (``draw_slocc`` or ``draw_samples`` results), and their det-1 operators (S, 4, 2, 2): the
     normal forms, the operators and their action on the normal forms, each
     for the whole stack at once."""
     ops, accepted = _det1(np.reshape([d.gaussians for d in draws], (-1, 2, 2, 2)))
     ops = ops.reshape(-1, 4, 2, 2)
     for i in np.flatnonzero(~np.reshape(accepted, (-1, 4)).all(axis=1)):
         ops[i] = _redraw_operators(draws[i])
-    base = _valid_normal_forms(cls, np.array([d.params for d in draws]))
+    base = _valid_normal_forms(cls, _params([d.uniforms for d in draws]))
     images = _local_images(base, ops)
     amps, norms, ok = _unit_rows(images)
     if not ok.all():
@@ -279,12 +408,13 @@ def random_slocc_state(
     normal form, fully determined by the seed. The one-state view of
     ``draw_slocc`` and ``dress``."""
     cls = _check_class(cls)
-    draw = draw_slocc(cls, seed)
+    seq = _seed_sequence(seed)
+    draw = draw_slocc(cls, seq)
     amps, ops = dress(cls, [draw])
     prov = SloccProvenance(
         slocc_class=cls,
-        seed_key=tuple(int(x) for x in np.atleast_1d(draw.seq.entropy)),
-        params=NormalFormParams(*draw.params.tolist()),
+        seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
+        params=NormalFormParams(*_params([draw.uniforms])[0].tolist()),
         operators=tuple(ops[0]),
     )
     return PureState(n_qubits=4, amplitudes=amps[0]), prov

@@ -8,7 +8,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from qtangle import PureState
+from qtangle import PureState, states
 
 
 def random_pure_state(rng: np.random.Generator, n_qubits: int) -> PureState:
@@ -31,7 +31,7 @@ class SingularStart:
     """A random stream whose first ``zeros`` normal deviates are 0: with 8,
     the first local operator a sampler draws is singular and every later draw
     shifts by one operator; with more than 800, every operator of the sample
-    is singular. Pass ``np.random.default_rng`` as ``make`` before patching it."""
+    is singular. ``make`` is the generator constructor it replaces."""
 
     def __init__(self, make, seed, zeros):
         self._rng = make(seed)
@@ -50,3 +50,21 @@ class SingularStart:
         flat[:k] = 0.0
         self._zeros -= k
         return out
+
+
+def first_seed_word(seed) -> int:
+    """The first PCG64 seed word of a seed sequence: it tells samples apart."""
+    return int(seed.generate_state(4, np.uint64)[0])
+
+
+def singular_streams(monkeypatch, zeros_of, reference=False):
+    """Start each sample's stream with ``zeros_of(seed)`` zero normal deviates
+    (see SingularStart): in the package's sampler, whose every stream is built
+    by ``states._generator``, and with ``reference`` also in the sequential
+    reference sampler, whose streams ``np.random.default_rng`` builds."""
+    seams = [(states, "_generator")] + ([(np.random, "default_rng")] if reference else [])
+    for owner, name in seams:
+        make = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda seed, make=make: SingularStart(make, seed, zeros_of(seed))
+        )

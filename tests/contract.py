@@ -37,6 +37,7 @@ from qtangle.qstate import PureState, state_to_json  # noqa: E402
 from qtangle.states import ghz, random_slocc_state, sample_seed, w  # noqa: E402
 
 SEED = 20260823
+WIDE_SEEDS = (2**32 + 5, 2**64 + 3)
 USAGE = "usage: python tests/contract.py OUT_DIR | --compare PARENT_DIR CHANGE_DIR"
 
 
@@ -65,11 +66,13 @@ def contract_states() -> dict:
 
 def write_contract(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    for samples in (100, 300):
+    # The wide seeds take two and three 32-bit words of seed entropy.
+    runs = [(100, SEED), (300, SEED), (40, WIDE_SEEDS[0]), (40, WIDE_SEEDS[1])]
+    for samples, seed in runs:
         for workers in (1, 2):
-            name = f"verify-n{samples}-w{workers}"
+            name = f"verify-n{samples}-w{workers}" + ("" if seed == SEED else f"-s{seed}")
             run(out, name, [
-                "verify", "--samples", str(samples), "--seed", str(SEED),
+                "verify", "--samples", str(samples), "--seed", str(seed),
                 "--workers", str(workers), "--out", str(out / f"{name}.csv"),
                 "--summary", str(out / f"{name}.summary.json"),
             ])  # fmt: skip

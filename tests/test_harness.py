@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qtangle.harness as harness
-from conftest import SingularStart
+from conftest import first_seed_word, singular_streams
 from qtangle.cli import main
 from qtangle.harness import (
     CampaignConfig,
@@ -42,12 +42,12 @@ def test_campaign_smoke(tmp_path):
 
 
 def _failing_sampler(bad_classes):
-    real = harness.draw_slocc
+    real = harness.draw_samples
 
-    def sampler(cls, seed):
+    def sampler(cls, master_seed, indices):
         if cls in bad_classes:
             raise RuntimeError(f"sampler broke on class {cls}")
-        return real(cls, seed)
+        return real(cls, master_seed, indices)
 
     return sampler
 
@@ -62,7 +62,7 @@ def _strict_json(text):
 
 
 def test_campaign_records_failed_samples(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "draw_slocc", _failing_sampler({2}))
+    monkeypatch.setattr(harness, "draw_samples", _failing_sampler({2}))
     out, summary_path = tmp_path / "v.csv", tmp_path / "v.json"
     code = main(
         ["verify", "--classes", "1-3", "--samples", "4", "--seed", "11",
@@ -88,7 +88,7 @@ def test_campaign_records_failed_samples(tmp_path, monkeypatch):
 
 
 def test_campaign_all_errors_summary_is_valid_json(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(harness, "draw_slocc", _failing_sampler(set(range(1, 9))))
+    monkeypatch.setattr(harness, "draw_samples", _failing_sampler(set(range(1, 9))))
     out, summary_path = tmp_path / "v.csv", tmp_path / "v.json"
     code = main(
         ["verify", "--classes", "1,2", "--samples", "3", "--seed", "5",
@@ -180,6 +180,27 @@ def _reference_rows(cfg):
     return lines
 
 
+def test_campaign_csv_text_is_what_the_csv_writer_writes(tmp_path, monkeypatch):
+    # The campaign writes its rows as text, not through csv.writer: no field
+    # may need quoting, and the parsed rows written through the package's one
+    # CSV dialect give the same bytes. Sample 3 fails, so a chunk is written
+    # in parts.
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
+    monkeypatch.setattr(harness, "draw_samples", _failing_at(3, harness.draw_samples))
+    cfg = CampaignConfig(classes=(2, 7), samples_per_class=6, master_seed=2**64 + 3)
+    summary = run_campaign(cfg, tmp_path / "v.csv")
+    assert summary.error_count == 2 and summary.total_points == 2 * 5 * 4
+    with open(tmp_path / "v.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == harness.CSV_FIELDS and len(rows) == summary.total_points
+    for row in rows:
+        assert len(row) == len(header)
+        assert not any(c in field for field in row for c in ',"\r\n'), row
+    with harness._csv_file(tmp_path / "again.csv", header) as (_, writer):
+        writer.writerows(rows)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+
+
 def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch):
     # 70 samples per class: full chunks and one partial chunk per class.
     monkeypatch.setattr(harness, "CHUNK_SIZE", 16)
@@ -234,10 +255,10 @@ def test_campaign_summary_counts_bound_methods(tmp_path):
 
 
 def _failing_at(index, real):
-    def sampler(cls, seed):
-        if seed.entropy[-1] == index:
+    def sampler(cls, master_seed, indices):
+        if index in indices:
             raise RuntimeError(f"sampler broke at index {index}")
-        return real(cls, seed)
+        return real(cls, master_seed, indices)
 
     return sampler
 
@@ -245,7 +266,7 @@ def _failing_at(index, real):
 def test_campaign_isolates_a_failing_sample_in_a_chunk(tmp_path, monkeypatch):
     cfg = CampaignConfig(classes=(3,), samples_per_class=8, master_seed=11)
     run_campaign(cfg, tmp_path / "all.csv")
-    monkeypatch.setattr(harness, "draw_slocc", _failing_at(5, harness.draw_slocc))
+    monkeypatch.setattr(harness, "draw_samples", _failing_at(5, harness.draw_samples))
     summary = run_campaign(cfg, tmp_path / "v.csv")
     assert summary.errors == [
         {
@@ -287,17 +308,11 @@ def test_campaign_records_a_sample_whose_operators_stay_singular(tmp_path, monke
     # sample is prepared alone, and only sample 5 is recorded, with the error
     # of the sequential sampler. Sample 2's retried operators do not change.
     cfg = CampaignConfig(classes=(3,), samples_per_class=8, master_seed=11)
-    make = np.random.default_rng
-
-    def singular(zeros):
-        def rng(seq):
-            return SingularStart(make, seq, zeros.get(seq.entropy[-1], 0))
-
-        monkeypatch.setattr(np.random, "default_rng", rng)
-
-    singular({2: 8})
+    index_of = {first_seed_word(sample_seed(11, 3, i)): i for i in range(8)}
+    zeros = {2: 8}
+    singular_streams(monkeypatch, lambda seed: zeros.get(index_of[first_seed_word(seed)], 0))
     run_campaign(cfg, tmp_path / "retry.csv")
-    singular({2: 8, 5: 10**6})
+    zeros[5] = 10**6
     summary = run_campaign(cfg, tmp_path / "v.csv")
     assert summary.errors == [
         {

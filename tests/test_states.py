@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import SingularStart
+from conftest import first_seed_word, singular_streams
 from qtangle import GhzwParams, tangle_columns
 from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params
 from qtangle.states import (
     CLASS_ARITY,
     NormalFormParams,
+    draw_samples,
     draw_slocc,
     dress,
     ghz,
@@ -16,6 +17,7 @@ from qtangle.states import (
     normal_forms,
     random_slocc_state,
     sample_seed,
+    sample_seed_words,
     w,
 )
 from reference import random_normal_form_params
@@ -197,16 +199,34 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def test_seed_words_match_seed_sequence():
+    # The PCG64 seed of each sample's stream, hashed for a stack at once, word
+    # for word: master seeds of one, two and three 32-bit words.
+    for master in (0, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3):
+        for cls in range(1, 9):
+            want = [sample_seed(master, cls, i).generate_state(4, np.uint64) for i in range(300)]
+            assert np.array_equal(sample_seed_words(master, cls, range(300)), want), (master, cls)
+    # Indices of one and of two words in one stack: each entropy length takes
+    # its own pass, and each row stays in its place.
+    indices = [5, 2**32, 2**32 - 1, 2**63 + 11, 0, 2**64 - 1]
+    want = [sample_seed(7, 3, i).generate_state(4, np.uint64) for i in indices]
+    assert np.array_equal(sample_seed_words(7, 3, indices), want)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_stacked_sampler_matches_the_sequential_reference(chunk):
-    for master in (0, 7, 20260823):
+    for master in (0, 7, 20260823, 2**64 + 3):
         for cls in range(1, 10):
             seeds = [sample_seed(master, cls, i) for i in range(chunk)]
-            amps, ops = dress(cls, [draw_slocc(cls, seed) for seed in seeds])
+            draws = draw_samples(cls, master, range(chunk))
+            amps, ops = dress(cls, draws)
             for i, seed in enumerate(seeds):
                 psi, prov = reference.random_slocc_state(cls, seed)
                 assert _bits(amps[i]) == _bits(psi.amplitudes), (master, cls, i)
                 assert _bits(ops[i]) == _bits(np.array(prov.operators))
+                one = draw_slocc(cls, seed)
+                assert _bits(one.uniforms) == _bits(draws[i].uniforms)
+                assert _bits(one.gaussians) == _bits(draws[i].gaussians)
                 one, one_prov = random_slocc_state(cls, seed)
                 assert _bits(one.amplitudes) == _bits(psi.amplitudes)
                 assert one_prov.to_json_dict() == prov.to_json_dict()
@@ -217,37 +237,34 @@ def test_stacked_sampler_retries_a_singular_operator_as_the_reference(monkeypatc
     # The first operator's first draw is singular, so the reference draws it
     # again and every later operator comes from the next draw of the stream.
     # The stacked sampler continues the stream the same way, for a retrying
-    # sample alone and among other samples, and gives the same bits on a
-    # second call of the same draws.
-    make = np.random.default_rng
+    # sample alone and among other samples, from a one-sample draw and from a
+    # chunk draw, and gives the same bits on a second call of the same draws.
     cls, seeds = 4, [sample_seed(3, 4, i) for i in range(5)]
     plain = dress(cls, [draw_slocc(cls, seeds[2])])[0]
-    monkeypatch.setattr(
-        np.random,
-        "default_rng",
-        lambda seq: SingularStart(make, seq, 8 if seq is seeds[2] else 0),
-    )
+    singular = first_seed_word(seeds[2])
+    singular_streams(monkeypatch, lambda seed: 8 * (first_seed_word(seed) == singular), True)
     psi, prov = reference.random_slocc_state(cls, seeds[2])
-    draws = [draw_slocc(cls, seed) for seed in seeds]
-    for _ in range(2):
-        amps, ops = dress(cls, draws)
-        assert _bits(amps[2]) == _bits(psi.amplitudes)
-        assert _bits(ops[2]) == _bits(np.array(prov.operators))
-        assert _bits(dress(cls, draws[2:3])[0]) == _bits(psi.amplitudes)
-    assert not np.allclose(amps[2], plain[0])
-    for i in (0, 1, 3, 4):
-        assert _bits(amps[i]) == _bits(reference.random_slocc_state(cls, seeds[i])[0].amplitudes)
+    for draws in ([draw_slocc(cls, seed) for seed in seeds], draw_samples(cls, 3, range(5))):
+        for _ in range(2):
+            amps, ops = dress(cls, draws)
+            assert _bits(amps[2]) == _bits(psi.amplitudes)
+            assert _bits(ops[2]) == _bits(np.array(prov.operators))
+            assert _bits(dress(cls, draws[2:3])[0]) == _bits(psi.amplitudes)
+        assert not np.allclose(amps[2], plain[0])
+        for i in (0, 1, 3, 4):
+            want = reference.random_slocc_state(cls, seeds[i])[0].amplitudes
+            assert _bits(amps[i]) == _bits(want)
 
 
 def test_stacked_sampler_gives_up_after_100_singular_draws(monkeypatch):
-    make = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seq: SingularStart(make, seq, 10**6))
+    singular_streams(monkeypatch, lambda seed: 10**6, True)
     seed = sample_seed(0, 2, 0)
     with pytest.raises(RuntimeError, match="rejected 100 singular draws") as want:
         reference.random_slocc_state(2, seed)
-    with pytest.raises(RuntimeError) as got:
-        dress(2, [draw_slocc(2, seed)])
-    assert str(got.value) == str(want.value)
+    for draws in ([draw_slocc(2, seed)], draw_samples(2, 0, [0])):
+        with pytest.raises(RuntimeError) as got:
+            dress(2, draws)
+        assert str(got.value) == str(want.value)
 
 
 def test_normal_forms_match_the_sequential_reference():
