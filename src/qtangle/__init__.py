@@ -3,13 +3,11 @@
 from .monogamy import (
     SmReport,
     ckw_residual,
-    ghzw_analytic,
-    ghzw_consistency_check,
     residual_columns,
     residual_three_tangle,
     sm_report_all_foci,
 )
-from .qstate import PureState, apply_local_operators, state_from_json, state_to_json
+from .qstate import PureState, state_from_json
 from .states import (
     GhzwParams,
     NormalFormParams,

@@ -121,7 +121,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     # The grid ends at its last point not above --a-max. The span gets a few
     # ulps of its endpoints as slack, at most half a step, so that a step
-    # that divides it up to roundoff keeps its last point.
+    # that divides it up to roundoff keeps its last point; that point is then
+    # clamped to --a-max.
     span = args.a_max - args.a_min
     slack = min(4 * sys.float_info.epsilon * (abs(args.a_min) + abs(args.a_max)), args.step / 2)
     steps = (span + slack) / args.step if args.step > 0 else np.nan
@@ -131,7 +132,7 @@ def _cmd_sweep(args) -> int:
             "the sweep grid needs a finite --step > 0, --a-max >= --a-min and "
             f"at most {MAX_SWEEP_POINTS} points"
         )
-    grid = args.a_min + args.step * np.arange(int(steps) + 1)
+    grid = np.minimum(args.a_min + args.step * np.arange(int(steps) + 1), args.a_max)
     result = sweep_family(
         args.slocc_class, grid, mu3=args.mu3, threshold=args.threshold, csv_path=args.out
     )

@@ -1,5 +1,4 @@
-"""Monogamy residuals: CKW differences, the powered four-qubit lower bound,
-and the closed-form results for GHZ/W superposition states.
+"""Monogamy residuals: CKW differences and the powered four-qubit lower bound.
 
 Every one- and two-tangle here comes from ``tangles.pure_tangles``, one pass
 over the amplitude tensor, and every four-qubit term from the column engine
@@ -13,7 +12,6 @@ from itertools import combinations
 import numpy as np
 
 from .qstate import PureState
-from .states import GhzwParams, ghzw
 from .tangles import PAIRS, TRIPLES, TangleColumns, pure_tangles, tangle_columns
 
 # For each focus 1..4, its partners in increasing order, and the columns of
@@ -117,45 +115,3 @@ def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[SmReport]:
         )
         for f in range(4)
     ]
-
-
-def ghzw_analytic(p: GhzwParams) -> dict:
-    """Closed-form one-tangle and term bounds for GHZ/W superpositions."""
-    n = p.n
-    a2 = abs(p.alpha) ** 2
-    b2 = abs(p.beta) ** 2
-    g2 = abs(p.gamma) ** 2
-    return {
-        "tau1": (4.0 / n**2) * (n**2 * a2 * g2 + (n - 1) * b2 * (b2 + n * g2)),
-        "tau2_bound": 4.0 * b2**2 / n**2,
-        "tau_nm1_bound": (4.0 / n) * b2 * g2,
-        "residual_floor": 4.0 * a2 * g2,
-    }
-
-
-def ghzw_consistency_check(p: GhzwParams) -> dict:
-    """Numerically cross-check the closed-form values on the built state."""
-    if p.n == 3:  # |111> and the W term make the (1, 2) marginal coherent in |00>, |11>
-        raise ValueError("consistency check needs n >= 4: tau2_bound is not a bound at n = 3")
-    if p.n > 6:
-        raise ValueError("consistency check constructs the state; n <= 6 only")
-    ref = ghzw_analytic(p)
-    psi = ghzw(p)
-    failures = []
-    tau1, tau2 = pure_tangles(psi)
-    t1, t2 = tau1[1], tau2[(1, 2)]
-    if abs(t1 - ref["tau1"]) > 1e-9:
-        failures.append(f"one_tangle {t1} vs analytic {ref['tau1']}")
-    if t2 > ref["tau2_bound"] + 1e-9:
-        failures.append(f"two_tangle {t2} exceeds bound {ref['tau2_bound']}")
-    details = {"tau1": t1, "tau2": t2, **ref}
-    if p.n == 4:
-        residual = sm_report_all_foci(psi)[0].residual_lower
-        details["residual_lower"] = residual
-        if residual < ref["residual_floor"] - 1e-6:
-            failures.append(
-                f"residual_lower {residual} below floor {ref['residual_floor']}"
-            )
-    details["passed"] = not failures
-    details["failures"] = failures
-    return details

@@ -1,4 +1,5 @@
-"""The pure-state container, stacked amplitude-vector helpers and JSON I/O.
+"""The pure-state container, stacked amplitude-vector helpers, and the reader
+of state files: JSON objects ``{"n": n, "amplitudes": [[re, im], ...]}``.
 
 Conventions used throughout the package:
 
@@ -56,12 +57,6 @@ class PureState:
             raise ValueError("amplitude vector's squared norm overflows")
         return cls(n_qubits=n_qubits, amplitudes=unit[0], original_norm=norm)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_qubits,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
 
 def _unit_rows(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of a complex stack (S, d) over its norm, the norms, and which
@@ -86,29 +81,6 @@ def _local_images(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
         rest = np.moveaxis(t, k + 1, 1).reshape(s, 2, -1)
         t = np.moveaxis((ops[:, k] @ rest).reshape((s,) + (2,) * n), 1, k + 1)
     return t.reshape(s, dim)
-
-
-def apply_local_operators(psi: PureState, ops: Sequence[np.ndarray]) -> PureState:
-    """Normalized image of ``(A_1 x ... x A_n)|psi>`` for invertible 2x2 A_k."""
-    n = psi.n_qubits
-    if len(ops) != n:
-        raise ValueError(f"expected {n} local operators, got {len(ops)}")
-    mats = [np.asarray(a, dtype=complex) for a in ops]
-    for k, a in enumerate(mats):
-        if a.shape != (2, 2):
-            raise ValueError(f"operator {k + 1} has shape {a.shape}, expected (2, 2)")
-        if abs(np.linalg.det(a)) < 1e-12:
-            raise ValueError(f"operator {k + 1} is singular within tolerance")
-    image = _local_images(psi.amplitudes[None], np.stack(mats)[None])[0]
-    return PureState.from_amplitudes(image, n_qubits=n)
-
-
-def state_to_json(psi: PureState, path=None) -> str:
-    text = json.dumps(psi.to_json_dict())
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def state_from_json_dict(obj: dict) -> PureState:

@@ -43,13 +43,15 @@ _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _QUARTIC_NODES = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
 _QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
 
-RANK_TOL = 1e-8  # on the second squared singular value of a triple's 8x2 reshape
+# RANK_TOL, DEGREE_TOL and NORM_TOL were measured on verify --samples 300 --seed
+# 20260823, the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
+RANK_TOL = 1e-8  # on p2, a triple marginal's smaller eigenvalue; measured: pure 0, mixed >= 1.8e-6
 SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-members >= 7.3e-4
 PI_TOL = 1e-9  # on |r - p| of pi-coincidence; measured: coincident <= 5.6e-16, others >= 0.045
 VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-15 vs >= 5.0e-9
-DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient
+DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient; measured: <= 5.0e-16 vs >= 1.6e-11
 POLISH_STEPS = 2  # guarded Newton steps after Ferrari, see _quartic_roots
-NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input
+NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input; measured: <= 6.7e-16
 
 # Bound methods; a method column holds indices into this tuple.
 METHODS = ("exact-pure", "simplex-zero", "pi-coincidence", "rdl-line")
@@ -518,7 +520,7 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> Bo
     tau3_phi = np.minimum(4.0 * np.abs(form), 1.0)
     ratio = 1.0 / (1.0 + t) ** 2
     raw = ratio * tau3_phi
-    bounds.value[out] = np.clip(raw, 0.0, 1.0)
+    bounds.value[out] = raw  # in [0, 1]: t >= 0, so ratio is in (0, 1]
     bounds.method[out] = RDL_LINE
     bounds.rdl[out] = np.stack([t * dist, ratio, tau3_phi, raw], axis=1)
     return bounds

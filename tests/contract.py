@@ -33,8 +33,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from qtangle.cli import main  # noqa: E402
-from qtangle.qstate import PureState, state_to_json  # noqa: E402
+from qtangle.qstate import PureState  # noqa: E402
 from qtangle.states import ghz, random_slocc_state, sample_seed, w  # noqa: E402
+from reference import write_state  # noqa: E402
 
 SEED = 20260823
 WIDE_SEEDS = (2**32 + 5, 2**64 + 3)
@@ -86,7 +87,7 @@ def write_contract(out: Path) -> None:
     states.mkdir(exist_ok=True)
     for label, psi in contract_states().items():
         path = states / f"{label}.json"
-        state_to_json(psi, path)
+        write_state(psi, path)
         for focus in range(1, psi.n_qubits + 1):
             argv = ["tangle", str(path), "--focus", str(focus)]
             run(out, f"tangle-{label}-f{focus}", argv)

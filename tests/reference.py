@@ -17,11 +17,18 @@ stream: ``draw_slocc`` draws the normal-form parameters one value at a time,
 builds the normal form term by term, and draws the four operators one
 ``_random_sl2`` call each. The package's stacked sampler must give the same
 bits.
+
+Two test-side utilities sit with them: ``local_image``, the normalized image
+of one state under local operators (the package's stacked ``_local_images``
+on a one-row stack), and ``write_state``, which writes a state file in the
+format ``qtangle tangle`` reads.
 """
+
+import json
 
 import numpy as np
 
-from qtangle.qstate import PureState, apply_local_operators
+from qtangle.qstate import PureState, _local_images
 from qtangle.states import (
     _PARAM_NAMES,
     CLASS_ARITY,
@@ -40,6 +47,20 @@ _HUGE_ROOT = 1e6
 # Largest coefficient of a quartic that vanishes identically; measured on
 # the test marginals: vanishing <= 3.1e-16, the others >= 2.7e-6.
 _VANISHING = 1e-11
+
+
+def local_image(psi: PureState, ops) -> PureState:
+    """Normalized image ``(A_1 x ... x A_n)|psi>`` of a state under n 2x2
+    operators."""
+    image = _local_images(psi.amplitudes[None], np.asarray(ops, dtype=complex)[None])[0]
+    return PureState.from_amplitudes(image, n_qubits=psi.n_qubits)
+
+
+def write_state(psi: PureState, path) -> None:
+    """Write a state file ``{"n": n, "amplitudes": [[re, im], ...]}``."""
+    amps = [[float(a.real), float(a.imag)] for a in psi.amplitudes]
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"n": psi.n_qubits, "amplitudes": amps}))
 
 
 def partial_trace(psi: PureState, keep: tuple) -> np.ndarray:
@@ -246,4 +267,4 @@ def random_slocc_state(
     """Random member of a SLOCC class: det-1 local operators on a random
     normal form, fully determined by the seed."""
     base, prov = draw_slocc(cls, seed)
-    return apply_local_operators(base, prov.operators), prov
+    return local_image(base, prov.operators), prov

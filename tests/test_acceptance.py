@@ -17,7 +17,6 @@ from oracle import convex_roof_tau3
 from qtangle import (
     GhzwParams,
     PureState,
-    apply_local_operators,
     ckw_residual,
     residual_three_tangle,
     sm_report_all_foci,
@@ -27,7 +26,7 @@ from qtangle import (
 from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check, tangle_report
 from qtangle.states import ghz, ghzw, random_slocc_state, sample_seed
 from qtangle.tangles import TRIPLES
-from reference import partial_trace, trace_norm
+from reference import local_image, partial_trace, trace_norm
 
 FULL = os.environ.get("QTANGLE_FULL") == "1"
 
@@ -208,7 +207,7 @@ def test_criterion_10_property_digest():
     notes = []
 
     psi3 = random_pure_state(rng, 3)
-    rot = apply_local_operators(psi3, [random_unitary2(rng) for _ in range(3)])
+    rot = local_image(psi3, [random_unitary2(rng) for _ in range(3)])
     ok &= abs(three_tangle_pure(rot) - three_tangle_pure(psi3)) < 1e-9
     notes.append("LU invariance")
 

@@ -20,8 +20,8 @@ from qtangle.harness import (
     tangle_report,
 )
 from qtangle.monogamy import ckw_residual, sm_report_all_foci
-from qtangle.qstate import apply_local_operators, state_to_json
 from qtangle.states import NormalFormParams, ghz, random_slocc_state, sample_seed, w
+from reference import local_image, write_state
 
 
 def read_rows(path):
@@ -453,7 +453,7 @@ def test_tangle_report_terms_are_the_residuals_own():
 
 
 def test_tangle_report_three_qubit_terms(rng):
-    psi = apply_local_operators(w(3), [rng.normal(size=(2, 2)) for _ in range(3)])
+    psi = local_image(w(3), [rng.normal(size=(2, 2)) for _ in range(3)])
     for focus in (1, 2, 3):
         report = tangle_report(psi, focus)
         assert list(report["tau2_terms"]) == [q for q in (1, 2, 3) if q != focus]
@@ -467,7 +467,7 @@ def test_tangle_report_rejects_focus_outside_range(tmp_path):
             with pytest.raises(ValueError, match="focus"):
                 tangle_report(psi, focus)
     path = tmp_path / "w3.json"
-    state_to_json(w(3), path)
+    write_state(w(3), path)
     assert main(["tangle", str(path), "--focus", "0"]) == 2
 
 
@@ -482,7 +482,7 @@ def test_cli_verify_and_exit_codes(tmp_path):
 
 def test_cli_tangle(tmp_path, capsys):
     path = tmp_path / "ghz4.json"
-    state_to_json(ghz(4), path)
+    write_state(ghz(4), path)
     assert main(["tangle", str(path), "--focus", "2", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["sm_report"]["residual_lower"] == pytest.approx(1.0, abs=1e-9)
@@ -531,7 +531,13 @@ def test_cli_sweep(tmp_path):
     # One that divides it up to the roundoff of the endpoints keeps the last point.
     grid = ["--a-min", "3027.3", "--a-max", "3031.2", "--step", "0.1"]
     assert main(["sweep", "--class", "5", *grid, "--out", str(out)]) == 0
-    assert len(read_rows(out)) == 40
+    rows = read_rows(out)
+    assert len(rows) == 40 and rows[-1]["a"] == "3031.2"  # clamped, not 3031.2000000000003
+    # 0.1 + 0.1 * 6 is 0.7000000000000001: clamped to --a-max, and the grid keeps its 7 points.
+    grid = ["--a-min", "0.1", "--a-max", "0.7", "--step", "0.1"]
+    assert main(["sweep", "--class", "5", *grid, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 7 and rows[-1]["a"] == "0.7"
 
 
 def test_cli_sweep_flags_a_negative_grid_point(capsys):
@@ -595,7 +601,7 @@ def test_cli_rejects_bad_mu3(tmp_path, mu3):
     assert not out.exists()
     for psi in (ghz(2), w(3), ghz(4)):
         path = tmp_path / f"state{psi.n_qubits}.json"
-        state_to_json(psi, path)
+        write_state(psi, path)
         assert main(["tangle", str(path), "--mu3", mu3]) == 2
         with pytest.raises(ValueError, match="mu3"):
             tangle_report(psi, 1, mu3=float(mu3))

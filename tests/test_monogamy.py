@@ -5,10 +5,8 @@ from conftest import random_pure_state
 from qtangle import (
     GhzwParams,
     PureState,
-    apply_local_operators,
     ckw_residual,
-    ghzw_analytic,
-    ghzw_consistency_check,
+    pure_tangles,
     residual_three_tangle,
     sm_report_all_foci,
     three_tangle_pure,
@@ -16,7 +14,7 @@ from qtangle import (
 from qtangle.harness import SWEEP_BINDINGS
 from qtangle.monogamy import _check_mu3
 from qtangle.states import ghz, ghzw, normal_form, random_slocc_state, sample_seed, w
-from reference import one_tangle, partial_trace, rank2_bound, two_tangle
+from reference import local_image, one_tangle, partial_trace, rank2_bound, two_tangle
 
 # Tensor route (sm_report_all_foci) against the per-marginal reference.
 TAU1_TOL = 1e-12
@@ -58,7 +56,7 @@ def test_residual_three_tangle_exact_on_zero_tangle_states(rng):
     worst = 0.0
     for _ in range(100):
         ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-        dressed_w = apply_local_operators(w(3), ops)
+        dressed_w = local_image(w(3), ops)
         product = PureState.from_amplitudes(np.kron([1, 0], random_pure_state(rng, 2).amplitudes))
         for psi in (dressed_w, product):
             for focus in (1, 2, 3):
@@ -204,42 +202,57 @@ def test_ghzw_params_validation():
         GhzwParams(2, 1.0, 0.0, 0.0)
 
 
+def ghzw_closed_forms(p: GhzwParams) -> tuple:
+    """Closed forms for alpha |0..0> + beta |W_n> + gamma |1..1>: qubit 1's
+    one-tangle, a bound on each two-tangle (n >= 4), and the floor of the
+    four-qubit strong-monogamy residual."""
+    n, a2, b2, g2 = p.n, abs(p.alpha) ** 2, abs(p.beta) ** 2, abs(p.gamma) ** 2
+    tau1 = (4.0 / n**2) * (n**2 * a2 * g2 + (n - 1) * b2 * (b2 + n * g2))
+    return tau1, 4.0 * b2**2 / n**2, 4.0 * a2 * g2
+
+
+def assert_ghzw_closed_forms_hold(p: GhzwParams) -> None:
+    """The package's tau1 is the closed form, its tau2 is within the bound,
+    and at n = 4 its residual is at least the floor."""
+    tau1, tau2_bound, floor = ghzw_closed_forms(p)
+    psi = ghzw(p)
+    t1, t2 = pure_tangles(psi)
+    assert t1[1] == pytest.approx(tau1, abs=1e-9)
+    assert t2[(1, 2)] <= tau2_bound + 1e-9
+    if p.n == 4:
+        assert sm_report_all_foci(psi)[0].residual_lower >= floor - 1e-6
+
+
 def test_ghzw_analytic_examples():
     s = 1 / np.sqrt(2)
-    rec = ghzw_analytic(GhzwParams(4, s, 0.0, s))
-    assert rec["tau1"] == pytest.approx(1.0, abs=1e-12)
-    assert rec["residual_floor"] == pytest.approx(1.0, abs=1e-12)
-
-    rec = ghzw_analytic(GhzwParams(4, 0.0, 1.0, 0.0))
-    assert rec["tau1"] == pytest.approx(0.75, abs=1e-12)
-    assert rec["tau2_bound"] == pytest.approx(0.25, abs=1e-12)
-    assert rec["residual_floor"] == 0.0
+    tau1, _, floor = ghzw_closed_forms(GhzwParams(4, s, 0.0, s))
+    assert (tau1, floor) == pytest.approx((1.0, 1.0), abs=1e-12)
+    tau1, tau2_bound, floor = ghzw_closed_forms(GhzwParams(4, 0.0, 1.0, 0.0))
+    assert (tau1, tau2_bound) == pytest.approx((0.75, 0.25), abs=1e-12) and floor == 0.0
 
 
 def test_ghzw_analytic_cross_check_n5():
     p = GhzwParams(5, 0.6, 0.48 + 0.36j, 0.52915026221291814)
-    rec = ghzw_analytic(p)
+    tau1, tau2_bound, _ = ghzw_closed_forms(p)
     psi = ghzw(p)
-    assert one_tangle(psi, 1) == pytest.approx(rec["tau1"], abs=1e-9)
-    assert two_tangle(partial_trace(psi, (1, 2))) <= rec["tau2_bound"] + 1e-9
+    assert one_tangle(psi, 1) == pytest.approx(tau1, abs=1e-9)
+    assert two_tangle(partial_trace(psi, (1, 2))) <= tau2_bound + 1e-9
 
 
 def test_ghzw_consistency_check_cases():
     s = 1 / np.sqrt(2)
-    assert ghzw_consistency_check(GhzwParams(4, s, 0.0, s))["passed"]
-    assert ghzw_consistency_check(GhzwParams(4, 0.5, 0.5 + 0.5j, 0.5))["passed"]
+    assert_ghzw_closed_forms_hold(GhzwParams(4, s, 0.0, s))
+    assert_ghzw_closed_forms_hold(GhzwParams(4, 0.5, 0.5 + 0.5j, 0.5))
 
 
 def test_ghzw_consistency_check_needs_four_to_six_qubits():
     # At n = 3 the |111> and W terms make the pair marginal coherent and
     # 4 |beta|^4 / n^2 is not a bound on its two-tangle.
     coeffs = (0.6, 0.48 + 0.36j, np.sqrt(0.28))
-    with pytest.raises(ValueError, match="n = 3"):
-        ghzw_consistency_check(GhzwParams(3, *coeffs))
+    p3 = GhzwParams(3, *coeffs)
+    assert pure_tangles(ghzw(p3))[1][(1, 2)] > ghzw_closed_forms(p3)[1]
     for n in (4, 5, 6):
-        assert ghzw_consistency_check(GhzwParams(n, *coeffs))["passed"]
-    with pytest.raises(ValueError, match="n <= 6"):
-        ghzw_consistency_check(GhzwParams(7, *coeffs))
+        assert_ghzw_closed_forms_hold(GhzwParams(n, *coeffs))
 
 
 def test_ghzw_consistency_random_sweep(rng):
@@ -247,4 +260,4 @@ def test_ghzw_consistency_random_sweep(rng):
         mags = rng.dirichlet(np.ones(3))
         phases = np.exp(2j * np.pi * rng.uniform(size=3))
         a, b, g = np.sqrt(mags) * phases
-        assert ghzw_consistency_check(GhzwParams(4, a, b, g))["passed"]
+        assert_ghzw_closed_forms_hold(GhzwParams(4, a, b, g))

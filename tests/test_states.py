@@ -20,7 +20,7 @@ from qtangle.states import (
     sample_seed_words,
     w,
 )
-from reference import random_normal_form_params
+from reference import local_image, random_normal_form_params
 
 
 def test_ghz_and_w_amplitudes():
@@ -149,12 +149,11 @@ def test_sampler_operator_determinants():
 
 def test_sampler_identity_path():
     # applying the recorded operators' inverses recovers the normal form
-    from qtangle import apply_local_operators
     from qtangle.states import normal_form as nf
 
     psi, prov = random_slocc_state(2, sample_seed(1, 2, 0))
     inv = [np.linalg.inv(op) for op in prov.operators]
-    back = apply_local_operators(psi, inv)
+    back = local_image(psi, inv)
     base = nf(2, prov.params)
     overlap = abs(np.vdot(back.amplitudes, base.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -165,15 +164,12 @@ def test_class1_marginal_tangles_vanish_under_unitaries():
     # the traced qubit drops out of the marginal); generic determinant-1
     # operators do move the marginal tangles, see the notes ledger.
     from conftest import random_unitary2
-    from qtangle import apply_local_operators
 
     rng = np.random.default_rng(17)
     states = []
     for idx in range(5):
         params = random_normal_form_params(1, rng)
-        psi = apply_local_operators(
-            normal_form(1, params), [random_unitary2(rng) for _ in range(4)]
-        )
+        psi = local_image(normal_form(1, params), [random_unitary2(rng) for _ in range(4)])
         states.append(psi.amplitudes)
     assert np.all(tangle_columns(np.array(states)).tau3.value < 1e-6)  # every triple
 

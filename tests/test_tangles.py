@@ -7,7 +7,6 @@ from scipy.optimize import linprog, nnls
 from conftest import random_pure_state, random_unitary2
 from qtangle import (
     PureState,
-    apply_local_operators,
     pure_tangles,
     residual_columns,
     sm_report_all_foci,
@@ -46,6 +45,7 @@ from qtangle.tangles import (
 )
 from reference import (
     companion_roots,
+    local_image,
     one_tangle,
     partial_trace,
     rank2_bound,
@@ -123,7 +123,7 @@ def test_three_tangle_permutation_invariant(rng):
 def test_three_tangle_local_unitary_invariant(rng):
     for _ in range(20):
         psi = random_pure_state(rng, 3)
-        rotated = apply_local_operators(psi, [random_unitary2(rng) for _ in range(3)])
+        rotated = local_image(psi, [random_unitary2(rng) for _ in range(3)])
         assert three_tangle_pure(rotated) == pytest.approx(three_tangle_pure(psi), abs=1e-9)
 
 
@@ -850,7 +850,7 @@ def test_tangles_invariant_under_local_unitaries(rng):
     # downstream invariance check shared with the qstate module contract
     for _ in range(5):
         psi = random_pure_state(rng, 4)
-        rotated = apply_local_operators(psi, [random_unitary2(rng) for _ in range(4)])
+        rotated = local_image(psi, [random_unitary2(rng) for _ in range(4)])
         for before, after in zip(pure_tangles(psi), pure_tangles(rotated)):
             assert after == pytest.approx(before, abs=1e-9)
     # The three-tangle bounds of sampled states, 8 per class: under local
@@ -858,7 +858,7 @@ def test_tangles_invariant_under_local_unitaries(rng):
     # changed. The tolerance keeps 4x of headroom.
     seeds = [(c, sample_seed(20260823, c, i)) for c in range(1, 9) for i in range(8)]
     states = [random_slocc_state(c, seed)[0] for c, seed in seeds]
-    rotated = [apply_local_operators(p, [random_unitary2(rng) for _ in range(4)]) for p in states]
+    rotated = [local_image(p, [random_unitary2(rng) for _ in range(4)]) for p in states]
     before, after = (tangle_columns(np.array([p.amplitudes for p in s])).tau3 for s in (states, rotated))
     assert np.array_equal(after.method, before.method)
     assert np.abs(after.value - before.value).max() < 4e-9
