@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -122,7 +123,9 @@ def _cmd_sweep(args) -> int:
     # The grid ends at its last point not above --a-max. The span gets a few
     # ulps of its endpoints as slack, at most half a step, so that a step
     # that divides it up to roundoff keeps its last point; that point is then
-    # clamped to --a-max.
+    # clamped to --a-max. Point k is the double nearest the decimal
+    # a_min + k step, each read as the decimal its repr writes, so that a
+    # step of 0.1 gives 0.3, not 0.30000000000000004.
     span = args.a_max - args.a_min
     slack = min(4 * sys.float_info.epsilon * (abs(args.a_min) + abs(args.a_max)), args.step / 2)
     steps = (span + slack) / args.step if args.step > 0 else np.nan
@@ -132,7 +135,11 @@ def _cmd_sweep(args) -> int:
             "the sweep grid needs a finite --step > 0, --a-max >= --a-min and "
             f"at most {MAX_SWEEP_POINTS} points"
         )
-    grid = np.minimum(args.a_min + args.step * np.arange(int(steps) + 1), args.a_max)
+    with localcontext() as ctx:
+        ctx.prec = 700  # exact sums: a double's repr has digits from 1e308 to 1e-340
+        a_min, step = Decimal(repr(args.a_min)), Decimal(repr(args.step))
+        points = [float(a_min + step * k) for k in range(int(steps) + 1)]
+    grid = np.minimum(points, args.a_max)
     result = sweep_family(
         args.slocc_class, grid, mu3=args.mu3, threshold=args.threshold, csv_path=args.out
     )

@@ -81,14 +81,10 @@ def ckw_residual(psi: PureState, focus: int) -> float:
 
 def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
     """Strong-monogamy residuals (S, 4) by focus: tau1 minus the focus's
-    three two-tangles minus its three three-tangle bounds to the power mu3,
-    each sum taken in partner order."""
-    # Python's float power, as the per-report sum always used: numpy's power
-    # differs from it in the last bit for about 5% of values on AVX-512 CPUs.
-    powered = np.array([v**mu3 for v in cols.tau3.value.ravel().tolist()])
-    powered = powered.reshape(cols.tau3.value.shape)
+    three two-tangles minus its three three-tangle bounds to the power mu3
+    (numpy's power), each sum taken in partner order."""
     t2 = cols.tau2[:, FOCUS_PAIRS]
-    t3 = powered[:, FOCUS_TRIPLES]
+    t3 = (cols.tau3.value**mu3)[:, FOCUS_TRIPLES]
     residual = cols.tau1 - (t2[..., 0] + t2[..., 1] + t2[..., 2])
     return residual - (t3[..., 0] + t3[..., 1] + t3[..., 2])
 

@@ -85,10 +85,15 @@ def _local_images(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 def state_from_json_dict(obj: dict) -> PureState:
     try:
-        n = int(obj["n"])
-        raw = obj["amplitudes"]
+        n, raw = obj["n"], obj["amplitudes"]
+        # Checked, not coerced: a JSON integer n, and JSON numbers (not
+        # booleans) in each [re, im] pair.
+        if type(n) is not int:
+            raise TypeError(f"n must be an integer, got {n!r}")
+        if not all(type(x) in (int, float) for pair in raw for x in pair):
+            raise TypeError("each amplitude must be a pair [re, im] of numbers")
         amps = np.array([complex(re, im) for re, im in raw])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
     _check_qubit_count(n)  # before 2**n, which a huge n makes huge
     if amps.size != 2**n:

@@ -3,10 +3,12 @@ ray-extension upper bound on the three-tangle of rank-2 three-qubit states.
 
 The upper bound works on Bloch vectors in the ball of the rank-2 support:
 the four W-class states spanned by the support (roots of a quartic, mapped
-to the sphere by stereographic projection) define a zero-tangle simplex;
+to the sphere by stereographic projection) define a zero-tangle simplex,
+whose members have bound 0 (simplex-zero; the simplex mean has weights 1/4);
 a state outside it is bounded by extending the ray from the simplex mean
 (the uniform W-mixture) through the state to the sphere, and rescaling the
-surface state's exact three-tangle by the squared trace-norm ratio.
+surface state's exact three-tangle by the squared trace-norm ratio
+(rdl-line). A pure state's bound is its own three-tangle (exact-pure).
 
 ``tangle_columns`` is the engine: it takes a stack of four-qubit amplitude
 vectors and returns every one-tangle, two-tangle and three-tangle bound as
@@ -47,15 +49,15 @@ _QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
 # 20260823, the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
 RANK_TOL = 1e-8  # on p2, a triple marginal's smaller eigenvalue; measured: pure 0, mixed >= 1.8e-6
 SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-members >= 7.3e-4
-PI_TOL = 1e-9  # on |r - p| of pi-coincidence; measured: coincident <= 5.6e-16, others >= 0.045
+PI_TOL = 1e-9  # on |r - p|, r taken as the simplex mean; measured: coincident <= 5.6e-16, others >= 0.045
 VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-15 vs >= 5.0e-9
 DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient; measured: <= 5.0e-16 vs >= 1.6e-11
 POLISH_STEPS = 2  # guarded Newton steps after Ferrari, see _quartic_roots
 NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input; measured: <= 6.7e-16
 
 # Bound methods; a method column holds indices into this tuple.
-METHODS = ("exact-pure", "simplex-zero", "pi-coincidence", "rdl-line")
-EXACT_PURE, SIMPLEX_ZERO, PI_COINCIDENCE, RDL_LINE = range(4)
+METHODS = ("exact-pure", "simplex-zero", "rdl-line")
+EXACT_PURE, SIMPLEX_ZERO, RDL_LINE = range(3)
 RDL_DIAGNOSTICS = ("kappa", "trace_norm_ratio", "tau3_phi", "raw_value")
 
 PAIRS = tuple(combinations((1, 2, 3, 4), 2))
@@ -107,9 +109,9 @@ class BoundColumns(NamedTuple):
     weights: np.ndarray  # (..., 4)
 
     @classmethod
-    def empty(cls, k: int, method: int) -> "BoundColumns":
+    def empty(cls, k: int) -> "BoundColumns":
         rdl, weights = np.full((2, k, 4), np.nan)
-        return cls(np.zeros(k), np.full(k, method), rdl, weights)
+        return cls(np.zeros(k), np.full(k, SIMPLEX_ZERO), rdl, weights)
 
     def result(self, index) -> TangleBoundResult:
         """The bound at ``index`` as a TangleBoundResult."""
@@ -143,11 +145,16 @@ def _tau3_quartic_form(c: np.ndarray) -> complex:
     )
 
 
+def _tau3(form):
+    """The three-tangle 4 |form| of unit states, capped at 1 against roundoff."""
+    return np.minimum(4.0 * np.abs(form), 1.0)
+
+
 def three_tangle_pure(psi3: PureState) -> float:
     """Closed-form three-tangle of a three-qubit pure state."""
     if psi3.n_qubits != 3:
         raise ValueError(f"three_tangle_pure expects 3 qubits, got {psi3.n_qubits}")
-    return float(min(4.0 * abs(_tau3_quartic_form(psi3.amplitudes)), 1.0))
+    return float(_tau3(_tau3_quartic_form(psi3.amplitudes)))
 
 
 # -- the rank-2 bound in the support frame ------------------------------------------
@@ -475,23 +482,21 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> Bo
 
     In the Bloch ball of the support, rho = diag(p1, p2) is r = (0, 0, p1 - p2),
     the W-class states are unit vectors w_k and pi is their mean p. The trace
-    norm of rho - pi is |r - p|. A state outside the simplex is bounded on the
+    norm of rho - pi is |r - p|. A state within PI_TOL of p is a member with
+    weights 1/4, without a fit. A state outside the simplex is bounded on the
     ray from p through r, extended to the sphere at r + t (r - p).
     """
-    bounds = BoundColumns.empty(len(spectrum), PI_COINCIDENCE)
+    bounds = BoundColumns.empty(len(spectrum))
     p = w.mean(axis=1)
     r = np.zeros_like(p)
     r[:, 2] = spectrum[:, 0] - spectrum[:, 1]
     dist = np.linalg.norm(r - p, axis=1)
-    rest = np.flatnonzero(~(dist < PI_TOL))
-    if rest.size == 0:
-        return bounds
+    at_pi = dist < PI_TOL
+    bounds.weights[at_pi] = 0.25
+    rest = np.flatnonzero(~at_pi)
     member, weights = _simplex_solve(w[rest], r[rest])
-    bounds.method[rest[member]] = SIMPLEX_ZERO
     bounds.weights[rest[member]] = weights[member]
     out = rest[~member]
-    if out.size == 0:
-        return bounds
 
     # |r + t d| = 1 with d = r - p is |d|^2 t^2 + 2 (r.d) t - 4 p1 p2 = 0
     # (1 - |r|^2 = 4 p1 p2 for unit trace). Rank 2 makes the constant term
@@ -517,7 +522,7 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> Bo
     # form(v0 e1 + v1 e2) = sum_k c_k v0^(4-k) v1^k for the unit surface state.
     powers = np.arange(5)
     form = np.sum(coeffs[out] * v[:, :1] ** (4 - powers) * v[:, 1:] ** powers, axis=1)
-    tau3_phi = np.minimum(4.0 * np.abs(form), 1.0)
+    tau3_phi = _tau3(form)
     ratio = 1.0 / (1.0 + t) ** 2
     raw = ratio * tau3_phi
     bounds.value[out] = raw  # in [0, 1]: t >= 0, so ratio is in (0, 1]
@@ -546,13 +551,10 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     pure = spectrum[:, 1] < RANK_TOL
     # Unless set below: a mixed state whose polynomial vanishes identically,
     # so its whole span is W-class, a simplex-zero bound without weights.
-    bounds = BoundColumns.empty(len(spectrum), SIMPLEX_ZERO)
-    for i in np.flatnonzero(pure):
-        # coeffs[:, 0] = p(0) = form(e1), the pure state's own quartic. The
-        # scalar abs, as in three_tangle_pure: numpy's array abs of complex
-        # values differs from it in the last bit for about a third of them.
-        bounds.value[i] = min(4.0 * abs(coeffs[i, 0]), 1.0)
-        bounds.method[i] = EXACT_PURE
+    bounds = BoundColumns.empty(len(spectrum))
+    # coeffs[:, 0] = p(0) = form(e1), the pure state's own quartic.
+    bounds.value[pure] = _tau3(coeffs[pure, 0])
+    bounds.method[pure] = EXACT_PURE
     mixed = np.flatnonzero(~pure & (degree >= 0))
     w = _wclass_bloch(_wclass_roots(coeffs[mixed], degree[mixed]), degree[mixed])
     for column, part in zip(bounds, _mixed_bounds(spectrum[mixed], coeffs[mixed], w)):

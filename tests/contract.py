@@ -13,7 +13,8 @@ directory it writes and the one the parent commit writes give an empty
 are byte-identical, the largest absolute change in each float column (CSV
 columns, JSON key paths, and the numbers of each text line), and every other
 change (a method tag, an integer such as a count or an exit code, a key, a
-file, a float that becomes or stops being NaN or infinite). It exits 1 if
+file, a float that becomes or stops being NaN or infinite), first counted by
+kind (the change with its numbers as '#') and then one by one. It exits 1 if
 there is any such other change, else 0.
 Not a pytest module: it needs only numpy and the package.
 """
@@ -25,7 +26,7 @@ import json
 import os
 import re
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -158,13 +159,15 @@ def compare(parent: Path, change: Path) -> int:
     names = sorted(
         {p.relative_to(d).as_posix() for d in (parent, change) for p in d.rglob("*") if p.is_file()}
     )
-    same, largest, other = defaultdict(lambda: [0, 0]), defaultdict(float), []
+    same, largest, other, kinds = defaultdict(lambda: [0, 0]), defaultdict(float), [], Counter()
     for name in names:
         a, b = parent / name, change / name
         group = same[_group(name)]
         group[1] += 1
         if not (a.is_file() and b.is_file()):
-            other.append(f"{name}: only in {parent if a.is_file() else change}")
+            where = f"only in {parent if a.is_file() else change}"
+            other.append(f"{name}: {where}")
+            kinds[where] += 1
             continue
         if a.read_bytes() == b.read_bytes():
             group[0] += 1
@@ -177,6 +180,7 @@ def compare(parent: Path, change: Path) -> int:
                 largest[column] = max(largest[column], abs(x - y))
             elif x != y and not (x != x and y != y):  # NaN to NaN is no change
                 other.append(f"{name} {key}: {x!r} -> {y!r}")
+                kinds[_NUMBER.sub("#", f"{x!r} -> {y!r}")] += 1
     print("byte-identical files, by group:")
     for group, (n_same, n) in same.items():
         print(f"  {n_same:4d} of {n:4d}  {group}")
@@ -185,6 +189,8 @@ def compare(parent: Path, change: Path) -> int:
         if diff:
             print(f"  {diff:9.2e}  {column}")
     print(f"non-numeric changes: {len(other)}")
+    for kind, count in kinds.most_common():
+        print(f"  {count:4d}  {kind}")
     for line in other:
         print(f"  {line}")
     return 1 if other else 0

@@ -29,3 +29,25 @@ def test_compare_reports_float_changes_and_fails_on_others(tmp_path, capsys):
     assert "'rdl-line' -> 'simplex-zero'" in out and "0 -> 3" in out
     assert compare(tmp_path / "parent", tmp_path / "nan") == 1
     assert "0.25 -> nan" in capsys.readouterr().out
+
+
+def test_compare_counts_non_numeric_changes_by_kind(tmp_path, capsys):
+    for name, tag, extra in (("parent", "pi-coincidence", ', "count": 0'), ("change", "simplex-zero", "")):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "run.csv").write_text(f"sample,method\n1,{tag}\n2,{tag}\n3,rdl-line\n")
+        (root / "run.json").write_text(f'{{"method": "{tag}"{extra}}}')
+        (root / "run.stdout").write_text(f"tau3up[1|2|3] = 0.0 ({tag})\ntau3up[1|2|4] = 0.5 ({tag})\n")
+    (tmp_path / "change" / "run.exit").write_text("0\n")
+    assert compare(tmp_path / "parent", tmp_path / "change") == 1
+    out = capsys.readouterr().out
+    assert "non-numeric changes: 7\n" in out
+    kinds = out.split("non-numeric changes: 7\n")[1].splitlines()[:4]
+    assert kinds == [
+        "     3  'pi-coincidence' -> 'simplex-zero'",
+        "     2  'tau#up[#|#|#] = # (pi-coincidence)' -> 'tau#up[#|#|#] = # (simplex-zero)'",
+        f"     1  only in {tmp_path / 'change'}",  # ties in the order first seen
+        "     1  # -> None",
+    ]
+    # The full list follows the kinds.
+    assert "  run.json ('count',): 0 -> None\n" in out

@@ -249,9 +249,7 @@ def test_campaign_summary_counts_bound_methods(tmp_path):
         # Each triple of a state appears in the rows of its three foci.
         assert counts == {m: 3 * n for m, n in entry["methods"].items()}
         assert sum(entry["methods"].values()) == 4 * cfg.samples_per_class
-    assert list(summary.per_class["1"]["methods"]) == [
-        "exact-pure", "simplex-zero", "pi-coincidence", "rdl-line"
-    ]
+    assert list(summary.per_class["1"]["methods"]) == ["exact-pure", "simplex-zero", "rdl-line"]
 
 
 def _failing_at(index, real):
@@ -495,6 +493,17 @@ def test_cli_tangle_malformed_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     assert main(["tangle", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # n must be a JSON integer and each amplitude a pair of JSON numbers;
+    # neither is coerced (1e400 parses as inf, which int() cannot convert).
+    two_qubits = '[[1, 0], [0, 0], [0, 0], [0, 0]]'
+    for n, amps in [("1e400", two_qubits), ("4.9", two_qubits), ('"2"', two_qubits),
+                    ("true", '[[1, 0], [1, 0]]'), ("2", '[[true, 0], [0, 0], [0, 0], [0, 0]]'),
+                    ("2", '[[1, "0"], [0, 0], [0, 0], [0, 0]]'),
+                    ("2", f'[[{10**400}, 0], [0, 0], [0, 0], [0, 0]]')]:  # fmt: skip
+        bad.write_text(f'{{"n": {n}, "amplitudes": {amps}}}')
+        assert main(["tangle", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed state file: ") and err.count("\n") == 1
 
 
 def test_cli_tangle_rejects_qubit_count_out_of_range(tmp_path, capsys):
@@ -515,7 +524,7 @@ def test_cli_tangle_rejects_nan_amplitude(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_cli_sweep(tmp_path):
+def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(
         ["sweep", "--class", "6", "--a-min", "0", "--a-max", "1", "--step", "0.25",
@@ -538,6 +547,19 @@ def test_cli_sweep(tmp_path):
     assert main(["sweep", "--class", "5", *grid, "--out", str(out)]) == 0
     rows = read_rows(out)
     assert len(rows) == 7 and rows[-1]["a"] == "0.7"
+    # Point k is the double nearest the decimal a_min + k step: 0.3, not
+    # 0.1 * 3 = 0.30000000000000004, and with a 17-digit a_min the fourth
+    # point is 0.4234567890123457, not 0.42345678901234574.
+    capsys.readouterr()
+    for grid, points in [
+        (["0", "0.5", "0.1"], [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+        (["0.12345678901234568", "0.6", "0.1"],
+         [0.12345678901234568, 0.22345678901234567, 0.3234567890123457, 0.4234567890123457,
+          0.5234567890123457]),
+    ]:  # fmt: skip
+        argv = ["sweep", "--class", "5", "--a-min", grid[0], "--a-max", grid[1], "--step", grid[2]]
+        assert main([*argv, "--json"]) == 0
+        assert [row[0] for row in json.loads(capsys.readouterr().out)["rows"]] == points
 
 
 def test_cli_sweep_flags_a_negative_grid_point(capsys):

@@ -371,7 +371,8 @@ def test_wclass_roots_edge_cases():
     assert (roots_of(np.poly([1.0j] * 4)[::-1]) == 1.0j).all()
     # Marginals of the class-3 and class-6 normal forms and of GHZ4 whose
     # quartic is z^2 up to roundoff: a double root at 0 (e1) and one at
-    # infinity (e2). GHZ4's four bounds stay pi-coincidence.
+    # infinity (e2). GHZ4's four marginals are the simplex mean: simplex-zero
+    # with weights 1/4.
     cases = [(normal_form(cls, SWEEP_BINDINGS[cls](0.7)), count) for cls, count in ((3, 2), (6, 3))]
     for psi, count in cases + [(ghz(4), 4)]:
         _, coeffs, degree = _triple_quartics([psi])
@@ -379,7 +380,8 @@ def test_wclass_roots_edge_cases():
         zeros, infinite = (roots[:, :2] == 0.0).all(axis=1), np.isnan(roots[:, 2:]).all(axis=1)
         assert ((degree == 2) & zeros & infinite).sum() == count
     cols = tangle_columns(ghz(4).amplitudes[None])
-    assert set(cols.tau3.method.ravel().tolist()) == {METHODS.index("pi-coincidence")}
+    assert set(cols.tau3.method.ravel().tolist()) == {METHODS.index("simplex-zero")}
+    assert (cols.tau3.weights == 0.25).all()
     # A fourfold cluster of radius 1e-4 about 1 + 2i. Rounding its
     # coefficients moves the single roots by about 1e-4; their mean, -A/4,
     # and the other Vieta functions stay within roundoff.
@@ -396,19 +398,29 @@ def test_wclass_roots_edge_cases():
 # ------------------------------------------------------ W-simplex membership
 
 
+def _assert_simplex_mean(res, rho):
+    """res is the simplex-zero bound of the simplex mean: weights 1/4 on the
+    package's W-class vertices of rho's support, which rebuild rho's Bloch
+    vector r = (0, 0, p1 - p2)."""
+    assert (res.value, res.method) == (0.0, "simplex-zero")
+    assert res.diagnostics["weights"] == [0.25] * 4
+    lam, e1, e2 = rank2_eigh(rho)
+    rebuilt = np.array(res.diagnostics["weights"]) @ _package_vertices(e1, e2)
+    assert np.abs(rebuilt - [0.0, 0.0, 2.0 * lam - 1.0]).max() < SUPPORT_TOL
+
+
 def test_simplex_member_pi_itself(rng):
     for _ in range(10):
         psi = random_pure_state(rng, 4)
         pi = _mixture(wclass_states(*_support(partial_trace(psi, (1, 2, 3)))), [0.25] * 4)
-        res = rank2_bound(0.5 * (pi + pi.conj().T))
-        assert (res.value, res.method) == (0.0, "pi-coincidence")
+        rho = 0.5 * (pi + pi.conj().T)
+        _assert_simplex_mean(rank2_bound(rho), rho)
 
 
 def test_simplex_member_ghz4_marginal():
     bounds = tangle_columns(ghz(4).amplitudes[None]).tau3
-    for t in range(len(TRIPLES)):
-        res = bounds.result((0, t))
-        assert (res.value, res.method) == (0.0, "pi-coincidence")
+    for t, triple in enumerate(TRIPLES):
+        _assert_simplex_mean(bounds.result((0, t)), partial_trace(ghz(4), triple))
 
 
 def test_simplex_member_rejects_ghz3(rng):
@@ -568,15 +580,15 @@ def _marginals(rng):
 
 def test_simplex_member_matches_lp_on_normal_form_marginals(rng):
     # Normal-form marginals are where repeated roots make the system rank
-    # deficient. The package's decision (a zero bound by simplex-zero or
-    # pi-coincidence) is checked on the 8x8 matrices against an LP: rho
+    # deficient. The package's decision (a zero bound by simplex-zero) is
+    # checked on the 8x8 matrices against an LP: rho
     # against the projectors of the reference W-class states, real and
     # imaginary parts. Their order is the package's on the same support, so
     # its weights rebuild rho.
     counts = {(full, m): 0 for full in (True, False) for m in (True, False)}
     for rho, _, e1, e2 in _marginals(rng):
         res = rank2_bound(rho)
-        member = res.method in ("simplex-zero", "pi-coincidence")
+        member = res.method == "simplex-zero"
         states = wclass_states(e1, e2)
         proj = np.array([np.outer(v, v.conj()).ravel() for v in states]).T
         target = rho.ravel()
@@ -742,8 +754,7 @@ def test_upper_exact_pure():
 
 def test_upper_pi_coincidence():
     res = _triple_bound(ghz(4).amplitudes, 0)
-    assert res.method == "pi-coincidence"
-    assert res.value == 0.0
+    _assert_simplex_mean(res, partial_trace(ghz(4), TRIPLES[0]))
 
 
 def test_upper_simplex_zero_for_constructed_mixtures(rng):
@@ -756,7 +767,7 @@ def test_upper_simplex_zero_for_constructed_mixtures(rng):
         assert res.value == 0.0
         if res.method == "simplex-zero":
             hits += 1
-    assert hits >= 8  # pi-coincidence may absorb the occasional draw
+    assert hits >= 8
 
 
 def test_upper_value_range_and_rank_guard(rng):
