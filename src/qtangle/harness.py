@@ -138,9 +138,10 @@ class CampaignSummary:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# States per engine call in every command (a campaign task is one chunk of a
-# class), so memory does not grow with the input. Each call pays the engine's
-# fixed costs once; 128 keeps a 101-point sweep grid in one call.
+# States per engine call in every command (a campaign task is one span of the
+# campaign's (class, index) sequence, which may cross class boundaries), so
+# memory does not grow with the input. Each call pays the engine's fixed costs
+# once; 128 keeps a 101-point sweep grid in one call.
 CHUNK_SIZE = 128
 
 
@@ -175,87 +176,126 @@ def _error_record(cls: int, idx: int, master_seed: int, exc: Exception) -> dict:
     }
 
 
-def _evaluate(cls: int, indices, master_seed: int, mu3: float) -> tuple:
-    """Engine columns and residuals of the listed samples of a class, each
-    drawn from its sub-seed, dressed and bounded in one stack."""
-    cols = tangle_columns(dress(cls, draw_samples(cls, master_seed, indices))[0])
+def _evaluate(segments, master_seed: int, mu3: float) -> tuple:
+    """Engine columns and residuals of the listed samples, one (cls, indices)
+    segment per class: each sample drawn from its sub-seed, each segment
+    dressed as a stack, and all of them bounded in one engine call."""
+    amps = [dress(cls, draw_samples(cls, master_seed, indices))[0] for cls, indices in segments]
+    cols = tangle_columns(np.concatenate(amps))
     return cols, residual_columns(cols, mu3)
 
 
-def _chunk_rows(task: tuple) -> tuple:
-    """The CSV text of one chunk of samples of a class (four lines per
-    sample), the indices of the samples it holds, their residuals (S, 4),
-    one-tangles and bound-method counts, and a record per failed sample; top
-    level so workers can pickle it.
+def _spans(classes, samples_per_class: int) -> list:
+    """The campaign's (class, index) sequence, classes in the order given,
+    cut into spans of CHUNK_SIZE samples: each span a tuple of (cls, start,
+    stop) segments, one per class it crosses."""
+    n = samples_per_class
+    return [
+        tuple(
+            (classes[k], max(start - k * n, 0), min(stop - k * n, n))
+            for k in range(start // n, (stop - 1) // n + 1)
+        )
+        for start, stop in _chunks(len(classes) * n)
+    ]
 
-    The chunk is evaluated in one stacked call. If that call fails, each
-    sample is evaluated alone, so a failure is recorded against the sample
-    that caused it."""
-    cls, start, stop, master_seed, mu3 = task
+
+def _chunk_rows(task: tuple) -> tuple:
+    """The CSV text of one span of the campaign's (class, index) sequence
+    (four lines per sample), the (class, index) of the samples it holds,
+    their residuals (S, 4), one-tangles (S, 4) and bound-method codes (S, 4),
+    and a record per failed sample; top level so workers can pickle it.
+
+    The span is evaluated in one engine call, across its class boundaries.
+    If that call fails, each sample is evaluated alone, so a failure is
+    recorded against the sample that caused it."""
+    segments, master_seed, mu3 = task
+    samples = [(cls, idx) for cls, start, stop in segments for idx in range(start, stop)]
     parts, errors = [], []
     try:
-        parts.append((range(start, stop), _evaluate(cls, range(start, stop), master_seed, mu3)))
+        whole = [(cls, range(start, stop)) for cls, start, stop in segments]
+        parts.append((samples, _evaluate(whole, master_seed, mu3)))
     except Exception:
-        for idx in range(start, stop):
+        for cls, idx in samples:
             try:
-                parts.append(([idx], _evaluate(cls, [idx], master_seed, mu3)))
+                parts.append(([(cls, idx)], _evaluate([(cls, [idx])], master_seed, mu3)))
             except Exception as exc:
                 errors.append(_error_record(cls, idx, master_seed, exc))
-    text, indices, residuals, tau1s = [], [], np.empty((0, 4)), np.empty((0, 4))
-    methods = np.zeros(len(METHODS), dtype=int)
+    text, held = [], []
+    residuals, tau1s = np.empty((0, 4)), np.empty((0, 4))
+    methods = np.empty((0, 4), dtype=int)
     for part, (cols, res) in parts:
         values = np.concatenate([cols.tau1, cols.tau2, cols.tau3.value, res], axis=1).tolist()
         tags = np.array(METHODS, dtype=object)[cols.tau3.method].tolist()
         text += (
             _STATE_LINES.format(cls, idx, _sub_seed(master_seed, cls, idx), *map(repr, v), *t)
-            for idx, v, t in zip(part, values, tags)
+            for (cls, idx), v, t in zip(part, values, tags)
         )
-        indices += part
+        held += part
         residuals, tau1s = np.concatenate([residuals, res]), np.concatenate([tau1s, cols.tau1])
-        methods += np.bincount(cols.tau3.method.ravel(), minlength=len(METHODS))
-    return cls, "".join(text), indices, residuals, tau1s, methods, errors
+        methods = np.concatenate([methods, cols.tau3.method])
+    return "".join(text), held, residuals, tau1s, methods, errors
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The np.histogram bin of each value: i where edges[i] <= x <
+    edges[i + 1], the last bin closed; -1 or len(edges) - 1 (no bin) for a
+    value outside the edges or NaN."""
+    bins = np.searchsorted(edges, x, side="right") - 1
+    bins[x == edges[-1]] = len(edges) - 2
+    return bins
+
+
+def _group_counts(groups: np.ndarray, bins: np.ndarray, nbins: int, ngroups: int) -> np.ndarray:
+    """Counts (ngroups, nbins) of each bin within each group, in one
+    bincount; bins outside 0..nbins-1 are dropped."""
+    keep = (bins >= 0) & (bins < nbins)
+    flat = np.bincount(groups[keep] * nbins + bins[keep], minlength=ngroups * nbins)
+    return flat.reshape(ngroups, nbins)
 
 
 def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSummary:
     """Run the Monte Carlo campaign, write one CSV row per (state, focus).
 
-    Output is a pure function of the config: work is sharded into fixed
-    chunks of CHUNK_SIZE samples of one class, and each chunk's rows are
-    written as they arrive, in (class, sample index) order for any worker
-    count. The summary's histograms and counts are added up chunk by chunk,
-    so memory does not grow with the number of samples.
+    Output is a pure function of the config: the (class, sample index)
+    sequence, classes in sorted order, is cut into fixed spans of CHUNK_SIZE
+    samples that cross class boundaries, each evaluated in one engine call,
+    and each span's rows are written as they arrive, in (class, sample index)
+    order for any worker count. The summary's histograms and counts are added
+    up per class span by span, so memory does not grow with the number of
+    samples.
     """
-    tasks = [
-        (cls, start, stop, cfg.master_seed, cfg.mu3)
-        for cls in sorted(cfg.classes)
-        for start, stop in _chunks(cfg.samples_per_class)
-    ]
+    classes = sorted(cfg.classes)
+    tasks = [(span, cfg.master_seed, cfg.mu3) for span in _spans(classes, cfg.samples_per_class)]
     errors = []
     total_points = 0
     violation_count = 0
     min_residual = None
     min_at: dict = {}
-    res_hist = {cls: np.zeros(len(RESIDUAL_BINS) - 1, dtype=int) for cls in cfg.classes}
-    t1_hist = {cls: np.zeros(len(TAU1_BINS) - 1, dtype=int) for cls in cfg.classes}
-    methods = {cls: np.zeros(len(METHODS), dtype=int) for cls in cfg.classes}
+    ngroups = max(classes) + 1  # counts are indexed by the class itself
+    res_hist = np.zeros((ngroups, len(RESIDUAL_BINS) - 1), dtype=int)
+    t1_hist = np.zeros((ngroups, len(TAU1_BINS) - 1), dtype=int)
+    methods = np.zeros((ngroups, len(METHODS)), dtype=int)
     workers = min(cfg.workers, len(tasks))
     # The file opens first, so an unwritable path fails before any worker starts.
     with _csv_file(csv_path, CSV_FIELDS) as (fh, _), (
         Pool(workers) if workers > 1 else nullcontext()
     ) as pool:
         results = pool.imap(_chunk_rows, tasks) if pool else map(_chunk_rows, tasks)
-        for cls, text, indices, residuals, tau1s, counts, chunk_errors in results:
-            errors.extend(chunk_errors)
+        for text, held, residuals, tau1s, codes, span_errors in results:
+            errors.extend(span_errors)
             fh.write(text)
             total_points += residuals.size
-            res_hist[cls] += np.histogram(residuals, bins=RESIDUAL_BINS)[0]
-            t1_hist[cls] += np.histogram(tau1s, bins=TAU1_BINS)[0]
-            methods[cls] += counts
+            groups = np.repeat(np.array([cls for cls, _ in held], dtype=int), 4)
+            res_bins = _bin_index(residuals.ravel(), RESIDUAL_BINS)
+            res_hist += _group_counts(groups, res_bins, len(RESIDUAL_BINS) - 1, ngroups)
+            t1_bins = _bin_index(tau1s.ravel(), TAU1_BINS)
+            t1_hist += _group_counts(groups, t1_bins, len(TAU1_BINS) - 1, ngroups)
+            methods += _group_counts(groups, codes.ravel(), len(METHODS), ngroups)
             violation_count += int(np.count_nonzero(residuals < cfg.negativity_threshold))
-            if indices and (min_residual is None or residuals.min() < min_residual):
+            if held and (min_residual is None or residuals.min() < min_residual):
                 i = int(np.argmin(residuals))  # the first row at the minimum
                 min_residual = float(residuals.flat[i])
-                idx, focus = indices[i // 4], i % 4 + 1  # its sample and focus
+                (cls, idx), focus = held[i // 4], i % 4 + 1  # its sample and focus
                 min_at = dict(zip(CSV_FIELDS, (cls, idx, _sub_seed(cfg.master_seed, cls, idx), focus)))
     per_class = {
         str(cls): {
@@ -265,7 +305,7 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
             "tau1_bin_edges": TAU1_BINS.tolist(),
             "methods": dict(zip(METHODS, methods[cls].tolist())),
         }
-        for cls in sorted(cfg.classes)
+        for cls in classes
     }
     summary = CampaignSummary(
         total_points=total_points,

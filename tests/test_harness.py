@@ -144,11 +144,11 @@ def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "Pool", SequentialPool)
     chunk = harness.CHUNK_SIZE
     run_campaign(CampaignConfig(classes=(1,), samples_per_class=chunk, workers=8), tmp_path / "a.csv")
-    assert sizes == []  # one chunk: no pool
+    assert sizes == []  # one class of one chunk: no pool
     for workers in (8, 2, 1):
         cfg = CampaignConfig(classes=(1, 2, 3), samples_per_class=chunk + 1, workers=workers)
         run_campaign(cfg, tmp_path / f"w{workers}.csv")
-    assert sizes == [6, 2]  # three classes of two chunks each
+    assert sizes == [4, 2]  # 3 * (chunk + 1) samples: three full spans and one of 3
     assert (tmp_path / "w8.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
 
 
@@ -183,7 +183,7 @@ def _reference_rows(cfg):
 def test_campaign_csv_text_is_what_the_csv_writer_writes(tmp_path, monkeypatch):
     # The campaign writes its rows as text, not through csv.writer: no field
     # may need quoting, and the parsed rows written through the package's one
-    # CSV dialect give the same bytes. Sample 3 fails, so a chunk is written
+    # CSV dialect give the same bytes. Sample 3 fails, so a span is written
     # in parts.
     monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
     monkeypatch.setattr(harness, "draw_samples", _failing_at(3, harness.draw_samples))
@@ -202,7 +202,8 @@ def test_campaign_csv_text_is_what_the_csv_writer_writes(tmp_path, monkeypatch):
 
 
 def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch):
-    # 70 samples per class: full chunks and one partial chunk per class.
+    # Spans of 16 among 8 x 70 samples: seven of the 35 spans cross a class
+    # boundary.
     monkeypatch.setattr(harness, "CHUNK_SIZE", 16)
     assert 70 % harness.CHUNK_SIZE
     base = dict(samples_per_class=70, master_seed=20260824)
@@ -219,9 +220,9 @@ def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch)
 
 
 def test_campaign_min_residual_at_names_its_row(tmp_path, monkeypatch):
-    # Chunks of 5 among 23 samples of 8 classes: the minimum can sit in any
-    # chunk. At this seed it is class 4, sample 17 (the fourth chunk's third
-    # sample), focus 3.
+    # Spans of 5 among 23 samples of 8 classes: the minimum can sit in any
+    # span. At this seed it is class 4, sample 17 (the second sample of the
+    # eighteenth span, which holds class 4's samples 16-20), focus 3.
     monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
     for workers in (1, 2):
         cfg = CampaignConfig(samples_per_class=23, master_seed=20260827, workers=workers)
@@ -234,6 +235,59 @@ def test_campaign_min_residual_at_names_its_row(tmp_path, monkeypatch):
             "sub_seed": row["sub_seed"],
             "focus": int(row["focus"]),
         }
+
+
+def test_campaign_spans_cross_classes(tmp_path, monkeypatch):
+    # Spans of 10 among 4 samples of classes 1-4: the first span holds classes
+    # 1 and 2 and class 3's first two samples, the second the rest of class 3
+    # and class 4. At this seed the minimum is class 4, sample 0, focus 1: in
+    # the second span's second class. Then sample 3 of every class fails, so
+    # both spans fall back to one sample at a time.
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 10)
+    cfg = CampaignConfig(classes=(1, 2, 3, 4), samples_per_class=4, master_seed=1)
+    spans = [((1, 0, 4), (2, 0, 4), (3, 0, 2)), ((3, 2, 4), (4, 0, 4))]
+    assert harness._spans(cfg.classes, cfg.samples_per_class) == spans
+    want = _reference_rows(cfg)
+    lowest = min(want[1:], key=lambda line: float(line.rsplit(",", 1)[1])).split(",")
+    min_at = {"class": 4, "sample_index": 0, "sub_seed": "1:4:0", "focus": 1}
+    assert min_at == dict(zip(min_at, (int(lowest[0]), int(lowest[1]), lowest[2], int(lowest[3]))))
+    summary = run_campaign(cfg, tmp_path / "all.csv")
+    assert (tmp_path / "all.csv").read_text().splitlines() == want
+    assert summary.min_residual_at == min_at and not summary.errors
+    monkeypatch.setattr(harness, "draw_samples", _failing_at(3, harness.draw_samples))
+    summary = run_campaign(cfg, tmp_path / "v.csv")
+    assert summary.errors == [
+        {
+            "class": cls,
+            "sample_index": 3,
+            "sub_seed": f"1:{cls}:3",
+            "type": "RuntimeError",
+            "message": "sampler broke at index 3",
+        }
+        for cls in (1, 2, 3, 4)
+    ]
+    kept = [line for line in want if line.split(",")[1] != "3"]
+    assert (tmp_path / "v.csv").read_text().splitlines() == kept
+    assert summary.total_points == len(kept) - 1 == 4 * 3 * 4
+    assert summary.min_residual_at == min_at
+
+
+def test_campaign_summary_bins_match_np_histogram():
+    # Values at every edge, one ulp to each side of it, at -0.05, 0.0 and 1.0
+    # exactly, outside the range, infinite and NaN, in three groups.
+    rng = np.random.default_rng(5)
+    for edges in (harness.RESIDUAL_BINS, harness.TAU1_BINS):
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-0.05, 0.0, 1.0, -0.06, 1.01, -1.0, 2.0, np.inf, -np.inf, np.nan],
+            rng.uniform(-0.1, 1.1, 300),
+        ])  # fmt: skip
+        groups = rng.integers(0, 3, x.size)
+        nbins = len(edges) - 1
+        counts = harness._group_counts(groups, harness._bin_index(x, edges), nbins, 3)
+        for g in range(3):
+            assert counts[g].tolist() == np.histogram(x[groups == g], bins=edges)[0].tolist()
+        assert counts.sum() == np.histogram(x, bins=edges)[0].sum() < x.size
 
 
 def test_campaign_summary_counts_bound_methods(tmp_path):
@@ -302,7 +356,7 @@ def test_campaign_isolates_a_sample_the_engine_rejects(tmp_path, monkeypatch):
 
 def test_campaign_records_a_sample_whose_operators_stay_singular(tmp_path, monkeypatch):
     # Sample 5's stream draws only singular operators and sample 2's first
-    # operator is singular once: the chunk's stacked preparation fails, each
+    # operator is singular once: the span's stacked preparation fails, each
     # sample is prepared alone, and only sample 5 is recorded, with the error
     # of the sequential sampler. Sample 2's retried operators do not change.
     cfg = CampaignConfig(classes=(3,), samples_per_class=8, master_seed=11)
