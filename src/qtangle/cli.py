@@ -17,6 +17,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .harness import (
+    SWEEP_BINDINGS,
     VIOLATION_THRESHOLD,
     CampaignConfig,
     run_campaign,
@@ -71,7 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep a one-parameter normal-form family")
     p.set_defaults(run=_cmd_sweep)
-    p.add_argument("--class", dest="slocc_class", type=int, required=True, choices=range(2, 7))
+    p.add_argument(
+        "--class", dest="slocc_class", type=int, required=True, choices=sorted(SWEEP_BINDINGS)
+    )
     p.add_argument("--a-min", type=float, default=0.0)
     p.add_argument("--a-max", type=float, default=2.0)
     p.add_argument("--step", type=float, default=0.01)
@@ -144,16 +147,8 @@ def _cmd_sweep(args) -> int:
         args.slocc_class, grid, mu3=args.mu3, threshold=args.threshold, csv_path=args.out
     )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "class": result.slocc_class,
-                    "rows": result.rows,
-                    "flagged": result.flagged,
-                    "violations": result.violations,
-                }
-            )
-        )
+        print(json.dumps({"class": result.slocc_class, "rows": result.rows,
+                          "flagged": result.flagged, "violations": result.violations}))
     else:
         print(f"class {result.slocc_class}: {len(result.rows)} grid points, "
               f"{len(result.flagged)} degenerate, {len(result.violations)} violations")

@@ -44,23 +44,10 @@ from .tangles import (
 log = logging.getLogger(__name__)
 
 CSV_FIELDS = [
-    "class",
-    "sample_index",
-    "sub_seed",
-    "focus",
-    "partners",
-    "tau1",
-    "tau2_1",
-    "tau2_2",
-    "tau2_3",
-    "tau3_12",
-    "tau3_13",
-    "tau3_23",
-    "method_12",
-    "method_13",
-    "method_23",
-    "residual_lower",
-]
+    "class", "sample_index", "sub_seed", "focus", "partners", "tau1",
+    "tau2_1", "tau2_2", "tau2_3", "tau3_12", "tau3_13", "tau3_23",
+    "method_12", "method_13", "method_23", "residual_lower",
+]  # fmt: skip
 
 _PARTNER_LABELS = ["-".join(map(str, ps)) for ps in PARTNERS]
 
@@ -145,9 +132,9 @@ class CampaignSummary:
 CHUNK_SIZE = 128
 
 
-def _chunks(n: int) -> list:
-    """(start, stop) of each chunk of CHUNK_SIZE states among n."""
-    return [(start, min(start + CHUNK_SIZE, n)) for start in range(0, n, CHUNK_SIZE)]
+def _chunks(n: int):
+    """(start, stop) of each chunk of CHUNK_SIZE states among n, lazily."""
+    return ((start, min(start + CHUNK_SIZE, n)) for start in range(0, n, CHUNK_SIZE))
 
 
 @contextmanager
@@ -185,18 +172,18 @@ def _evaluate(segments, master_seed: int, mu3: float) -> tuple:
     return cols, residual_columns(cols, mu3)
 
 
-def _spans(classes, samples_per_class: int) -> list:
+def _spans(classes, samples_per_class: int):
     """The campaign's (class, index) sequence, classes in the order given,
-    cut into spans of CHUNK_SIZE samples: each span a tuple of (cls, start,
-    stop) segments, one per class it crosses."""
+    cut into spans of CHUNK_SIZE samples, made one at a time: each span a
+    tuple of (cls, start, stop) segments, one per class it crosses."""
     n = samples_per_class
-    return [
+    return (
         tuple(
             (classes[k], max(start - k * n, 0), min(stop - k * n, n))
             for k in range(start // n, (stop - 1) // n + 1)
         )
         for start, stop in _chunks(len(classes) * n)
-    ]
+    )
 
 
 def _chunk_rows(task: tuple) -> tuple:
@@ -265,7 +252,7 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     samples.
     """
     classes = sorted(cfg.classes)
-    tasks = [(span, cfg.master_seed, cfg.mu3) for span in _spans(classes, cfg.samples_per_class)]
+    tasks = ((span, cfg.master_seed, cfg.mu3) for span in _spans(classes, cfg.samples_per_class))
     errors = []
     total_points = 0
     violation_count = 0
@@ -275,7 +262,8 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     res_hist = np.zeros((ngroups, len(RESIDUAL_BINS) - 1), dtype=int)
     t1_hist = np.zeros((ngroups, len(TAU1_BINS) - 1), dtype=int)
     methods = np.zeros((ngroups, len(METHODS)), dtype=int)
-    workers = min(cfg.workers, len(tasks))
+    # At most one worker per span: ceil(states / CHUNK_SIZE).
+    workers = min(cfg.workers, -(-len(classes) * cfg.samples_per_class // CHUNK_SIZE))
     # The file opens first, so an unwritable path fails before any worker starts.
     with _csv_file(csv_path, CSV_FIELDS) as (fh, _), (
         Pool(workers) if workers > 1 else nullcontext()

@@ -19,10 +19,13 @@ Bloch vectors of all triples of all states at once. The bound makes no
 LAPACK call: a triple's spectrum and support come from the closed-form
 eigendecomposition of its 2x2 Gram matrix (``_rank2_support``) and the W
 roots from a closed-form, backward-stable quartic solver (``_wclass_roots``),
-both elementwise over the stack. The tau matrices' singular values are a
-LAPACK call per small matrix, the same whatever the stack size, so a
-state's numbers do not depend on the stack it came in. ``pure_tangles``
-(2-8 qubits) is a one-state view of the same code, and
+both elementwise over the stack. Every three-tangle is 4 |form|, with form
+Cayley's hyperdeterminant as the discriminant of det(A + t B) for the
+qubit-1 slices A, B; the W quartic's coefficients are products of
+quadratics in z from the same 2x2 determinants, with no interpolation. The
+tau matrices' singular values are a LAPACK call per small matrix, the same
+whatever the stack size, so a state's numbers do not depend on the stack.
+``pure_tangles`` (2-8 qubits) is a one-state view of the same code, and
 ``BoundColumns.result`` reads one bound as a TangleBoundResult.
 """
 
@@ -40,18 +43,13 @@ from .qstate import PureState
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
-# Nodes for recovering the quartic coefficients of tau3(e1 + z e2) by
-# exact interpolation; the inverse Vandermonde is fixed once.
-_QUARTIC_NODES = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
-_QUARTIC_VINV = np.linalg.inv(np.vander(_QUARTIC_NODES, 5, increasing=True))
-
 # RANK_TOL, DEGREE_TOL and NORM_TOL were measured on verify --samples 300 --seed
 # 20260823, the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
 RANK_TOL = 1e-8  # on p2, a triple marginal's smaller eigenvalue; measured: pure 0, mixed >= 1.8e-6
 SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-members >= 7.3e-4
 PI_TOL = 1e-9  # on |r - p|, r taken as the simplex mean; measured: coincident <= 5.6e-16, others >= 0.045
-VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 2.4e-15 vs >= 5.0e-9
-DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient; measured: <= 5.0e-16 vs >= 1.6e-11
+VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 5.4e-16 vs >= 5.0e-9
+DEGREE_TOL = 1e-12  # relative to the largest quartic coefficient; measured: <= 3.3e-16 vs >= 1.6e-11
 POLISH_STEPS = 2  # guarded Newton steps after Ferrari, see _quartic_roots
 NORM_TOL = 1e-12  # on |<psi|psi> - 1| of a pure-state input; measured: <= 6.7e-16
 
@@ -62,6 +60,7 @@ RDL_DIAGNOSTICS = ("kappa", "trace_norm_ratio", "tau3_phi", "raw_value")
 
 PAIRS = tuple(combinations((1, 2, 3, 4), 2))
 TRIPLES = tuple(combinations((1, 2, 3, 4), 3))
+_ROW_PAIRS = np.triu_indices(8, 1)  # the pairs i < j of rows of an 8x2 reshape
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
@@ -124,25 +123,23 @@ class BoundColumns(NamedTuple):
         return TangleBoundResult(float(self.value[index]), METHODS[code], diagnostics)
 
 
+def _det2(a):
+    """det [[a0, a1], [a2, a3]] of 2x2 matrices, their entries along the leading axis."""
+    return a[0] * a[3] - a[1] * a[2]
+
+
+def _mixed_det2(a, b):
+    """det(a + b) - det a - det b of 2x2 matrices as in ``_det2``, without cancellation."""
+    return a[0] * b[3] + a[3] * b[0] - a[1] * b[2] - a[2] * b[1]
+
+
 def _tau3_quartic_form(c: np.ndarray) -> complex:
-    """Degree-4 polynomial in the amplitudes whose modulus (times 4) is the
-    three-tangle; index is the bitstring rst with qubit 1 most significant."""
-    return (
-        c[0] ** 2 * c[7] ** 2
-        + c[1] ** 2 * c[6] ** 2
-        + c[2] ** 2 * c[5] ** 2
-        + c[4] ** 2 * c[3] ** 2
-        - 2.0
-        * (
-            c[0] * c[7] * c[1] * c[6]
-            + c[0] * c[7] * c[2] * c[5]
-            + c[0] * c[7] * c[4] * c[3]
-            + c[1] * c[6] * c[2] * c[5]
-            + c[1] * c[6] * c[3] * c[4]
-            + c[4] * c[3] * c[2] * c[5]
-        )
-        + 4.0 * (c[0] * c[3] * c[5] * c[6] + c[7] * c[4] * c[2] * c[1])
-    )
+    """Cayley's hyperdeterminant of amplitudes c (8, ...), 4 |form| the
+    three-tangle (index rst, qubit 1 most significant): the discriminant of
+    det(A + t B) = det A + m t + det B t^2 for the qubit-1 slices A = c[:4]
+    and B = c[4:]."""
+    m = _mixed_det2(c[:4], c[4:])
+    return m * m - 4.0 * (_det2(c[:4]) * _det2(c[4:]))
 
 
 def _tau3(form):
@@ -165,13 +162,24 @@ def three_tangle_pure(psi3: PureState) -> float:
 # e1 the north pole. Every helper takes a stack of K states.
 
 
+def _quadratic_product(p: tuple, q: tuple) -> list:
+    """Coefficients, low to high, of the product of quadratics p, q (low to high)."""
+    (p0, p1, p2), (q0, q1, q2) = p, q
+    return [p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0, p1 * q2 + p2 * q1, p2 * q2]
+
+
 def _quartic_coeffs(support: np.ndarray) -> np.ndarray:
-    """Coefficients, low to high, of p(z) = form(e1 + z e2) for supports
-    (..., 2, 8); the four triples of a state (..., 4, 2, 8) share one matrix
-    product, whatever the stack's length."""
-    vecs = support[..., None, 0, :] + _QUARTIC_NODES[:, None] * support[..., None, 1, :]
-    vals = _tau3_quartic_form(np.moveaxis(vecs, -1, 0))  # (..., nodes)
-    return vals @ _QUARTIC_VINV.T
+    """Coefficients (..., 5), low to high, of p(z) = form(e1 + z e2) for
+    supports (..., 2, 8), as m^2 - 4 a d for the quadratics a = det A(z),
+    d = det B(z) and m, their mixed determinant, of the slices A1 + z A2 and
+    B1 + z B2 of e1 + z e2. No interpolation: p(0) is form(e1) to the bit."""
+    e1, e2 = np.moveaxis(support, (-2, -1), (0, 1))  # each (8, ...)
+    a1, b1, a2, b2 = e1[:4], e1[4:], e2[:4], e2[4:]
+    a = (_det2(a1), _mixed_det2(a1, a2), _det2(a2))
+    d = (_det2(b1), _mixed_det2(b1, b2), _det2(b2))
+    m = (_mixed_det2(a1, b1), _mixed_det2(a1, b2) + _mixed_det2(a2, b1), _mixed_det2(a2, b2))
+    mm, ad = _quadratic_product(m, m), _quadratic_product(a, d)
+    return np.stack([x - 4.0 * y for x, y in zip(mm, ad)], axis=-1)
 
 
 def _quartic_degree(coeffs: np.ndarray) -> np.ndarray:
@@ -619,9 +627,10 @@ def _rank2_support(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     eigendecomposition of the 2x2 Gram matrix G = M^dag M in closed form.
 
     p1 comes from the trace and the eigenvalue gap, and p2 = det G / p1 with
-    det G the sum of the squared 2x2 minors of M (Cauchy-Binet), so a small
-    p2 keeps its relative accuracy. Each support vector is M v / |M v| for the
-    eigenvector v of G, the second one first made orthogonal to the first.
+    det G the sum of the squared 2x2 minors of M, each pair of rows once
+    (Cauchy-Binet), so a small p2 keeps its relative accuracy. Each support
+    vector is M v / |M v| for the eigenvector v of G, the second one first
+    made orthogonal to the first.
     Where p2 = 0 exactly the second vector is 0; a pure marginal's bound
     reads only the first. Every step is elementwise or a sum over the last
     axis, so a marginal's numbers do not depend on the stack.
@@ -632,9 +641,9 @@ def _rank2_support(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     d = 0.5 * (g11 - g22)
     gap = np.sqrt(d * d + g12.real * g12.real + g12.imag * g12.imag)
     p1 = 0.5 * (g11 + g22) + gap
-    minors = x[..., :, None] * y[..., None, :]
-    minors = minors - minors.swapaxes(-1, -2)  # each pair of rows twice
-    det = 0.5 * np.sum(minors.real * minors.real + minors.imag * minors.imag, axis=(-2, -1))
+    i, j = _ROW_PAIRS
+    minors = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+    det = np.sum(minors.real * minors.real + minors.imag * minors.imag, axis=-1)
     # The eigenvector (v0, v1) of p1, from the column of G - p2 I that does
     # not cancel; where G = p1 I (e = 0), any basis.
     e = gap + np.abs(d)

@@ -17,8 +17,7 @@ scipy's own finite differences.
 import numpy as np
 from scipy.optimize import minimize
 
-from qtangle.tangles import _tau3_quartic_form
-from reference import rank2_eigh
+from reference import rank2_eigh, tau3_quartic_form
 
 # scipy's L-BFGS-B forward differences: an absolute step of 1e-8, replaced by
 # sqrt(eps) * sign(x) * max(1, |x|) where x + 1e-8 rounds back to x.
@@ -36,7 +35,7 @@ def _members(x: np.ndarray, weighted: np.ndarray) -> np.ndarray:
 
 
 def _quartic_rows(s: np.ndarray) -> np.ndarray:
-    return np.abs(_tau3_quartic_form(np.moveaxis(s, -1, 0)))
+    return np.abs(tau3_quartic_form(np.moveaxis(s, -1, 0)))
 
 
 def _roof_objective(x: np.ndarray, weighted: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ at a time, by a route independent of the package's amplitude-tensor path:
 package's closed-form eigendecomposition of each 8x2 reshape's Gram matrix,
 ``rank2_bound`` bounds that support with the package's bound, and
 ``wclass_states`` finds the zero-tangle states of a rank-2 support with
-``np.roots`` instead of the package's closed-form (Ferrari) quartic solver.
+``np.roots`` instead of the package's closed-form (Ferrari) quartic solver,
+on coefficients interpolated from ``tau3_quartic_form``, the three-tangle's
+term-by-term expansion, instead of the package's hyperdeterminant as a
+discriminant.
 ``companion_roots`` is the batched companion-matrix ``eigvals`` route to the
 same roots, the baseline the package's solver is held to in accuracy.
 
@@ -36,7 +39,7 @@ from qtangle.states import (
     SloccProvenance,
     _check_class,
 )
-from qtangle.tangles import TangleBoundResult, _phase_fix, _rank2_bounds, _tau3_quartic_form
+from qtangle.tangles import TangleBoundResult, _phase_fix, _rank2_bounds
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -118,19 +121,46 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
+def tau3_quartic_form(c: np.ndarray) -> complex:
+    """Degree-4 polynomial in the amplitudes whose modulus (times 4) is the
+    three-tangle, as Coffman, Kundu and Wootters expand it term by term;
+    index is the bitstring rst with qubit 1 most significant."""
+    return (
+        c[0] ** 2 * c[7] ** 2
+        + c[1] ** 2 * c[6] ** 2
+        + c[2] ** 2 * c[5] ** 2
+        + c[4] ** 2 * c[3] ** 2
+        - 2.0
+        * (
+            c[0] * c[7] * c[1] * c[6]
+            + c[0] * c[7] * c[2] * c[5]
+            + c[0] * c[7] * c[4] * c[3]
+            + c[1] * c[6] * c[2] * c[5]
+            + c[1] * c[6] * c[3] * c[4]
+            + c[4] * c[3] * c[2] * c[5]
+        )
+        + 4.0 * (c[0] * c[3] * c[5] * c[6] + c[7] * c[4] * c[2] * c[1])
+    )
+
+
+def interpolated_quartic(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Coefficients (5,), low to high, of p(z) = form(e1 + z e2),
+    interpolated from p at 0, +-1, +-i by a Vandermonde solve."""
+    nodes = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
+    values = [tau3_quartic_form(e1 + z * e2) for z in nodes]
+    return np.linalg.solve(np.vander(nodes, 5, increasing=True), values)
+
+
 def wclass_states(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """The four W-class states (4, 8) of the span of orthonormal e1, e2.
 
-    They are the zeros of p(z) = form(e1 + z e2), with coefficients
-    interpolated from p at 0, +-1, +-i by a Vandermonde solve. Finite roots
-    are ordered by ``np.sort_complex``, as in the package; roots of modulus
-    >= 1e6 and roots that ``np.roots`` drops (exactly zero leading
-    coefficients) come last, as e1/z + e2 and e2. A quartic that vanishes
-    identically gives e1, e2 and (e1 +- e2)/sqrt(2).
+    They are the zeros of p(z) = form(e1 + z e2), with the coefficients of
+    ``interpolated_quartic``. Finite roots are ordered by ``np.sort_complex``,
+    as in the package; roots of modulus >= 1e6 and roots that ``np.roots``
+    drops (exactly zero leading coefficients) come last, as e1/z + e2 and e2.
+    A quartic that vanishes identically gives e1, e2 and (e1 +- e2)/sqrt(2).
     """
-    nodes = np.array([0.0, 1.0, -1.0, 1.0j, -1.0j])
-    values = [_tau3_quartic_form(e1 + z * e2) for z in nodes]
-    coeffs = np.linalg.solve(np.vander(nodes, 5, increasing=True), values)
+    coeffs = interpolated_quartic(e1, e2)
     if np.max(np.abs(coeffs)) < _VANISHING:
         return np.array([e1, e2, (e1 + e2) / np.sqrt(2), (e1 - e2) / np.sqrt(2)])
     roots = np.roots(coeffs[::-1])

@@ -45,11 +45,13 @@ from qtangle.tangles import (
 )
 from reference import (
     companion_roots,
+    interpolated_quartic,
     local_image,
     one_tangle,
     partial_trace,
     rank2_bound,
     rank2_eigh,
+    tau3_quartic_form,
     trace_norm,
     two_tangle,
     wclass_states,
@@ -125,6 +127,45 @@ def test_three_tangle_local_unitary_invariant(rng):
         psi = random_pure_state(rng, 3)
         rotated = local_image(psi, [random_unitary2(rng) for _ in range(3)])
         assert three_tangle_pure(rotated) == pytest.approx(three_tangle_pure(psi), abs=1e-9)
+
+
+# The reference expansion's terms: (weight, amplitude indices) of each
+# monomial, for the size of its sum.
+_FORM_TERMS = (
+    (1, (0, 0, 7, 7)), (1, (1, 1, 6, 6)), (1, (2, 2, 5, 5)), (1, (4, 4, 3, 3)),
+    (2, (0, 7, 1, 6)), (2, (0, 7, 2, 5)), (2, (0, 7, 4, 3)),
+    (2, (1, 6, 2, 5)), (2, (1, 6, 3, 4)), (2, (4, 3, 2, 5)),
+    (4, (0, 3, 5, 6)), (4, (7, 4, 2, 1)),
+)  # fmt: skip
+
+
+def test_three_tangle_form_matches_the_term_expansion(rng):
+    c = rng.normal(size=(8, 2000)) + 1j * rng.normal(size=(8, 2000))
+    c[:, :1000] *= rng.uniform(0.0, 1.0, size=(8, 1000)) ** 8  # amplitudes of mixed sizes
+    terms = sum(k * np.prod(np.abs(c[list(idx)]), axis=0) for k, idx in _FORM_TERMS)
+    error = np.abs(tangles._tau3_quartic_form(c) - tau3_quartic_form(c))
+    assert np.all(error <= 8.0 * np.finfo(float).eps * terms)  # measured: 4.5 eps on 200,000
+
+
+def test_quartic_coeffs_match_interpolation(rng):
+    m = rng.normal(size=(200, 8, 2)) + 1j * rng.normal(size=(200, 8, 2))
+    support = np.linalg.qr(m)[0].swapaxes(-1, -2)  # orthonormal rows (200, 2, 8)
+    coeffs = _quartic_coeffs(support)
+    want = np.array([interpolated_quartic(e1, e2) for e1, e2 in support])
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(coeffs - want) <= 1e-14 * scale)  # measured: 1.7e-15 on 5,000
+
+
+def test_quartic_coeffs_exact_on_basis_spans():
+    e = np.eye(8)
+    # form(|000> + z |111>) = z^2: GHZ-like, degree 2
+    coeffs = _quartic_coeffs(np.stack([e[0], e[7]])[None])
+    assert coeffs.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0]]
+    assert _quartic_degree(coeffs).tolist() == [2]
+    # |000> + z |001> is a product state for every z: the form vanishes.
+    coeffs = _quartic_coeffs(np.stack([e[0], e[1]])[None])
+    assert coeffs.tolist() == [[0.0] * 5]
+    assert _quartic_degree(coeffs).tolist() == [-1]
 
 
 def test_three_tangle_wrong_size():
