@@ -485,8 +485,6 @@ def tangle_report(psi: PureState, focus: int, mu3: float = MU3) -> dict:
     every term comes from the strong-monogamy report the residual is built on."""
     _check_mu3(mu3)
     n = psi.n_qubits
-    if n not in (2, 3, 4):
-        raise ValueError(f"tangle report supports 2-4 qubits, got {n}")
     _check_focus(focus, n)
     if n == 4:
         sm = sm_report_all_foci(psi, mu3)[focus - 1]

@@ -23,7 +23,7 @@ import numpy as np
 ZERO_NORM = 1e-12
 
 MIN_QUBITS = 2
-MAX_QUBITS = 8
+MAX_QUBITS = 4
 
 
 def _check_qubit_count(n: int) -> None:
@@ -33,7 +33,7 @@ def _check_qubit_count(n: int) -> None:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized pure state of ``n_qubits`` qubits (2..8)."""
+    """Normalized pure state of ``n_qubits`` qubits (2..4)."""
 
     n_qubits: int
     amplitudes: np.ndarray

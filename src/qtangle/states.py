@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import PureState, _local_images, _unit_rows
+from .qstate import PureState, _check_qubit_count, _local_images, _unit_rows
 
 # Number of complex parameters each normal-form family takes (a, b, c, d order).
 CLASS_ARITY = {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1, 7: 0, 8: 0, 9: 0}
@@ -91,26 +91,27 @@ class SloccProvenance:
 
 
 def ghz(n: int) -> PureState:
+    _check_qubit_count(n)  # before 2**n, which a huge n makes huge
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0
     return PureState.from_amplitudes(amps, n_qubits=n)
 
 
 def w(n: int) -> PureState:
+    _check_qubit_count(n)
     amps = np.zeros(2**n, dtype=complex)
-    for k in range(n):
-        amps[2**k] = 1.0
+    amps[2 ** np.arange(n)] = 1.0
     return PureState.from_amplitudes(amps, n_qubits=n)
 
 
 def ghzw(p: GhzwParams) -> PureState:
     """alpha |0..0> + beta |W_n> + gamma |1..1>, normalized."""
     n = p.n
+    _check_qubit_count(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = p.alpha
     amps[-1] = p.gamma
-    for k in range(n):
-        amps[2**k] += p.beta / np.sqrt(n)
+    amps[2 ** np.arange(n)] = p.beta / np.sqrt(n)  # W's basis states, none |0..0> or |1..1>
     return PureState.from_amplitudes(amps, n_qubits=n)
 
 

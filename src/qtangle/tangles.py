@@ -13,10 +13,10 @@ surface state's exact three-tangle by the squared trace-norm ratio
 ``tangle_columns`` is the engine: it takes a stack of four-qubit amplitude
 vectors and returns every one-tangle, two-tangle and three-tangle bound as
 arrays. Each kind of marginal is a stack of matricizations of the tensor
-(2 x 2^(n-1) per focus, 4 x 2^(n-2) per pair, 8x2 per triple of four
-qubits), so no reduced density matrix is formed, and the bound runs on the
-Bloch vectors of all triples of all states at once. The bound makes no
-LAPACK call: a triple's spectrum and support come from the closed-form
+(2x8 per focus, 4x4 per pair, 8x2 per triple, each a constant index table),
+so no reduced density matrix is formed, and the bound runs on the Bloch
+vectors of all triples of all states at once. The bound makes no LAPACK
+call: a triple's spectrum and support come from the closed-form
 eigendecomposition of its 2x2 Gram matrix (``_rank2_support``) and the W
 roots from a closed-form, backward-stable quartic solver (``_wclass_roots``),
 both elementwise over the stack. Every three-tangle is 4 |form|, with form
@@ -25,14 +25,13 @@ qubit-1 slices A, B; the W quartic's coefficients are products of
 quadratics in z from the same 2x2 determinants, with no interpolation. The
 tau matrices' singular values are a LAPACK call per small matrix, the same
 whatever the stack size, so a state's numbers do not depend on the stack.
-``pure_tangles`` (2-8 qubits) is a one-state view of the same code, and
-``BoundColumns.result`` reads one bound as a TangleBoundResult.
+``pure_tangles`` (2-4 qubits, padded with |0> spectators) is a one-state view of
+the same code; ``BoundColumns.result`` reads one bound as a TangleBoundResult.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -58,8 +57,21 @@ METHODS = ("exact-pure", "simplex-zero", "rdl-line")
 EXACT_PURE, SIMPLEX_ZERO, RDL_LINE = range(3)
 RDL_DIAGNOSTICS = ("kappa", "trace_norm_ratio", "tau3_phi", "raw_value")
 
+
+def _unfoldings(keeps: tuple) -> np.ndarray:
+    """Flat amplitude indices of the kept-by-rest matricizations of a
+    four-qubit tensor, one per kept set of k qubits; rows follow the kept
+    qubits' bits, columns the other qubits' bits in order."""
+    k, t = len(keeps[0]), np.arange(16).reshape(2, 2, 2, 2)
+    moved = [np.moveaxis(t, np.subtract(keep, 1), range(k)) for keep in keeps]
+    return np.stack(moved).reshape(len(keeps), 2**k, -1)
+
+
 PAIRS = tuple(combinations((1, 2, 3, 4), 2))
 TRIPLES = tuple(combinations((1, 2, 3, 4), 3))
+_FOCUS_UNFOLDINGS = _unfoldings(((1,), (2,), (3,), (4,)))  # (4, 2, 8)
+_PAIR_UNFOLDINGS = _unfoldings(PAIRS)  # (6, 4, 4)
+_TRIPLE_UNFOLDINGS = _unfoldings(TRIPLES)  # (4, 8, 2)
 _ROW_PAIRS = np.triu_indices(8, 1)  # the pairs i < j of rows of an 8x2 reshape
 
 
@@ -70,18 +82,6 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     pivot = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
     pivot = np.where(big.any(axis=-1, keepdims=True), pivot, 1.0)
     return v * (pivot.conjugate() / np.abs(pivot))
-
-
-@cache
-def _unfoldings(n: int, keeps: tuple) -> np.ndarray:
-    """Flat amplitude indices of the kept-by-rest matricizations of an
-    n-qubit tensor, one per kept set; rows follow the kept qubits' bits."""
-    t = np.arange(2**n).reshape((2,) * n)
-    out = []
-    for keep in keeps:
-        axes = [q - 1 for q in keep] + [q for q in range(n) if q + 1 not in keep]
-        out.append(t.transpose(axes).reshape(2 ** len(keep), -1))
-    return np.stack(out)
 
 
 @dataclass(frozen=True)
@@ -570,44 +570,44 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     return bounds
 
 
-def _pure_columns(amps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-tangles (S, n) by focus and two-tangles (S, n(n-1)/2) by pair, in
-    combinations order, of a stack of n-qubit amplitude vectors (S, 2^n)."""
+def _pure_columns(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-tangles (S, 4) by focus and two-tangles (S, 6) by pair, in PAIRS
+    order, of a stack of four-qubit amplitude vectors (S, 16)."""
     norm2 = np.sum(amps.real**2 + amps.imag**2, axis=1)
     bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))  # also catches NaN
     if bad.size:
         raise ValueError(f"state has squared norm {norm2[bad[0]]}, expected 1")
-    qubits = tuple(range(1, n + 1))
 
-    # tau1 = 4 det(M M^dag) for the 2 x 2^(n-1) focus-by-rest reshape M.
-    m = amps[:, _unfoldings(n, tuple((f,) for f in qubits))]
+    # tau1 = 4 det(M M^dag) for the 2x8 focus-by-rest reshape M.
+    m = amps[:, _FOCUS_UNFOLDINGS]
     g = m @ m.conj().swapaxes(-1, -2)
     det = g[..., 0, 0].real * g[..., 1, 1].real - np.abs(g[..., 0, 1]) ** 2
     tau1 = np.clip(4.0 * det, 0.0, 1.0)
 
-    # Wootters' tau matrix M^T (Syy) M of the 4 x 2^(n-2) pair-by-rest reshape
-    # has the spin-flip spectrum lambda_i as its singular values; below four
-    # qubits it has fewer than four, and the missing ones are 0. Above four,
-    # M^T = Q R first: Q (R Syy R^T) Q^T has the singular values of the 4x4
-    # R Syy R^T, so M is replaced by R^T.
-    m = amps[:, _unfoldings(n, tuple(combinations(qubits, 2)))]
-    if m.shape[-1] > 4:
-        m = np.linalg.qr(m.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+    # Wootters' tau matrix M^T (Syy) M of the 4x4 pair-by-rest reshape M has
+    # the spin-flip spectrum lambda_i as its singular values.
+    m = amps[:, _PAIR_UNFOLDINGS]
     lams = np.linalg.svd(m.swapaxes(-1, -2) @ _SIGMA_YY @ m, compute_uv=False)
-    missing = np.zeros(lams.shape[:-1] + (max(0, 4 - lams.shape[-1]),))
-    lams = np.concatenate([lams, missing], axis=-1)
     conc = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
     return tau1, np.minimum(conc * conc, 1.0)
 
 
+def _padded(psi: PureState) -> np.ndarray:
+    """The amplitudes (16,) of psi x |0>^(4-n): the spectators n+1..4 are
+    unentangled, so every reduced state on qubits 1..n is that of psi."""
+    amps = np.zeros(16, dtype=complex)
+    amps[:: 2 ** (4 - psi.n_qubits)] = psi.amplitudes
+    return amps
+
+
 def pure_tangles(psi: PureState) -> tuple[dict, dict]:
     """One-tangles by focus and two-tangles by pair of an n-qubit pure state,
-    from its amplitude tensor; qubits are numbered 1..n and pairs are
-    increasing tuples."""
+    from its amplitude tensor padded to four qubits; qubits are numbered
+    1..n and pairs are increasing tuples."""
     n = psi.n_qubits
-    tau1, tau2 = _pure_columns(psi.amplitudes[None], n)
-    qubits = range(1, n + 1)
-    return dict(zip(qubits, tau1[0].tolist())), dict(zip(combinations(qubits, 2), tau2[0].tolist()))
+    tau1, tau2 = _pure_columns(_padded(psi)[None])
+    pairs = {pair: t for pair, t in zip(PAIRS, tau2[0].tolist()) if pair[1] <= n}
+    return dict(zip(range(1, n + 1), tau1[0, :n].tolist())), pairs
 
 
 class TangleColumns(NamedTuple):
@@ -664,7 +664,7 @@ def _triple_bounds(amps: np.ndarray) -> BoundColumns:
     checked."""
     # The two columns (S, 4, 8) of each 8x2 triple-by-rest reshape, each
     # contiguous, so that every sum sees the same layout in any stack.
-    x, y = np.ascontiguousarray(np.moveaxis(amps[:, _unfoldings(4, TRIPLES)], -1, 0))
+    x, y = np.ascontiguousarray(np.moveaxis(amps[:, _TRIPLE_UNFOLDINGS], -1, 0))
     bounds = _rank2_bounds(*_rank2_support(x, y))
     shape = (len(amps), len(TRIPLES))
     return BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
@@ -676,4 +676,4 @@ def tangle_columns(amps: np.ndarray) -> TangleColumns:
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != 16:
         raise ValueError(f"expected four-qubit amplitudes of shape (S, 16), got {amps.shape}")
-    return TangleColumns(*_pure_columns(amps, 4), _triple_bounds(amps))
+    return TangleColumns(*_pure_columns(amps), _triple_bounds(amps))

@@ -20,6 +20,7 @@ from qtangle.harness import (
     tangle_report,
 )
 from qtangle.monogamy import ckw_residual, sm_report_all_foci
+from qtangle.qstate import PureState
 from qtangle.states import NormalFormParams, ghz, random_slocc_state, sample_seed, w
 from reference import local_image, write_state
 
@@ -497,7 +498,7 @@ def test_table1_check_no_zero_row_violations():
     assert g9[0].rdl_value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_tangle_report_levels():
+def test_tangle_report_levels(tmp_path):
     bell = tangle_report(ghz(2), 1)
     assert bell["tau2"] == pytest.approx(1.0, abs=1e-10)
     w3 = tangle_report(w(3), 1)
@@ -505,8 +506,13 @@ def test_tangle_report_levels():
     assert w3["ckw_residual"] == pytest.approx(0.0, abs=1e-9)
     g4 = tangle_report(ghz(4), 1)
     assert g4["sm_report"]["residual_lower"] == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        tangle_report(w(5), 1)
+    # Five qubits do not reach the report: PureState and the state-file
+    # reader are the boundary.
+    with pytest.raises(ValueError, match="supported range 2..4"):
+        PureState.from_amplitudes(np.ones(32))
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"n": 5, "amplitudes": [[2**-2.5, 0.0]] * 32}))
+    assert main(["tangle", str(path)]) == 2
 
 
 def test_tangle_report_terms_are_the_residuals_own():
@@ -585,7 +591,7 @@ def test_cli_tangle_rejects_qubit_count_out_of_range(tmp_path, capsys):
     for n in (10**6, -1):
         path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0]]}))
         assert main(["tangle", str(path)]) == 2
-        assert "outside supported range 2..8" in capsys.readouterr().err
+        assert "outside supported range 2..4" in capsys.readouterr().err
 
 
 def test_cli_tangle_rejects_nan_amplitude(tmp_path, capsys):

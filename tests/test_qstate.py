@@ -60,7 +60,7 @@ def test_partial_trace_w4_marginal():
 
 
 def test_schmidt_duality(rng):
-    for n in (3, 4, 5):
+    for n in (2, 3, 4):
         psi = random_pure_state(rng, n)
         for k in range(1, n):
             keep = tuple(range(1, k + 1))

@@ -38,6 +38,13 @@ def test_ghz_and_w_amplitudes():
         ghz(9)
 
 
+def test_factories_check_the_qubit_count_first():
+    # Before any 2**n array: w(1000) would ask numpy for 2**1000 amplitudes.
+    for make in (lambda: ghz(5), lambda: w(1000), lambda: ghzw(GhzwParams(5, 0.6, 0.8, 0.0))):
+        with pytest.raises(ValueError, match="supported range 2..4"):
+            make()
+
+
 def test_ghzw_superposition():
     s = 1 / np.sqrt(2)
     assert np.allclose(ghzw(GhzwParams(4, s, 0, s)).amplitudes, ghz(4).amplitudes)

@@ -31,15 +31,17 @@ from qtangle.tangles import (
     RANK_TOL,
     SUPPORT_TOL,
     TRIPLES,
+    _TRIPLE_UNFOLDINGS,
     _augmented,
     _mixed_bounds,
+    _padded,
     _phase_fix,
     _plane_bound,
+    _pure_columns,
     _quartic_coeffs,
     _quartic_degree,
     _rank2_support,
     _simplex_solve,
-    _unfoldings,
     _wclass_bloch,
     _wclass_roots,
 )
@@ -300,7 +302,7 @@ def _contract_quartics():
 def _triple_quartics(states):
     """Spectra (K, 2), quartics (K, 5) and degrees (K,) of the triple
     marginals of four-qubit states, four per state in TRIPLES order."""
-    m = np.array([psi.amplitudes for psi in states])[:, _unfoldings(4, TRIPLES)]
+    m = np.array([psi.amplitudes for psi in states])[:, _TRIPLE_UNFOLDINGS]
     spectrum, support = _rank2_support(*np.ascontiguousarray(np.moveaxis(m, -1, 0)))
     coeffs = _quartic_coeffs(support).reshape(-1, 5)
     return spectrum.reshape(-1, 2), coeffs, _quartic_degree(coeffs)
@@ -864,7 +866,7 @@ def test_four_qubit_tangles_rejects_nan_state():
 
 
 def test_pure_tangles_match_per_marginal_reference(rng):
-    for n in range(2, 9):
+    for n in range(2, 5):
         qubits = range(1, n + 1)
         for _ in range(3):
             psi = random_pure_state(rng, n)
@@ -877,16 +879,22 @@ def test_pure_tangles_match_per_marginal_reference(rng):
                 assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
 
 
-def test_pure_tangles_above_four_qubits_match_reference(rng):
-    # Above four qubits each pair-by-rest reshape is first reduced to its
-    # 4x4 triangular factor: check it where that factor is rank deficient
-    # (GHZ, W, a Bell pair times a random rest) and on a random state.
-    for n in range(5, 9):
-        bell_rest = np.kron(bell_pair().amplitudes, random_pure_state(rng, n - 2).amplitudes)
-        for psi in (ghz(n), w(n), PureState.from_amplitudes(bell_rest), random_pure_state(rng, n)):
-            _, tau2 = pure_tangles(psi)
-            for pair, value in tau2.items():
-                assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
+def test_padded_spectators_carry_no_tangle(rng):
+    # A two- or three-qubit state enters the four-qubit layer as
+    # psi x |0>^(4-n): each spectator's one-tangle and every pair tangle that
+    # touches a spectator are exactly 0, and pure_tangles reads the others.
+    for n in (2, 3):
+        for psi in (ghz(n), w(n), random_pure_state(rng, n), random_pure_state(rng, n)):
+            amps = _padded(psi)
+            assert np.array_equal(amps.reshape(2**n, -1)[:, 0], psi.amplitudes)
+            assert not amps.reshape(2**n, -1)[:, 1:].any()
+            tau1, tau2 = _pure_columns(amps[None])
+            assert np.all(tau1[0, n:] == 0.0)
+            spectator = [i for i, pair in enumerate(tangles.PAIRS) if pair[1] > n]
+            assert np.all(tau2[0, spectator] == 0.0)
+            own = pure_tangles(psi)
+            assert list(own[0].values()) == tau1[0, :n].tolist()
+            assert list(own[1].values()) == np.delete(tau2[0], spectator).tolist()
 
 
 def test_pure_tangles_examples():
@@ -965,7 +973,7 @@ def test_tangle_columns_do_not_depend_on_the_stack(rng):
             assert _bits(got[i]) == _bits(want[0]), i
     # The stack covers every method and every path through the quartic.
     assert set(cols.tau3.method.ravel().tolist()) == set(range(len(METHODS)))
-    u, s, _ = np.linalg.svd(amps[:, _unfoldings(4, TRIPLES)], full_matrices=False)
+    u, s, _ = np.linalg.svd(amps[:, _TRIPLE_UNFOLDINGS], full_matrices=False)
     degree = _quartic_degree(_quartic_coeffs(_phase_fix(u.swapaxes(-1, -2))).reshape(-1, 5))
     mixed = (s**2)[..., 1].ravel() >= 1e-8
     assert set(degree[mixed].tolist()) == {-1, 0, 1, 2, 3, 4}
