@@ -416,6 +416,7 @@ TABLE1_FIELDS = (
     "class", "param", "triple", "declared_zero", "table_bound", "rdl_value", "rdl_method",
     "violation",
 )  # fmt: skip
+TABLE1_ZERO_TOL = 1e-6  # a declared-zero marginal with a ray bound >= this is a violation
 
 
 @dataclass
@@ -435,8 +436,8 @@ class Table1Entry:
 
 
 def table1_check(grid=None) -> list[Table1Entry]:
-    """Compare the printed normal-form marginal bounds against the ray
-    bound; flag declared-zero marginals where the ray bound exceeds 1e-6.
+    """Compare the printed normal-form marginal bounds with the ray bound;
+    flag declared-zero marginals whose ray bound is at least TABLE1_ZERO_TOL.
     The normal forms of all classes are bounded together, chunk by chunk."""
     grid = _TABLE1_GRID if grid is None else np.asarray(grid, dtype=float)
     cases, amps = [], []
@@ -463,7 +464,7 @@ def table1_check(grid=None) -> list[Table1Entry]:
                         table_bound=printed,
                         rdl_value=value,
                         rdl_method=METHODS[method],
-                        violation=declared and value >= 1e-6,
+                        violation=declared and value >= TABLE1_ZERO_TOL,
                     )
                 )
     return entries

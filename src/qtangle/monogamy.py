@@ -1,8 +1,8 @@
 """Monogamy residuals: CKW differences and the powered four-qubit lower bound.
 
-Every one- and two-tangle here comes from ``tangles.pure_tangles``, one pass
-over the amplitude tensor, and every four-qubit term from the column engine
-``tangles.tangle_columns``; no reduced density matrix is formed."""
+Every term here comes from the column engine ``tangles.tangle_columns``,
+either directly or through its one-row view ``tangles.pure_tangles``; no
+reduced density matrix is formed."""
 
 from __future__ import annotations
 

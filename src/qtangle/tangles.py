@@ -12,21 +12,22 @@ surface state's exact three-tangle by the squared trace-norm ratio
 
 ``tangle_columns`` is the engine: it takes a stack of four-qubit amplitude
 vectors and returns every one-tangle, two-tangle and three-tangle bound as
-arrays. Each kind of marginal is a stack of matricizations of the tensor
-(2x8 per focus, 4x4 per pair, 8x2 per triple, each a constant index table),
-so no reduced density matrix is formed, and the bound runs on the Bloch
-vectors of all triples of all states at once. The bound makes no LAPACK
-call: a triple's spectrum and support come from the closed-form
-eigendecomposition of its 2x2 Gram matrix (``_rank2_support``) and the W
-roots from a closed-form, backward-stable quartic solver (``_wclass_roots``),
-both elementwise over the stack. Every three-tangle is 4 |form|, with form
-Cayley's hyperdeterminant as the discriminant of det(A + t B) for the
-qubit-1 slices A, B; the W quartic's coefficients are products of
-quadratics in z from the same 2x2 determinants, with no interpolation. The
-tau matrices' singular values are a LAPACK call per small matrix, the same
-whatever the stack size, so a state's numbers do not depend on the stack.
-``pure_tangles`` (2-4 qubits, padded with |0> spectators) is a one-state view of
-the same code; ``BoundColumns.result`` reads one bound as a TangleBoundResult.
+arrays, read from two matricizations of the tensor (4x4 per pair, 8x2 per
+triple, each a constant index table) through one 2x2 determinant kernel,
+so no reduced density matrix is formed. A triple's spectrum and support
+come from the closed-form eigendecomposition of its 2x2 Gram matrix
+(``_rank2_support``), and the triple that leaves a focus out shares its
+Schmidt spectrum, so tau1 = 4 p1 p2. Wootters' tau matrix of a pair has
+mixed 2x2 determinants as entries. The bound runs on the Bloch vectors of
+all triples of all states at once, with the W roots from a closed-form,
+backward-stable quartic solver (``_wclass_roots``). Every three-tangle is
+4 |form|, with form Cayley's hyperdeterminant as the discriminant of
+det(A + t B) for the qubit-1 slices A, B; the W quartic's coefficients are
+products of quadratics in z from the same 2x2 determinants. Every step is
+elementwise over the stack but the tau matrices' SVD, one LAPACK call per
+small matrix, so a state's numbers do not depend on the stack.
+``pure_tangles`` (2-4 qubits, padded with |0> spectators) is a one-row view of
+``tangle_columns``; ``BoundColumns.result`` reads one bound as a TangleBoundResult.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .qstate import PureState
-
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 # RANK_TOL, DEGREE_TOL and NORM_TOL were measured on verify --samples 300 --seed
 # 20260823, the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
@@ -69,10 +67,8 @@ def _unfoldings(keeps: tuple) -> np.ndarray:
 
 PAIRS = tuple(combinations((1, 2, 3, 4), 2))
 TRIPLES = tuple(combinations((1, 2, 3, 4), 3))
-_FOCUS_UNFOLDINGS = _unfoldings(((1,), (2,), (3,), (4,)))  # (4, 2, 8)
 _PAIR_UNFOLDINGS = _unfoldings(PAIRS)  # (6, 4, 4)
 _TRIPLE_UNFOLDINGS = _unfoldings(TRIPLES)  # (4, 8, 2)
-_ROW_PAIRS = np.triu_indices(8, 1)  # the pairs i < j of rows of an 8x2 reshape
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
@@ -542,7 +538,7 @@ def _mixed_bounds(spectrum: np.ndarray, coeffs: np.ndarray, w: np.ndarray) -> Bo
 def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     """Three-tangle upper bounds of stacked rank <= 2 three-qubit states,
     given their spectra (..., 2) and orthonormal support rows (..., 2, 8);
-    the columns are flat over the leading shape.
+    the columns take the leading shape.
 
     Error budget of the W-class roots: with every other step alike, the bound
     from ``_wclass_roots`` and the bound from the same quartics' roots at 40
@@ -553,6 +549,7 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     their single roots are conditioned to about 1e-4, their symmetric
     functions to roundoff.
     """
+    shape = spectrum.shape[:-1]
     coeffs = _quartic_coeffs(support).reshape(-1, 5)
     spectrum = spectrum.reshape(-1, 2)
     degree = _quartic_degree(coeffs)
@@ -567,29 +564,7 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     w = _wclass_bloch(_wclass_roots(coeffs[mixed], degree[mixed]), degree[mixed])
     for column, part in zip(bounds, _mixed_bounds(spectrum[mixed], coeffs[mixed], w)):
         column[mixed] = part
-    return bounds
-
-
-def _pure_columns(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-tangles (S, 4) by focus and two-tangles (S, 6) by pair, in PAIRS
-    order, of a stack of four-qubit amplitude vectors (S, 16)."""
-    norm2 = np.sum(amps.real**2 + amps.imag**2, axis=1)
-    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))  # also catches NaN
-    if bad.size:
-        raise ValueError(f"state has squared norm {norm2[bad[0]]}, expected 1")
-
-    # tau1 = 4 det(M M^dag) for the 2x8 focus-by-rest reshape M.
-    m = amps[:, _FOCUS_UNFOLDINGS]
-    g = m @ m.conj().swapaxes(-1, -2)
-    det = g[..., 0, 0].real * g[..., 1, 1].real - np.abs(g[..., 0, 1]) ** 2
-    tau1 = np.clip(4.0 * det, 0.0, 1.0)
-
-    # Wootters' tau matrix M^T (Syy) M of the 4x4 pair-by-rest reshape M has
-    # the spin-flip spectrum lambda_i as its singular values.
-    m = amps[:, _PAIR_UNFOLDINGS]
-    lams = np.linalg.svd(m.swapaxes(-1, -2) @ _SIGMA_YY @ m, compute_uv=False)
-    conc = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
-    return tau1, np.minimum(conc * conc, 1.0)
+    return BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
 
 
 def _padded(psi: PureState) -> np.ndarray:
@@ -601,13 +576,14 @@ def _padded(psi: PureState) -> np.ndarray:
 
 
 def pure_tangles(psi: PureState) -> tuple[dict, dict]:
-    """One-tangles by focus and two-tangles by pair of an n-qubit pure state,
-    from its amplitude tensor padded to four qubits; qubits are numbered
-    1..n and pairs are increasing tuples."""
+    """One-tangles by focus and two-tangles by pair of an n-qubit pure state:
+    a one-row view of ``tangle_columns`` on its amplitudes padded to four
+    qubits. Qubits are numbered 1..n and pairs are increasing tuples; a loop
+    over states belongs on a stack of ``tangle_columns``."""
     n = psi.n_qubits
-    tau1, tau2 = _pure_columns(_padded(psi)[None])
-    pairs = {pair: t for pair, t in zip(PAIRS, tau2[0].tolist()) if pair[1] <= n}
-    return dict(zip(range(1, n + 1), tau1[0, :n].tolist())), pairs
+    cols = tangle_columns(_padded(psi)[None])
+    pairs = {pair: t for pair, t in zip(PAIRS, cols.tau2[0].tolist()) if pair[1] <= n}
+    return dict(zip(range(1, n + 1), cols.tau1[0, :n].tolist())), pairs
 
 
 class TangleColumns(NamedTuple):
@@ -620,11 +596,12 @@ class TangleColumns(NamedTuple):
     tau3: BoundColumns
 
 
-def _rank2_support(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum (..., 2), descending, and the phase-fixed orthonormal
-    support rows (..., 2, 8) of the marginal M M^dag of each triple-by-rest
-    reshape M = [x y], given its columns x and y (..., 8), from the
-    eigendecomposition of the 2x2 Gram matrix G = M^dag M in closed form.
+def _rank2_support(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectra (S, 4, 2), descending, and the phase-fixed orthonormal
+    support rows (S, 4, 2, 8) of the triple marginals M M^dag, in TRIPLES
+    order, of a checked stack of four-qubit amplitude vectors (S, 16), for
+    the triple-by-rest reshapes M = [x y]: from the eigendecomposition of
+    the 2x2 Gram matrix G = M^dag M in closed form.
 
     p1 comes from the trace and the eigenvalue gap, and p2 = det G / p1 with
     det G the sum of the squared 2x2 minors of M, each pair of rows once
@@ -632,18 +609,25 @@ def _rank2_support(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     vector is M v / |M v| for the eigenvector v of G, the second one first
     made orthogonal to the first.
     Where p2 = 0 exactly the second vector is 0; a pure marginal's bound
-    reads only the first. Every step is elementwise or a sum over the last
-    axis, so a marginal's numbers do not depend on the stack.
+    reads only the first. Every step is elementwise or a sum over rows in a
+    fixed order, so a marginal's numbers do not depend on the stack.
     """
+    # The two columns (S, 4, 8) of each 8x2 triple-by-rest reshape, each
+    # contiguous, so that every sum sees the same layout in any stack.
+    x, y = np.ascontiguousarray(np.moveaxis(amps[:, _TRIPLE_UNFOLDINGS], -1, 0))
     g11 = np.sum(x.real * x.real + x.imag * x.imag, axis=-1)
     g22 = np.sum(y.real * y.real + y.imag * y.imag, axis=-1)
     g12 = np.sum(x.conj() * y, axis=-1)
     d = 0.5 * (g11 - g22)
     gap = np.sqrt(d * d + g12.real * g12.real + g12.imag * g12.imag)
     p1 = 0.5 * (g11 + g22) + gap
-    i, j = _ROW_PAIRS
-    minors = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-    det = np.sum(minors.real * minors.real + minors.imag * minors.imag, axis=-1)
+    # The minors (28, ...) of rows k < l from slices, not index copies; rows
+    # first in memory, so the sum adds them pair after pair for every state.
+    xr, yr = (np.ascontiguousarray(np.moveaxis(c, -1, 0)) for c in (x, y))
+    minors = np.concatenate(
+        [_det2((xr[k : k + 1], xr[k + 1 :], yr[k : k + 1], yr[k + 1 :])) for k in range(7)]
+    )
+    det = np.sum(minors.real * minors.real + minors.imag * minors.imag, axis=0)
     # The eigenvector (v0, v1) of p1, from the column of G - p2 I that does
     # not cancel; where G = p1 I (e = 0), any basis.
     e = gap + np.abs(d)
@@ -659,15 +643,21 @@ def _rank2_support(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _triple_bounds(amps: np.ndarray) -> BoundColumns:
-    """The three-tangle bounds (S, 4) by triple, in TRIPLES order, of a stack
-    of normalized four-qubit amplitude vectors (S, 16) that the caller has
-    checked."""
-    # The two columns (S, 4, 8) of each 8x2 triple-by-rest reshape, each
-    # contiguous, so that every sum sees the same layout in any stack.
-    x, y = np.ascontiguousarray(np.moveaxis(amps[:, _TRIPLE_UNFOLDINGS], -1, 0))
-    bounds = _rank2_bounds(*_rank2_support(x, y))
-    shape = (len(amps), len(TRIPLES))
-    return BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
+    """The three-tangle bounds (S, 4) by triple, in TRIPLES order, of a
+    checked stack of four-qubit amplitude vectors (S, 16)."""
+    return _rank2_bounds(*_rank2_support(amps))
+
+
+def _two_tangles(amps: np.ndarray) -> np.ndarray:
+    """The two-tangles (S, 6) by pair, in PAIRS order, of a checked stack of
+    four-qubit amplitude vectors (S, 16): Wootters' squared concurrence from
+    the singular values of the tau matrix M^T (Syy) M of each 4x4 pair-by-rest
+    reshape M, whose entry (a, b) is minus (a sign the singular values ignore)
+    the mixed 2x2 determinant of columns a, b of M as [[M0, M1], [M2, M3]]."""
+    c = np.moveaxis(amps[:, _PAIR_UNFOLDINGS], -2, 0)
+    lams = np.linalg.svd(_mixed_det2(c[..., :, None], c[..., None, :]), compute_uv=False)
+    conc = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    return np.minimum(conc * conc, 1.0)
 
 
 def tangle_columns(amps: np.ndarray) -> TangleColumns:
@@ -676,4 +666,12 @@ def tangle_columns(amps: np.ndarray) -> TangleColumns:
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != 16:
         raise ValueError(f"expected four-qubit amplitudes of shape (S, 16), got {amps.shape}")
-    return TangleColumns(*_pure_columns(amps), _triple_bounds(amps))
+    norm2 = np.sum(amps.real**2 + amps.imag**2, axis=1)
+    bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))  # also catches NaN
+    if bad.size:
+        raise ValueError(f"state has squared norm {norm2[bad[0]]}, expected 1")
+    spectrum, support = _rank2_support(amps)
+    # tau1 = 4 p1 p2: focus f + 1 shares its Schmidt spectrum with TRIPLES[3 - f].
+    p = spectrum[:, ::-1]
+    tau1 = np.minimum(4.0 * p[..., 0] * p[..., 1], 1.0)
+    return TangleColumns(tau1, _two_tangles(amps), _rank2_bounds(spectrum, support))

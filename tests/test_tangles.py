@@ -14,6 +14,7 @@ from qtangle import (
     three_tangle_pure,
 )
 from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params, table1_check
+import qtangle.harness as harness
 import qtangle.tangles as tangles
 from qtangle.states import (
     CLASS_ARITY,
@@ -37,7 +38,6 @@ from qtangle.tangles import (
     _padded,
     _phase_fix,
     _plane_bound,
-    _pure_columns,
     _quartic_coeffs,
     _quartic_degree,
     _rank2_support,
@@ -302,8 +302,7 @@ def _contract_quartics():
 def _triple_quartics(states):
     """Spectra (K, 2), quartics (K, 5) and degrees (K,) of the triple
     marginals of four-qubit states, four per state in TRIPLES order."""
-    m = np.array([psi.amplitudes for psi in states])[:, _TRIPLE_UNFOLDINGS]
-    spectrum, support = _rank2_support(*np.ascontiguousarray(np.moveaxis(m, -1, 0)))
+    spectrum, support = _rank2_support(np.array([psi.amplitudes for psi in states]))
     coeffs = _quartic_coeffs(support).reshape(-1, 5)
     return spectrum.reshape(-1, 2), coeffs, _quartic_degree(coeffs)
 
@@ -879,6 +878,44 @@ def test_pure_tangles_match_per_marginal_reference(rng):
                 assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
 
 
+def _one_tangles_40_digits(mpmath, amps):
+    """4 det rho_f (S, 4) by focus of amplitude vectors (S, 16), taken as
+    exact numbers: rho_f = M M^dag of the 2x8 focus-by-rest reshape M, its
+    determinant at 40 digits."""
+    out = np.zeros((len(amps), 4))
+    with mpmath.workdps(40):
+        for s, v in enumerate(amps):
+            t = v.reshape(2, 2, 2, 2)
+            for f in range(4):
+                rows = np.moveaxis(t, f, 0).reshape(2, 8)
+                m = [[mpmath.mpc(complex(z)) for z in row] for row in rows]
+                g = [[mpmath.fsum(a * mpmath.conj(b) for a, b in zip(r, c)) for c in m] for r in m]
+                out[s, f] = float(4 * mpmath.re(g[0][0] * g[1][1] - g[0][1] * g[1][0]))
+    return out
+
+
+def test_one_tangles_keep_relative_accuracy_near_product_states(rng):
+    # Product states perturbed by eps: tau1 is of order eps^2, and a Gram
+    # determinant g00 g11 - |g01|^2 cancels to about 1e-16 absolute. The
+    # one-tangle is 4 p1 p2 of the triple that leaves the focus out, with
+    # det G a sum of squared 2x2 minors, so its relative error stays small:
+    # at most 1.2e-10 on these states, against 2.1e-3 from the focus Gram.
+    mpmath = pytest.importorskip("mpmath")
+    for eps in (1e-4, 1e-6, 1e-7):
+        amps = []
+        for _ in range(8):
+            qubits = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+            v = qubits[0]
+            for q in qubits[1:]:
+                v = np.kron(v, q)
+            v = v / np.linalg.norm(v) + eps * (rng.normal(size=16) + 1j * rng.normal(size=16))
+            amps.append(v / np.linalg.norm(v))
+        amps = np.array(amps)
+        want = _one_tangles_40_digits(mpmath, amps)
+        got = tangle_columns(amps).tau1
+        assert np.all(np.abs(got - want) <= 1e-9 * want), eps
+
+
 def test_padded_spectators_carry_no_tangle(rng):
     # A two- or three-qubit state enters the four-qubit layer as
     # psi x |0>^(4-n): each spectator's one-tangle and every pair tangle that
@@ -888,7 +925,8 @@ def test_padded_spectators_carry_no_tangle(rng):
             amps = _padded(psi)
             assert np.array_equal(amps.reshape(2**n, -1)[:, 0], psi.amplitudes)
             assert not amps.reshape(2**n, -1)[:, 1:].any()
-            tau1, tau2 = _pure_columns(amps[None])
+            cols = tangle_columns(amps[None])
+            tau1, tau2 = cols.tau1, cols.tau2
             assert np.all(tau1[0, n:] == 0.0)
             spectator = [i for i, pair in enumerate(tangles.PAIRS) if pair[1] > n]
             assert np.all(tau2[0, spectator] == 0.0)
@@ -1015,7 +1053,10 @@ def test_table1_check_computes_no_one_or_two_tangles(monkeypatch):
     def refuse(*args):
         raise AssertionError("table1 needs only the three-tangle bounds")
 
-    monkeypatch.setattr(tangles, "_pure_columns", refuse)
+    # The one-tangles are read inside tangle_columns, the two-tangles' SVD
+    # runs in _two_tangles.
+    monkeypatch.setattr(harness, "tangle_columns", refuse)
+    monkeypatch.setattr(tangles, "_two_tangles", refuse)
     assert len(table1_check()) == 4 * len(_table1_states())
 
 
