@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="campaign.csv", help="CSV output path")
     p.add_argument("--summary", default=None, help="JSON summary path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="processes that evaluate spans, this one included"
+    )
     p.add_argument("--json", action="store_true", help="print the summary as JSON")
 
     p = sub.add_parser("sweep", help="sweep a one-parameter normal-form family")

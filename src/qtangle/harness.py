@@ -7,8 +7,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from multiprocessing import Pool
 
 import numpy as np
@@ -223,6 +224,19 @@ def _chunk_rows(task: tuple) -> tuple:
     return "".join(text), held, residuals, tau1s, methods, errors
 
 
+def _span_results(tasks, workers: int):
+    """The results of _chunk_rows on the tasks, in task order. The calling
+    process is one of the workers: the tasks are taken `workers` at a time,
+    all but the first of each batch go to a pool of workers - 1 children,
+    and the first is evaluated here; so at most workers - 1 results are in
+    flight, and with one worker no pool is opened."""
+    with Pool(workers - 1) if workers > 1 else nullcontext() as pool:
+        while batch := list(islice(tasks, workers)):
+            pending = [pool.apply_async(_chunk_rows, (task,)) for task in batch[1:]]
+            yield _chunk_rows(batch[0])
+            yield from (result.get() for result in pending)
+
+
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The np.histogram bin of each value: i where edges[i] <= x <
     edges[i + 1], the last bin closed; -1 or len(edges) - 1 (no bin) for a
@@ -247,9 +261,11 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     sequence, classes in sorted order, is cut into fixed spans of CHUNK_SIZE
     samples that cross class boundaries, each evaluated in one engine call,
     and each span's rows are written as they arrive, in (class, sample index)
-    order for any worker count. The summary's histograms and counts are added
-    up per class span by span, so memory does not grow with the number of
-    samples.
+    order for any worker count. ``cfg.workers`` counts the processes that
+    evaluate spans, this one included: N workers fork min(N, spans) - 1
+    children, one worker forks none, and no child outlives the call. The
+    summary's histograms and counts are added up per class span by span, so
+    memory does not grow with the number of samples.
     """
     classes = sorted(cfg.classes)
     tasks = ((span, cfg.master_seed, cfg.mu3) for span in _spans(classes, cfg.samples_per_class))
@@ -264,11 +280,11 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     methods = np.zeros((ngroups, len(METHODS)), dtype=int)
     # At most one worker per span: ceil(states / CHUNK_SIZE).
     workers = min(cfg.workers, -(-len(classes) * cfg.samples_per_class // CHUNK_SIZE))
-    # The file opens first, so an unwritable path fails before any worker starts.
-    with _csv_file(csv_path, CSV_FIELDS) as (fh, _), (
-        Pool(workers) if workers > 1 else nullcontext()
-    ) as pool:
-        results = pool.imap(_chunk_rows, tasks) if pool else map(_chunk_rows, tasks)
+    # The file opens first, so an unwritable path fails before any child
+    # starts; closing the results ends the children if a step here raises.
+    with _csv_file(csv_path, CSV_FIELDS) as (fh, _), closing(
+        _span_results(tasks, workers)
+    ) as results:
         for text, held, residuals, tau1s, codes, span_errors in results:
             errors.extend(span_errors)
             fh.write(text)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,8 +140,9 @@ def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks):
-            return map(fn, tasks)
+        def apply_async(self, fn, args):
+            result = fn(*args)
+            return SimpleNamespace(get=lambda: result)
 
     monkeypatch.setattr(harness, "Pool", SequentialPool)
     chunk = harness.CHUNK_SIZE
@@ -149,8 +151,31 @@ def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
     for workers in (8, 2, 1):
         cfg = CampaignConfig(classes=(1, 2, 3), samples_per_class=chunk + 1, workers=workers)
         run_campaign(cfg, tmp_path / f"w{workers}.csv")
-    assert sizes == [4, 2]  # 3 * (chunk + 1) samples: three full spans and one of 3
+    # 3 * (chunk + 1) samples: three full spans and one of 3, so at most four
+    # workers, this process one of them.
+    assert sizes == [3, 1]
     assert (tmp_path / "w8.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
+
+def _no_rows(task):
+    """_chunk_rows with the engine stubbed out: no row, no error; top level
+    so a pool can pickle it."""
+    return "", [], np.empty((0, 4)), np.empty((0, 4)), np.empty((0, 4), dtype=int), []
+
+
+def _campaign_peaks(tmp_path, workers, chunks):
+    """The traced peak memory of campaigns of one and of `chunks` chunks per
+    class, with the engine stubbed out by _no_rows."""
+    peaks = []
+    for samples in (harness.CHUNK_SIZE, chunks * harness.CHUNK_SIZE):
+        cfg = CampaignConfig(samples_per_class=samples, workers=workers)
+        tracemalloc.start()
+        try:
+            run_campaign(cfg, tmp_path / "out.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def test_campaign_memory_does_not_grow_with_samples(tmp_path, monkeypatch):
@@ -158,18 +183,42 @@ def test_campaign_memory_does_not_grow_with_samples(tmp_path, monkeypatch):
     # bookkeeping: its spans must be made as they are taken, not listed.
     # Listed, the 3,200 spans of 400 chunks per class trace about 0.9 MB;
     # made one at a time, the peak moves by about 0.1 MB of numpy's own.
-    empty = ("", [], np.empty((0, 4)), np.empty((0, 4)), np.empty((0, 4), dtype=int), [])
-    monkeypatch.setattr(harness, "_chunk_rows", lambda task: empty)
-    peaks = []
-    for samples in (harness.CHUNK_SIZE, 400 * harness.CHUNK_SIZE):
-        cfg = CampaignConfig(samples_per_class=samples)
-        tracemalloc.start()
-        try:
-            run_campaign(cfg, tmp_path / "out.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    monkeypatch.setattr(harness, "_chunk_rows", _no_rows)
+    peaks = _campaign_peaks(tmp_path, workers=1, chunks=400)
     assert peaks[1] < peaks[0] + 300_000, peaks
+
+
+def test_campaign_memory_does_not_grow_with_samples_two_workers(tmp_path, monkeypatch):
+    # The same bound with a child: a span is handed out only when the
+    # child's last result has been taken, so one is in flight at a time.
+    # Handed out all at once, the 800 spans of 100 chunks per class trace
+    # about 1.5 MB; one at a time, the peak moves by about 0.05 MB. (Each
+    # round trip to the child is slow under tracemalloc, hence 100, not 400.)
+    monkeypatch.setattr(harness, "_chunk_rows", _no_rows)
+    peaks = _campaign_peaks(tmp_path, workers=2, chunks=100)
+    assert peaks[1] < peaks[0] + 300_000, peaks
+
+
+def test_campaign_leaves_no_child_running(tmp_path, monkeypatch):
+    cfg = CampaignConfig(classes=(1, 2), samples_per_class=harness.CHUNK_SIZE, workers=2)
+    run_campaign(cfg, tmp_path / "ok.csv")
+    assert multiprocessing.active_children() == []
+    # A step in this process raises mid-run, the child's span in flight.
+    calls = []
+    real = harness._bin_index
+
+    def bin_index(x, edges):
+        calls.append(edges)
+        if len(calls) == 2:
+            raise RuntimeError("binning broke")
+        return real(x, edges)
+
+    monkeypatch.setattr(harness, "_bin_index", bin_index)
+    with pytest.raises(RuntimeError, match="binning broke") as caught:
+        run_campaign(cfg, tmp_path / "broken.csv")
+    # The children are gone while the exception, and with it the campaign's
+    # frame, is still held: their end does not wait for garbage collection.
+    assert caught.traceback and multiprocessing.active_children() == []
 
 
 def test_campaign_deterministic_across_workers(tmp_path):
