@@ -100,6 +100,10 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.classes:
             raise ValueError("campaign classes must not be empty")
+        # Checked, not coerced: a repeated class would be sampled twice.
+        classes = self.classes
+        if any(type(c) is not int for c in classes) or len(set(classes)) < len(classes):
+            raise ValueError(f"campaign classes must be distinct integers, got {classes!r}")
         if any(c not in range(1, 9) for c in self.classes):
             raise ValueError("campaign classes must lie in 1..8 (class 9 has a separable focus)")
         if self.samples_per_class < 1:

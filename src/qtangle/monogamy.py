@@ -83,6 +83,7 @@ def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
     """Strong-monogamy residuals (S, 4) by focus: tau1 minus the focus's
     three two-tangles minus its three three-tangle bounds to the power mu3
     (numpy's power), each sum taken in partner order."""
+    _check_mu3(mu3)
     t2 = cols.tau2[:, FOCUS_PAIRS]
     t3 = (cols.tau3.value**mu3)[:, FOCUS_TRIPLES]
     residual = cols.tau1 - (t2[..., 0] + t2[..., 1] + t2[..., 2])
@@ -93,7 +94,6 @@ def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[SmReport]:
     """Reports for all four foci: the one-state view of ``tangle_columns``
     and ``residual_columns``, each focus's terms picked by FOCUS_PAIRS and
     FOCUS_TRIPLES in partner order."""
-    _check_mu3(mu3)
     cols = tangle_columns(psi4.amplitudes[None])
     tau1, tau2 = cols.tau1[0].tolist(), cols.tau2[0].tolist()
     residuals = residual_columns(cols, mu3)[0].tolist()

@@ -5,11 +5,11 @@ form with determinant-1 local operators.
 Normal forms and sampled states are built for a whole stack of parameter
 rows or draws at once, and a stack's seeds are hashed at once;
 ``normal_form`` and ``random_slocc_state`` are one-row calls of the same
-code."""
+code. A draw is two stacked arrays, and ``dress`` rescales each drawn
+operator block m to m det(m)^(-1/2), whatever its determinant."""
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -307,16 +307,14 @@ def _generator(seed: np.random.bit_generator.ISeedSequence) -> np.random.Generat
 
 
 class SloccDraw(NamedTuple):
-    """One sample's random numbers, in its stream's order: the normal-form
-    parameters' uniform doubles (Re and Im of each parameter in turn, a, b,
-    c, d order) and the first draw of each of the four local operators
-    (standard complex Gaussian entries; operator, real/imaginary part, row,
-    column). ``rng`` is the stream after them, continued by an operator whose
-    first draw is singular."""
+    """A stack of samples' random numbers, each sample's in its stream's
+    order: the normal-form parameters' uniform doubles (Re and Im of each
+    parameter in turn, a, b, c, d order), then the four local operators'
+    standard complex Gaussian entries (operator, real/imaginary part, row,
+    column)."""
 
-    uniforms: np.ndarray  # (2 * arity,) in [0, 1)
-    gaussians: np.ndarray  # (4, 2, 2, 2)
-    rng: np.random.Generator
+    uniforms: np.ndarray  # (S, 2 * arity) in [0, 1)
+    gaussians: np.ndarray  # (S, 4, 2, 2, 2)
 
 
 def _params(uniforms) -> np.ndarray:
@@ -332,68 +330,43 @@ def _params(uniforms) -> np.ndarray:
 _SCALE = np.sqrt(0.5)
 
 
-def _draw(cls: int, seed: np.random.bit_generator.ISeedSequence) -> SloccDraw:
-    """Read one sample's stream in its fixed order: the normal-form
+def _draw(cls: int, seeds: list) -> SloccDraw:
+    """Read each sample's stream in its fixed order: the normal-form
     parameters, then the four local operators."""
-    rng = _generator(seed)
-    return SloccDraw(rng.random(2 * CLASS_ARITY[cls]), rng.normal(0.0, _SCALE, (4, 2, 2, 2)), rng)
+    uniforms = np.empty((len(seeds), 2 * CLASS_ARITY[cls]))
+    gaussians = np.empty((len(seeds), 4, 2, 2, 2))
+    for i, seed in enumerate(seeds):
+        rng = _generator(seed)
+        uniforms[i] = rng.random(2 * CLASS_ARITY[cls])
+        gaussians[i] = rng.normal(0.0, _SCALE, (4, 2, 2, 2))
+    return SloccDraw(uniforms, gaussians)
 
 
 def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> SloccDraw:
-    """One sample's own random stream, seeded by any integer or seed sequence."""
-    return _draw(_check_class(cls), _seed_sequence(seed))
+    """One sample's own random stream, seeded by any integer or seed
+    sequence, as a stack of one."""
+    return _draw(_check_class(cls), [_seed_sequence(seed)])
 
 
-def draw_samples(cls: int, master_seed: int, indices) -> list:
+def draw_samples(cls: int, master_seed: int, indices) -> SloccDraw:
     """``draw_slocc(cls, sample_seed(master_seed, cls, i))`` for each listed
-    index, the same draws, with the seeds hashed for the whole stack at once."""
+    index, the same draws stacked, with the seeds hashed for the whole stack
+    at once."""
     cls, seed_words = _check_class(cls), _seed_words_type()
-    return [_draw(cls, seed_words(w)) for w in sample_seed_words(master_seed, cls, indices)]
+    return _draw(cls, [seed_words(w) for w in sample_seed_words(master_seed, cls, indices)])
 
 
-def _det1(gaussians: np.ndarray) -> tuple[np.ndarray, list]:
-    """Operators (N, 2, 2) of drawn blocks (N, 2, 2, 2) rescaled to
-    determinant 1, and whether each block was accepted (|det| >= 1e-6)."""
-    m = gaussians[:, 0] + 1j * gaussians[:, 1]
-    det = np.linalg.det(m)
+def dress(cls: int, draw: SloccDraw) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized amplitudes (S, 16) of a drawn stack of one class's samples
+    (``draw_slocc`` or ``draw_samples``), and their det-1 operators
+    (S, 4, 2, 2): each Gaussian block m rescaled to m det(m)^(-1/2), the
+    normal forms, and the operators' action on them, each for the whole
+    stack at once. A block of determinant 0, which only a broken random
+    stream draws, gives a non-finite state and so the ValueError below."""
+    m = draw.gaussians[:, :, 0] + 1j * draw.gaussians[:, :, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ops = m * (det ** (-0.5))[:, None, None]
-    return ops, [abs(d) >= 1e-6 for d in det.tolist()]
-
-
-_MAX_REDRAWS = 100
-
-
-def _redraw_operators(draw: SloccDraw) -> np.ndarray:
-    """The four operators (4, 2, 2) of a draw with a singular first draw:
-    operator by operator, each takes the first accepted of up to _MAX_REDRAWS
-    blocks, from the first draws in order and then from a copy of the draw's
-    stream, so that a draw gives the same operators every time."""
-    blocks = list(draw.gaussians)
-    rng = copy.deepcopy(draw.rng)
-    ops = []
-    for _ in range(4):
-        for _ in range(_MAX_REDRAWS):
-            block = blocks.pop(0) if blocks else rng.normal(0.0, _SCALE, (2, 2, 2))
-            op, accepted = _det1(block[None])
-            if accepted[0]:
-                ops.append(op[0])
-                break
-        else:
-            raise RuntimeError(f"rejected {_MAX_REDRAWS} singular draws in a row; RNG looks broken")
-    return np.array(ops)
-
-
-def dress(cls: int, draws: list) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized amplitudes (S, 16) of drawn samples of one class
-    (``draw_slocc`` or ``draw_samples`` results), and their det-1 operators (S, 4, 2, 2): the
-    normal forms, the operators and their action on the normal forms, each
-    for the whole stack at once."""
-    ops, accepted = _det1(np.reshape([d.gaussians for d in draws], (-1, 2, 2, 2)))
-    ops = ops.reshape(-1, 4, 2, 2)
-    for i in np.flatnonzero(~np.reshape(accepted, (-1, 4)).all(axis=1)):
-        ops[i] = _redraw_operators(draws[i])
-    base = _valid_normal_forms(cls, _params([d.uniforms for d in draws]))
+        ops = m * (np.linalg.det(m) ** -0.5)[..., None, None]
+    base = _valid_normal_forms(cls, _params(draw.uniforms))
     images = _local_images(base, ops)
     amps, norms, ok = _unit_rows(images)
     if not ok.all():
@@ -411,11 +384,11 @@ def random_slocc_state(
     cls = _check_class(cls)
     seq = _seed_sequence(seed)
     draw = draw_slocc(cls, seq)
-    amps, ops = dress(cls, [draw])
+    amps, ops = dress(cls, draw)
     prov = SloccProvenance(
         slocc_class=cls,
         seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
-        params=NormalFormParams(*_params([draw.uniforms])[0].tolist()),
+        params=NormalFormParams(*_params(draw.uniforms)[0].tolist()),
         operators=tuple(ops[0]),
     )
     return PureState(n_qubits=4, amplitudes=amps[0]), prov

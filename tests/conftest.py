@@ -29,9 +29,8 @@ def rng():
 
 class SingularStart:
     """A random stream whose first ``zeros`` normal deviates are 0: with 8,
-    the first local operator a sampler draws is singular and every later draw
-    shifts by one operator; with more than 800, every operator of the sample
-    is singular. ``make`` is the generator constructor it replaces."""
+    the first local operator a sampler draws is singular. ``make`` is the
+    generator constructor it replaces."""
 
     def __init__(self, make, seed, zeros):
         self._rng = make(seed)
@@ -39,9 +38,6 @@ class SingularStart:
 
     def random(self, *args, **kwargs):
         return self._rng.random(*args, **kwargs)
-
-    def uniform(self, *args, **kwargs):
-        return self._rng.uniform(*args, **kwargs)
 
     def normal(self, *args, **kwargs):
         out = np.array(self._rng.normal(*args, **kwargs))
@@ -57,14 +53,11 @@ def first_seed_word(seed) -> int:
     return int(seed.generate_state(4, np.uint64)[0])
 
 
-def singular_streams(monkeypatch, zeros_of, reference=False):
+def singular_streams(monkeypatch, zeros_of):
     """Start each sample's stream with ``zeros_of(seed)`` zero normal deviates
-    (see SingularStart): in the package's sampler, whose every stream is built
-    by ``states._generator``, and with ``reference`` also in the sequential
-    reference sampler, whose streams ``np.random.default_rng`` builds."""
-    seams = [(states, "_generator")] + ([(np.random, "default_rng")] if reference else [])
-    for owner, name in seams:
-        make = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda seed, make=make: SingularStart(make, seed, zeros_of(seed))
-        )
+    (see SingularStart) in the package's sampler, whose every stream is built
+    by ``states._generator``."""
+    make = states._generator
+    monkeypatch.setattr(
+        states, "_generator", lambda seed: SingularStart(make, seed, zeros_of(seed))
+    )

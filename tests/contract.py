@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/contract.py OUT_DIR
     PYTHONPATH=src python tests/contract.py --compare PARENT_DIR CHANGE_DIR
+    PYTHONPATH=src python tests/contract.py --against REV
 
 Runs ``verify``, ``sweep``, ``table1`` and ``tangle`` through ``cli.main`` on
 fixed inputs, and keeps for each command its output files, stdout, stderr and
@@ -16,6 +17,12 @@ change (a method tag, an integer such as a count or an exit code, a key, a
 file, a float that becomes or stops being NaN or infinite), first counted by
 kind (the change with its numbers as '#') and then one by one. It exits 1 if
 there is any such other change, else 0.
+
+``--against REV`` does both steps against a git revision: it writes the
+contract of ``git archive REV``, a temporary copy of that revision run with
+its own ``tests/contract.py`` and ``src`` in a subprocess, then this
+checkout's contract, and compares them as ``--compare`` does, with its exit
+code. The temporary files are removed.
 Not a pytest module: it needs only numpy and the package.
 """
 
@@ -25,7 +32,10 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
+import tarfile
+import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -40,7 +50,7 @@ from reference import write_state  # noqa: E402
 
 SEED = 20260823
 WIDE_SEEDS = (2**32 + 5, 2**64 + 3)
-USAGE = "usage: python tests/contract.py OUT_DIR | --compare PARENT_DIR CHANGE_DIR"
+USAGE = "usage: python tests/contract.py OUT_DIR | --compare PARENT_DIR CHANGE_DIR | --against REV"
 
 
 def run(out: Path, name: str, argv: list) -> None:
@@ -196,9 +206,28 @@ def compare(parent: Path, change: Path) -> int:
     return 1 if other else 0
 
 
+def against(rev: str) -> int:
+    """Compare the contract of git revision rev with this checkout's."""
+    root = Path(__file__).resolve().parents[1]  # git archive takes a subdirectory alone
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, parent, change = Path(tmp, "tree"), Path(tmp, "parent"), Path(tmp, "change")
+        archive = subprocess.run(
+            ["git", "archive", rev], cwd=root, check=True, stdout=subprocess.PIPE
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        script = tree / "tests" / "contract.py"
+        subprocess.run([sys.executable, str(script), str(parent)], env=env, check=True)
+        write_contract(change)
+        return compare(parent, change)
+
+
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         sys.exit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
+    if len(sys.argv) == 3 and sys.argv[1] == "--against":
+        sys.exit(against(sys.argv[2]))
     if len(sys.argv) != 2:
         sys.exit(USAGE)
     write_contract(Path(sys.argv[1]))

@@ -259,14 +259,11 @@ def random_normal_form_params(cls: int, rng: np.random.Generator) -> NormalFormP
     return NormalFormParams(**values)
 
 
-def _random_sl2(rng: np.random.Generator, max_tries: int = 100) -> np.ndarray:
-    """Standard-complex-Gaussian 2x2 matrix rescaled to determinant 1."""
-    for _ in range(max_tries):
-        m = rng.normal(0.0, np.sqrt(0.5), (2, 2)) + 1j * rng.normal(0.0, np.sqrt(0.5), (2, 2))
-        det = np.linalg.det(m)
-        if abs(det) >= 1e-6:
-            return m * det ** (-0.5)
-    raise RuntimeError(f"rejected {max_tries} singular draws in a row; RNG looks broken")
+def _random_sl2(rng: np.random.Generator) -> np.ndarray:
+    """Standard-complex-Gaussian 2x2 matrix m rescaled to determinant 1,
+    m det(m)^(-1/2)."""
+    m = rng.normal(0.0, np.sqrt(0.5), (2, 2)) + 1j * rng.normal(0.0, np.sqrt(0.5), (2, 2))
+    return m * np.linalg.det(m) ** (-0.5)
 
 
 def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> tuple[PureState, SloccProvenance]:

@@ -424,27 +424,25 @@ def test_campaign_isolates_a_sample_the_engine_rejects(tmp_path, monkeypatch):
 
 
 def test_campaign_records_a_sample_whose_operators_stay_singular(tmp_path, monkeypatch):
-    # Sample 5's stream draws only singular operators and sample 2's first
-    # operator is singular once: the span's stacked preparation fails, each
+    # Sample 5's stream starts with 8 zero deviates, so its first operator
+    # block is exactly singular: the span's stacked preparation fails, each
     # sample is prepared alone, and only sample 5 is recorded, with the error
-    # of the sequential sampler. Sample 2's retried operators do not change.
+    # of its non-finite state. Every other row is the unpatched run's.
     cfg = CampaignConfig(classes=(3,), samples_per_class=8, master_seed=11)
-    index_of = {first_seed_word(sample_seed(11, 3, i)): i for i in range(8)}
-    zeros = {2: 8}
-    singular_streams(monkeypatch, lambda seed: zeros.get(index_of[first_seed_word(seed)], 0))
-    run_campaign(cfg, tmp_path / "retry.csv")
-    zeros[5] = 10**6
+    run_campaign(cfg, tmp_path / "all.csv")
+    singular = first_seed_word(sample_seed(11, 3, 5))
+    singular_streams(monkeypatch, lambda seed: 8 * (first_seed_word(seed) == singular))
     summary = run_campaign(cfg, tmp_path / "v.csv")
     assert summary.errors == [
         {
             "class": 3,
             "sample_index": 5,
             "sub_seed": "11:3:5",
-            "type": "RuntimeError",
-            "message": "rejected 100 singular draws in a row; RNG looks broken",
+            "type": "ValueError",
+            "message": "a dressed state has norm nan, which cannot be normalized",
         }
     ]
-    expected = [r for r in read_rows(tmp_path / "retry.csv") if r["sample_index"] != "5"]
+    expected = [r for r in read_rows(tmp_path / "all.csv") if r["sample_index"] != "5"]
     assert read_rows(tmp_path / "v.csv") == expected
 
 
@@ -465,6 +463,14 @@ def test_campaign_config_validation():
             CampaignConfig(negativity_threshold=bad)
         with pytest.raises(ValueError, match="threshold"):
             sweep_family(5, [0.5], threshold=bad)
+
+
+def test_campaign_config_rejects_repeated_or_non_integer_classes():
+    # Checked, not coerced: a repeated class would be sampled and counted
+    # twice, and a float class is no index of the summary's counts.
+    for bad in ((2, 2), (1, 3, 1), (2.0,), (True,), (1, np.int64(3))):
+        with pytest.raises(ValueError, match="distinct integers"):
+            CampaignConfig(classes=bad, samples_per_class=3, master_seed=1)
 
 
 def test_sweep_class5_nonnegative(tmp_path):

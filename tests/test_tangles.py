@@ -19,7 +19,7 @@ import qtangle.tangles as tangles
 from qtangle.states import (
     CLASS_ARITY,
     NormalFormParams,
-    draw_slocc,
+    draw_samples,
     dress,
     ghz,
     normal_form,
@@ -673,7 +673,7 @@ def _campaign_candidates(monkeypatch):
     campaign at 300/class hands to _simplex_solve, and the number of them
     that _simplex_solve hands on to the batched NNLS fit."""
     amps = np.concatenate([
-        dress(cls, [draw_slocc(cls, sample_seed(20260823, cls, i)) for i in range(300)])[0]
+        dress(cls, draw_samples(cls, 20260823, range(300)))[0]
         for cls in range(1, 9)
     ])
     seen = {"w": [], "r": [], "fitted": 0}
