@@ -23,10 +23,9 @@ from .harness import (
     run_campaign,
     sweep_family,
     table1_check,
-    tangle_report,
     write_table1_csv,
 )
-from .monogamy import MU3
+from .monogamy import MU3, tangle_report
 from .qstate import state_from_json
 
 EXIT_OK = 0
@@ -110,18 +109,18 @@ def _cmd_verify(args) -> int:
     )
     summary = run_campaign(cfg, args.out, summary_path=args.summary)
     if args.json:
-        print(json.dumps(summary.to_json_dict(), indent=2))
+        print(json.dumps(summary, indent=2))
     else:
-        print(f"points tested: {summary.total_points}")
-        print(f"violations:    {summary.violation_count}")
-        print(f"errors:        {summary.error_count}")
-        if summary.min_residual is None:
+        print(f"points tested: {summary['total_points']}")
+        print(f"violations:    {summary['violation_count']}")
+        print(f"errors:        {summary['error_count']}")
+        if summary["min_residual"] is None:
             print("min residual:  none (no state was evaluated)")
         else:
-            print(f"min residual:  {summary.min_residual:.3e} at {summary.min_residual_at}")
-    if summary.error_count:
+            print(f"min residual:  {summary['min_residual']:.3e} at {summary['min_residual_at']}")
+    if summary["error_count"]:
         return EXIT_SAMPLES_FAILED
-    return EXIT_VIOLATION if summary.violation_count else EXIT_OK
+    return EXIT_VIOLATION if summary["violation_count"] else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -149,15 +148,14 @@ def _cmd_sweep(args) -> int:
         args.slocc_class, grid, mu3=args.mu3, threshold=args.threshold, csv_path=args.out
     )
     if args.json:
-        print(json.dumps({"class": result.slocc_class, "rows": result.rows,
-                          "flagged": result.flagged, "violations": result.violations}))
+        print(json.dumps(result))
     else:
-        print(f"class {result.slocc_class}: {len(result.rows)} grid points, "
-              f"{len(result.flagged)} degenerate, {len(result.violations)} violations")
-        if result.rows:
-            worst = min(min(r[1:]) for r in result.rows)
+        print(f"class {result['class']}: {len(result['rows'])} grid points, "
+              f"{len(result['flagged'])} degenerate, {len(result['violations'])} violations")
+        if result["rows"]:
+            worst = min(min(r[1:]) for r in result["rows"])
             print(f"smallest residual: {worst:.3e}")
-    return EXIT_VIOLATION if result.violations else EXIT_OK
+    return EXIT_VIOLATION if result["violations"] else EXIT_OK
 
 
 def _cmd_tangle(args) -> int:
@@ -184,17 +182,17 @@ def _cmd_tangle(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    entries = table1_check()
-    bad = [e for e in entries if e.violation]
+    rows = table1_check()
+    bad = [r for r in rows if r["violation"]]
     if args.json:
-        print(json.dumps([e.to_json_dict() for e in entries]))
+        print(json.dumps(rows))
     else:
-        print(f"{len(entries)} marginal checks, {len(bad)} zero-row violations")
-        for e in bad:
-            print(f"  class {e.slocc_class} a={e.param_value} triple={e.triple}: "
-                  f"rdl={e.rdl_value:.3e} ({e.rdl_method})")
+        print(f"{len(rows)} marginal checks, {len(bad)} zero-row violations")
+        for r in bad:
+            print(f"  class {r['class']} a={r['param']} triple={r['triple']}: "
+                  f"rdl={r['rdl_value']:.3e} ({r['rdl_method']})")
     if args.out:
-        write_table1_csv(entries, args.out)
+        write_table1_csv(rows, args.out)
     return EXIT_VIOLATION if bad else EXIT_OK
 
 

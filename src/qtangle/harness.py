@@ -1,30 +1,21 @@
 """Campaign runner and verification surfaces: randomized Monte Carlo sweeps
 over the SLOCC classes, single-family parameter sweeps, and the normal-form
-bound cross-check table. Emits plot-ready CSV plus a JSON summary."""
+bound cross-check table. Emits plot-ready CSV plus a JSON summary; each
+command's result is the JSON that its ``--json`` prints."""
 
 from __future__ import annotations
 
 import csv
 import json
 import logging
+from concurrent import futures  # its process pool, and multiprocessing, load on first use
 from contextlib import closing, contextmanager, nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import islice
-from multiprocessing import Pool
 
 import numpy as np
 
-from .monogamy import (
-    FOCUS_PAIRS,
-    FOCUS_TRIPLES,
-    MU3,
-    PARTNERS,
-    _check_focus,
-    _check_mu3,
-    residual_columns,
-    sm_report_all_foci,
-)
-from .qstate import PureState
+from .monogamy import FOCUS_PAIRS, FOCUS_TRIPLES, MU3, PARTNERS, _check_mu3, residual_columns
 from .states import (
     CLASS_ARITY,
     NormalFormParams,
@@ -33,14 +24,7 @@ from .states import (
     dress,
     normal_forms,
 )
-from .tangles import (
-    METHODS,
-    TRIPLES,
-    _triple_bounds,
-    pure_tangles,
-    tangle_columns,
-    three_tangle_pure,
-)
+from .tangles import METHODS, TRIPLES, _triple_bounds, tangle_columns
 
 log = logging.getLogger(__name__)
 
@@ -98,9 +82,13 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # Checked, not coerced: a repeated class would be sampled twice, and a
+        # float seed written into every sub-seed while its integer part is drawn.
+        for name in ("samples_per_class", "master_seed", "workers"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.classes:
             raise ValueError("campaign classes must not be empty")
-        # Checked, not coerced: a repeated class would be sampled twice.
         classes = self.classes
         if any(type(c) is not int for c in classes) or len(set(classes)) < len(classes):
             raise ValueError(f"campaign classes must be distinct integers, got {classes!r}")
@@ -114,20 +102,6 @@ class CampaignConfig:
             raise ValueError("workers must be >= 1")
         _check_mu3(self.mu3)
         _check_threshold(self.negativity_threshold)
-
-
-@dataclass
-class CampaignSummary:
-    total_points: int  # CSV rows written
-    violation_count: int
-    error_count: int
-    min_residual: float | None  # None when no row was written
-    min_residual_at: dict
-    per_class: dict = field(default_factory=dict)
-    errors: list = field(default_factory=list)  # one record per failed sample
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # States per engine call in every command (a campaign task is one span of the
@@ -233,12 +207,14 @@ def _span_results(tasks, workers: int):
     process is one of the workers: the tasks are taken `workers` at a time,
     all but the first of each batch go to a pool of workers - 1 children,
     and the first is evaluated here; so at most workers - 1 results are in
-    flight, and with one worker no pool is opened."""
-    with Pool(workers - 1) if workers > 1 else nullcontext() as pool:
+    flight, and with one worker no pool is opened. Closing the generator
+    early waits for the spans in flight and kills no child: a child killed
+    while it sends its result can leave the pool's teardown blocked."""
+    with futures.ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
         while batch := list(islice(tasks, workers)):
-            pending = [pool.apply_async(_chunk_rows, (task,)) for task in batch[1:]]
+            pending = [pool.submit(_chunk_rows, task) for task in batch[1:]]
             yield _chunk_rows(batch[0])
-            yield from (result.get() for result in pending)
+            yield from (future.result() for future in pending)
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -258,8 +234,10 @@ def _group_counts(groups: np.ndarray, bins: np.ndarray, nbins: int, ngroups: int
     return flat.reshape(ngroups, nbins)
 
 
-def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSummary:
-    """Run the Monte Carlo campaign, write one CSV row per (state, focus).
+def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> dict:
+    """Run the Monte Carlo campaign, write one CSV row per (state, focus),
+    and return the summary that ``summary_path`` (if given) and ``verify
+    --json`` hold; its min_residual is None when no row was written.
 
     Output is a pure function of the config: the (class, sample index)
     sequence, classes in sorted order, is cut into fixed spans of CHUNK_SIZE
@@ -285,7 +263,8 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
     # At most one worker per span: ceil(states / CHUNK_SIZE).
     workers = min(cfg.workers, -(-len(classes) * cfg.samples_per_class // CHUNK_SIZE))
     # The file opens first, so an unwritable path fails before any child
-    # starts; closing the results ends the children if a step here raises.
+    # starts; if a step here raises, closing the results lets the children
+    # finish their spans and ends them.
     with _csv_file(csv_path, CSV_FIELDS) as (fh, _), closing(
         _span_results(tasks, workers)
     ) as results:
@@ -315,18 +294,18 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> CampaignSu
         }
         for cls in classes
     }
-    summary = CampaignSummary(
-        total_points=total_points,
-        violation_count=violation_count,
-        error_count=len(errors),
-        min_residual=min_residual,
-        min_residual_at=min_at,
-        per_class=per_class,
-        errors=errors,
-    )
+    summary = {
+        "total_points": total_points,
+        "violation_count": violation_count,
+        "error_count": len(errors),
+        "min_residual": min_residual,
+        "min_residual_at": min_at,
+        "per_class": per_class,
+        "errors": errors,
+    }
     if summary_path is not None:
         with open(summary_path, "w") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=2, allow_nan=False)
+            json.dump(summary, fh, indent=2, allow_nan=False)
     return summary
 
 
@@ -339,22 +318,17 @@ SWEEP_BINDINGS = {
 }
 
 
-@dataclass
-class SweepResult:
-    slocc_class: int
-    rows: list  # (a, residual focus 1..4)
-    flagged: list  # grid points where the normal form degenerates
-    violations: list  # (a, focus, residual) below threshold
-
-
 def sweep_family(
     cls: int,
     a_values,
     mu3: float = MU3,
     threshold: float = VIOLATION_THRESHOLD,
     csv_path=None,
-) -> SweepResult:
-    """Residual lower bounds along a one-parameter normal-form family."""
+) -> dict:
+    """Residual lower bounds along a one-parameter normal-form family, as
+    ``sweep --json`` prints them: the class, rows (a, residual focus 1..4),
+    flagged points (where the normal form degenerates) and violations (a,
+    focus, residual below the threshold)."""
     if cls not in SWEEP_BINDINGS:
         raise ValueError(f"no sweep binding for class {cls}; classes {sorted(SWEEP_BINDINGS)}")
     _check_mu3(mu3)
@@ -376,7 +350,7 @@ def sweep_family(
         header = ["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"]
         with _csv_file(csv_path, header) as (_, writer):
             writer.writerows([repr(v) for v in row] for row in rows)
-    return SweepResult(slocc_class=cls, rows=rows, flagged=flagged, violations=violations)
+    return {"class": cls, "rows": rows, "flagged": flagged, "violations": violations}
 
 
 def _table1_printed(cls: int, pv: tuple, triple: tuple) -> tuple[bool, float | None]:
@@ -439,26 +413,12 @@ TABLE1_FIELDS = (
 TABLE1_ZERO_TOL = 1e-6  # a declared-zero marginal with a ray bound >= this is a violation
 
 
-@dataclass
-class Table1Entry:
-    slocc_class: int
-    param_value: float | None
-    triple: tuple
-    declared_zero: bool
-    table_bound: float | None
-    rdl_value: float
-    rdl_method: str
-    violation: bool
-
-    def to_json_dict(self) -> dict:
-        """The entry under the names of the CSV header, in its order."""
-        return dict(zip(TABLE1_FIELDS, (getattr(self, f.name) for f in fields(self))))
-
-
-def table1_check(grid=None) -> list[Table1Entry]:
+def table1_check(grid=None) -> list[dict]:
     """Compare the printed normal-form marginal bounds with the ray bound;
     flag declared-zero marginals whose ray bound is at least TABLE1_ZERO_TOL.
-    The normal forms of all classes are bounded together, chunk by chunk."""
+    One row per marginal, keyed by TABLE1_FIELDS, as ``table1 --json``
+    prints it (param and table_bound None where there is none). The normal
+    forms of all classes are bounded together, chunk by chunk."""
     grid = _TABLE1_GRID if grid is None else np.asarray(grid, dtype=float)
     cases, amps = [], []
     for cls in range(1, 10):
@@ -468,60 +428,25 @@ def table1_check(grid=None) -> list[Table1Entry]:
             amps.append(_valid_normal_forms(cls, pvs))
         cases += [(cls, t, pv) for t, pv in zip(points, pvs)]
     amps = np.concatenate(amps)
-    entries = []
+    rows = []
     for start, stop in _chunks(len(amps)):
         bounds = _triple_bounds(amps[start:stop])
         values, methods = bounds.value.tolist(), bounds.method.tolist()
         for (cls, t, pv), state_values, state_methods in zip(cases[start:stop], values, methods):
             for triple, value, method in zip(TRIPLES, state_values, state_methods):
                 declared, printed = _table1_printed(cls, pv, triple)
-                entries.append(
-                    Table1Entry(
-                        slocc_class=cls,
-                        param_value=t,
-                        triple=triple,
-                        declared_zero=declared,
-                        table_bound=printed,
-                        rdl_value=value,
-                        rdl_method=METHODS[method],
-                        violation=declared and value >= TABLE1_ZERO_TOL,
-                    )
-                )
-    return entries
+                violation = declared and value >= TABLE1_ZERO_TOL
+                row = (cls, t, triple, declared, printed, value, METHODS[method], violation)
+                rows.append(dict(zip(TABLE1_FIELDS, row)))
+    return rows
 
 
-def write_table1_csv(entries: list, csv_path) -> None:
-    """One CSV row per Table1Entry, in the order given."""
+def write_table1_csv(rows: list, csv_path) -> None:
+    """One CSV line per table1_check row, in the order given."""
     with _csv_file(csv_path, TABLE1_FIELDS) as (_, writer):
-        for e in entries:
-            writer.writerow(
-                [e.slocc_class, e.param_value, "|".join(map(str, e.triple)),
-                 int(e.declared_zero), e.table_bound, repr(e.rdl_value), e.rdl_method,
-                 int(e.violation)]
-            )
+        writer.writerows(
+            (r["class"], r["param"], "|".join(map(str, r["triple"])), int(r["declared_zero"]),
+             r["table_bound"], repr(r["rdl_value"]), r["rdl_method"], int(r["violation"]))
+            for r in rows
+        )  # fmt: skip
 
-
-def tangle_report(psi: PureState, focus: int, mu3: float = MU3) -> dict:
-    """Printable tangle breakdown for 2-4 qubit pure states. For four qubits
-    every term comes from the strong-monogamy report the residual is built on."""
-    _check_mu3(mu3)
-    n = psi.n_qubits
-    _check_focus(focus, n)
-    if n == 4:
-        sm = sm_report_all_foci(psi, mu3)[focus - 1]
-        tau1, terms, last = sm.tau1, sm.tau2_terms, {"sm_report": sm.to_json_dict()}
-    else:
-        tau1s, tau2 = pure_tangles(psi)
-        if n == 2:
-            return {"n_qubits": n, "focus": focus, "tau1": tau1s[focus], "tau2": tau2[(1, 2)]}
-        tau1, last = tau1s[focus], {"tau3": three_tangle_pure(psi)}
-        # Each pair with the focus, by its other qubit: in partner order.
-        terms = {j: t for pair, t in tau2.items() if focus in pair for j in pair if j != focus}
-    return {
-        "n_qubits": n,
-        "focus": focus,
-        "tau1": tau1,
-        "tau2_terms": terms,
-        "ckw_residual": tau1 - sum(terms.values()),
-        **last,
-    }

@@ -1,8 +1,8 @@
 """Monogamy residuals: CKW differences and the powered four-qubit lower bound.
 
-Every term here comes from the column engine ``tangles.tangle_columns``,
-either directly or through its one-row view ``tangles.pure_tangles``; no
-reduced density matrix is formed."""
+Every term here comes from the column engine ``tangles.tangle_columns``; no
+reduced density matrix is formed. ``tangle_report``, the one-state report
+that ``tangle --json`` prints, reads one engine row for 2, 3 or 4 qubits."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .qstate import PureState
-from .tangles import PAIRS, TRIPLES, TangleColumns, pure_tangles, tangle_columns
+from .tangles import PAIRS, TRIPLES, TangleColumns, _padded, tangle_columns, three_tangle_pure
 
 # For each focus 1..4, its partners in increasing order, and the columns of
 # its three pairs and three triples. Dropping the focus from increasing tuples
@@ -71,30 +71,38 @@ def residual_three_tangle(psi3: PureState, focus: int) -> float:
 
 
 def ckw_residual(psi: PureState, focus: int) -> float:
-    """One-tangle minus the sum of pairwise tangles; nonnegative by theorem."""
+    """One-tangle minus the sum of pairwise tangles; nonnegative by theorem.
+    The value ``tangle_report`` prints."""
     if psi.n_qubits < 3:
         raise ValueError("ckw_residual needs at least 3 qubits")
-    _check_focus(focus, psi.n_qubits)
-    tau1, tau2 = pure_tangles(psi)
-    return tau1[focus] - sum(t for pair, t in tau2.items() if focus in pair)
+    return tangle_report(psi, focus)["ckw_residual"]
+
+
+def _ckw_columns(cols: TangleColumns) -> np.ndarray:
+    """CKW residuals (S, 4) by focus: tau1 minus the focus's three
+    two-tangles, summed in partner order."""
+    t2 = cols.tau2[:, FOCUS_PAIRS]
+    return cols.tau1 - (t2[..., 0] + t2[..., 1] + t2[..., 2])
 
 
 def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
-    """Strong-monogamy residuals (S, 4) by focus: tau1 minus the focus's
-    three two-tangles minus its three three-tangle bounds to the power mu3
-    (numpy's power), each sum taken in partner order."""
+    """Strong-monogamy residuals (S, 4) by focus: the CKW residuals minus the
+    focus's three three-tangle bounds to the power mu3 (numpy's power),
+    summed in partner order."""
     _check_mu3(mu3)
-    t2 = cols.tau2[:, FOCUS_PAIRS]
     t3 = (cols.tau3.value**mu3)[:, FOCUS_TRIPLES]
-    residual = cols.tau1 - (t2[..., 0] + t2[..., 1] + t2[..., 2])
-    return residual - (t3[..., 0] + t3[..., 1] + t3[..., 2])
+    return _ckw_columns(cols) - (t3[..., 0] + t3[..., 1] + t3[..., 2])
 
 
 def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[SmReport]:
     """Reports for all four foci: the one-state view of ``tangle_columns``
-    and ``residual_columns``, each focus's terms picked by FOCUS_PAIRS and
-    FOCUS_TRIPLES in partner order."""
-    cols = tangle_columns(psi4.amplitudes[None])
+    and ``residual_columns``."""
+    return _sm_reports(tangle_columns(psi4.amplitudes[None]), mu3)
+
+
+def _sm_reports(cols: TangleColumns, mu3: float) -> list[SmReport]:
+    """The four foci's reports on the first state of cols, each focus's terms
+    picked by FOCUS_PAIRS and FOCUS_TRIPLES in partner order."""
     tau1, tau2 = cols.tau1[0].tolist(), cols.tau2[0].tolist()
     residuals = residual_columns(cols, mu3)[0].tolist()
     return [
@@ -111,3 +119,24 @@ def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[SmReport]:
         )
         for f in range(4)
     ]
+
+
+def tangle_report(psi: PureState, focus: int, mu3: float = MU3) -> dict:
+    """Tangle breakdown of a 2-4 qubit pure state, as ``tangle --json`` prints
+    it, from one engine row of the state padded to four qubits (its
+    spectators' foci and pairs dropped); three qubits add the closed-form
+    three-tangle, four the strong-monogamy report."""
+    _check_mu3(mu3)
+    n = psi.n_qubits
+    _check_focus(focus, n)
+    cols = tangle_columns(_padded(psi)[None])
+    f = focus - 1
+    tau2 = cols.tau2[0].tolist()
+    terms = {j: tau2[p] for j, p in zip(PARTNERS[f], FOCUS_PAIRS[f]) if j <= n}
+    report = {"n_qubits": n, "focus": focus, "tau1": cols.tau1[0, f].item()}
+    if n == 2:
+        return {**report, "tau2": terms[3 - focus]}
+    report |= {"tau2_terms": terms, "ckw_residual": _ckw_columns(cols)[0, f].item()}
+    if n == 3:
+        return {**report, "tau3": three_tangle_pure(psi)}
+    return {**report, "sm_report": _sm_reports(cols, mu3)[f].to_json_dict()}

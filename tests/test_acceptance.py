@@ -22,8 +22,8 @@ from qtangle import (
     tangle_columns,
     three_tangle_pure,
 )
-from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check, tangle_report
-from qtangle.monogamy import FOCUS_PAIRS
+from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check
+from qtangle.monogamy import FOCUS_PAIRS, tangle_report
 from qtangle.states import ghz, ghzw, random_slocc_state, sample_seed
 from qtangle.tangles import PAIRS, TRIPLES, _padded
 from reference import local_image, partial_trace, trace_norm
@@ -98,11 +98,11 @@ def test_criterion_3_smoke_campaign(tmp_path):
     elapsed = time.monotonic() - t0
     report(
         "criterion 3 (Monte Carlo, smoke tier 100/class)",
-        summary.total_points == 3200
-        and summary.violation_count == 0
-        and summary.error_count == 0
+        summary["total_points"] == 3200
+        and summary["violation_count"] == 0
+        and summary["error_count"] == 0
         and elapsed < 20.0,
-        f"min residual {summary.min_residual:.2e}, {elapsed:.1f}s",
+        f"min residual {summary['min_residual']:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -114,11 +114,11 @@ def test_criterion_3_desk_scale_campaign(tmp_path):
     elapsed = time.monotonic() - t0
     report(
         "criterion 3 (Monte Carlo, desk scale 10^4/class)",
-        summary.total_points == 320000
-        and summary.violation_count == 0
-        and summary.error_count == 0
+        summary["total_points"] == 320000
+        and summary["violation_count"] == 0
+        and summary["error_count"] == 0
         and elapsed < 1800.0,
-        f"min residual {summary.min_residual:.2e}, {elapsed:.0f}s",
+        f"min residual {summary['min_residual']:.2e}, {elapsed:.0f}s",
     )
 
 
@@ -180,8 +180,8 @@ def test_criterion_6_rdl_soundness():
 
 def test_criterion_7_table1_zero_rows():
     entries = table1_check()
-    zeros = [e for e in entries if e.declared_zero]
-    bad = [e for e in zeros if e.rdl_value >= 1e-6]
+    zeros = [e for e in entries if e["declared_zero"]]
+    bad = [e for e in zeros if e["rdl_value"] >= 1e-6]
     report(
         "criterion 7 (normal-form declared-zero rows)",
         len(zeros) > 0 and not bad,
@@ -194,8 +194,8 @@ def test_criterion_8_family_sweeps():
     worst = np.inf
     for cls in (2, 3, 4, 5, 6):
         result = sweep_family(cls, grid)
-        assert not result.violations, f"class {cls}: {result.violations[:3]}"
-        worst = min(worst, min(min(r[1:]) for r in result.rows))
+        assert not result["violations"], f"class {cls}: {result['violations'][:3]}"
+        worst = min(worst, min(min(r[1:]) for r in result["rows"]))
     report(
         "criterion 8 (one-parameter family sweeps)",
         worst >= -1e-7,

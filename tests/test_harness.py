@@ -1,9 +1,12 @@
 import csv
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,14 +16,8 @@ import pytest
 import qtangle.harness as harness
 from conftest import first_seed_word, singular_streams
 from qtangle.cli import main
-from qtangle.harness import (
-    CampaignConfig,
-    run_campaign,
-    sweep_family,
-    table1_check,
-    tangle_report,
-)
-from qtangle.monogamy import ckw_residual, sm_report_all_foci
+from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check
+from qtangle.monogamy import ckw_residual, sm_report_all_foci, tangle_report
 from qtangle.qstate import PureState
 from qtangle.states import NormalFormParams, ghz, random_slocc_state, sample_seed, w
 from reference import local_image, write_state
@@ -36,11 +33,11 @@ def test_campaign_smoke(tmp_path):
     summary = run_campaign(cfg, tmp_path / "out.csv", summary_path=tmp_path / "out.json")
     rows = read_rows(tmp_path / "out.csv")
     assert len(rows) == 320
-    assert summary.total_points == 320
-    assert summary.violation_count == 0
-    assert summary.error_count == 0
+    assert summary["total_points"] == 320
+    assert summary["violation_count"] == 0
+    assert summary["error_count"] == 0
     loaded = json.loads((tmp_path / "out.json").read_text())
-    assert loaded["min_residual"] == summary.min_residual
+    assert loaded["min_residual"] == summary["min_residual"]
 
 
 def _failing_sampler(bad_classes):
@@ -124,7 +121,7 @@ def test_campaign_rows_self_consistent(tmp_path):
         focus = int(row["focus"])
         partners = [int(p) for p in row["partners"].split("-")]
         assert partners == [q for q in (1, 2, 3, 4) if q != focus]
-    assert summary.min_residual == pytest.approx(min(residuals), abs=0)
+    assert summary["min_residual"] == pytest.approx(min(residuals), abs=0)
 
 
 def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
@@ -140,11 +137,11 @@ def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def apply_async(self, fn, args):
+        def submit(self, fn, *args):
             result = fn(*args)
-            return SimpleNamespace(get=lambda: result)
+            return SimpleNamespace(result=lambda: result)
 
-    monkeypatch.setattr(harness, "Pool", SequentialPool)
+    monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", SequentialPool)
     chunk = harness.CHUNK_SIZE
     run_campaign(CampaignConfig(classes=(1,), samples_per_class=chunk, workers=8), tmp_path / "a.csv")
     assert sizes == []  # one class of one chunk: no pool
@@ -221,6 +218,38 @@ def test_campaign_leaves_no_child_running(tmp_path, monkeypatch):
     assert caught.traceback and multiprocessing.active_children() == []
 
 
+def _no_rows_slowly_in_children(parent, finished, task):
+    """_no_rows, taking a second in every process but `parent` and leaving a
+    file in `finished` once it is done there; top level so a pool can pickle
+    it (with partial)."""
+    if os.getpid() != parent:
+        time.sleep(1.0)
+        (finished / str(os.getpid())).touch()
+    return _no_rows(task)
+
+
+def test_campaign_lets_a_childs_span_finish_when_this_process_raises(tmp_path, monkeypatch):
+    # Two spans and two workers: the child's span is in flight for a second
+    # while this process raises at its first merge. The child must be let
+    # finish its span, not be killed in it: a child killed while it sends
+    # its result can leave the pool's teardown blocked for good.
+    finished = tmp_path / "finished"
+    finished.mkdir()
+    monkeypatch.setattr(
+        harness, "_chunk_rows", partial(_no_rows_slowly_in_children, os.getpid(), finished)
+    )
+
+    def bin_index(x, edges):
+        raise RuntimeError("merge broke")
+
+    monkeypatch.setattr(harness, "_bin_index", bin_index)
+    cfg = CampaignConfig(classes=(1, 2), samples_per_class=harness.CHUNK_SIZE, workers=2)
+    with pytest.raises(RuntimeError, match="merge broke"):
+        run_campaign(cfg, tmp_path / "v.csv")
+    assert multiprocessing.active_children() == []
+    assert len(list(finished.iterdir())) == 1
+
+
 def test_campaign_deterministic_across_workers(tmp_path):
     cfg1 = CampaignConfig(samples_per_class=5, master_seed=3, workers=1)
     cfg4 = CampaignConfig(samples_per_class=5, master_seed=3, workers=4)
@@ -258,10 +287,10 @@ def test_campaign_csv_text_is_what_the_csv_writer_writes(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "draw_samples", _failing_at(3, harness.draw_samples))
     cfg = CampaignConfig(classes=(2, 7), samples_per_class=6, master_seed=2**64 + 3)
     summary = run_campaign(cfg, tmp_path / "v.csv")
-    assert summary.error_count == 2 and summary.total_points == 2 * 5 * 4
+    assert summary["error_count"] == 2 and summary["total_points"] == 2 * 5 * 4
     with open(tmp_path / "v.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
-    assert header == harness.CSV_FIELDS and len(rows) == summary.total_points
+    assert header == harness.CSV_FIELDS and len(rows) == summary["total_points"]
     for row in rows:
         assert len(row) == len(header)
         assert not any(c in field for field in row for c in ',"\r\n'), row
@@ -297,8 +326,8 @@ def test_campaign_min_residual_at_names_its_row(tmp_path, monkeypatch):
         cfg = CampaignConfig(samples_per_class=23, master_seed=20260827, workers=workers)
         summary = run_campaign(cfg, tmp_path / f"w{workers}.csv")
         rows = read_rows(tmp_path / f"w{workers}.csv")
-        row = next(r for r in rows if float(r["residual_lower"]) == summary.min_residual)
-        assert summary.min_residual_at == {
+        row = next(r for r in rows if float(r["residual_lower"]) == summary["min_residual"])
+        assert summary["min_residual_at"] == {
             "class": int(row["class"]),
             "sample_index": int(row["sample_index"]),
             "sub_seed": row["sub_seed"],
@@ -322,10 +351,10 @@ def test_campaign_spans_cross_classes(tmp_path, monkeypatch):
     assert min_at == dict(zip(min_at, (int(lowest[0]), int(lowest[1]), lowest[2], int(lowest[3]))))
     summary = run_campaign(cfg, tmp_path / "all.csv")
     assert (tmp_path / "all.csv").read_text().splitlines() == want
-    assert summary.min_residual_at == min_at and not summary.errors
+    assert summary["min_residual_at"] == min_at and not summary["errors"]
     monkeypatch.setattr(harness, "draw_samples", _failing_at(3, harness.draw_samples))
     summary = run_campaign(cfg, tmp_path / "v.csv")
-    assert summary.errors == [
+    assert summary["errors"] == [
         {
             "class": cls,
             "sample_index": 3,
@@ -337,8 +366,8 @@ def test_campaign_spans_cross_classes(tmp_path, monkeypatch):
     ]
     kept = [line for line in want if line.split(",")[1] != "3"]
     assert (tmp_path / "v.csv").read_text().splitlines() == kept
-    assert summary.total_points == len(kept) - 1 == 4 * 3 * 4
-    assert summary.min_residual_at == min_at
+    assert summary["total_points"] == len(kept) - 1 == 4 * 3 * 4
+    assert summary["min_residual_at"] == min_at
 
 
 def test_campaign_summary_bins_match_np_histogram():
@@ -363,7 +392,7 @@ def test_campaign_summary_counts_bound_methods(tmp_path):
     cfg = CampaignConfig(samples_per_class=12, master_seed=4)
     summary = run_campaign(cfg, tmp_path / "out.csv")
     rows = read_rows(tmp_path / "out.csv")
-    for cls, entry in summary.per_class.items():
+    for cls, entry in summary["per_class"].items():
         counts = dict.fromkeys(entry["methods"], 0)
         for row in rows:
             if row["class"] == cls:
@@ -372,7 +401,7 @@ def test_campaign_summary_counts_bound_methods(tmp_path):
         # Each triple of a state appears in the rows of its three foci.
         assert counts == {m: 3 * n for m, n in entry["methods"].items()}
         assert sum(entry["methods"].values()) == 4 * cfg.samples_per_class
-    assert list(summary.per_class["1"]["methods"]) == ["exact-pure", "simplex-zero", "rdl-line"]
+    assert list(summary["per_class"]["1"]["methods"]) == ["exact-pure", "simplex-zero", "rdl-line"]
 
 
 def _failing_at(index, real):
@@ -389,7 +418,7 @@ def test_campaign_isolates_a_failing_sample_in_a_chunk(tmp_path, monkeypatch):
     run_campaign(cfg, tmp_path / "all.csv")
     monkeypatch.setattr(harness, "draw_samples", _failing_at(5, harness.draw_samples))
     summary = run_campaign(cfg, tmp_path / "v.csv")
-    assert summary.errors == [
+    assert summary["errors"] == [
         {
             "class": 3,
             "sample_index": 5,
@@ -400,7 +429,7 @@ def test_campaign_isolates_a_failing_sample_in_a_chunk(tmp_path, monkeypatch):
     ]
     expected = [r for r in read_rows(tmp_path / "all.csv") if r["sample_index"] != "5"]
     assert read_rows(tmp_path / "v.csv") == expected
-    assert summary.total_points == len(expected) == 7 * 4
+    assert summary["total_points"] == len(expected) == 7 * 4
 
 
 def test_campaign_isolates_a_sample_the_engine_rejects(tmp_path, monkeypatch):
@@ -416,7 +445,7 @@ def test_campaign_isolates_a_sample_the_engine_rejects(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "tangle_columns", engine)
     summary = run_campaign(cfg, tmp_path / "v.csv")
-    assert [(e["sample_index"], e["type"], e["message"]) for e in summary.errors] == [
+    assert [(e["sample_index"], e["type"], e["message"]) for e in summary["errors"]] == [
         (4, "FloatingPointError", "engine broke")
     ]
     expected = [r for r in read_rows(tmp_path / "all.csv") if r["sample_index"] != "4"]
@@ -433,7 +462,7 @@ def test_campaign_records_a_sample_whose_operators_stay_singular(tmp_path, monke
     singular = first_seed_word(sample_seed(11, 3, 5))
     singular_streams(monkeypatch, lambda seed: 8 * (first_seed_word(seed) == singular))
     summary = run_campaign(cfg, tmp_path / "v.csv")
-    assert summary.errors == [
+    assert summary["errors"] == [
         {
             "class": 3,
             "sample_index": 5,
@@ -465,6 +494,15 @@ def test_campaign_config_validation():
             sweep_family(5, [0.5], threshold=bad)
 
 
+def test_campaign_config_rejects_non_integer_counts_and_seeds():
+    # Checked, not coerced: a seed of 1.5 would draw seed 1's states and
+    # write "1.5" into every sub-seed, and True would be written as "True".
+    for name in ("samples_per_class", "master_seed", "workers"):
+        for bad in (1.5, 2.0, True, np.int64(2), "2"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                CampaignConfig(**{name: bad})
+
+
 def test_campaign_config_rejects_repeated_or_non_integer_classes():
     # Checked, not coerced: a repeated class would be sampled and counted
     # twice, and a float class is no index of the summary's counts.
@@ -475,8 +513,8 @@ def test_campaign_config_rejects_repeated_or_non_integer_classes():
 
 def test_sweep_class5_nonnegative(tmp_path):
     result = sweep_family(5, np.arange(0.0, 2.0001, 0.05), csv_path=tmp_path / "s.csv")
-    assert not result.violations
-    assert not result.flagged
+    assert not result["violations"]
+    assert not result["flagged"]
     with open(tmp_path / "s.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"]
@@ -498,8 +536,8 @@ def test_sweep_degenerate_flagging():
     # A negative a breaks the nonnegative real part of the family's
     # parameters: the point is flagged and the others are evaluated.
     result = sweep_family(5, [0.25, -0.5, 0.75])
-    assert result.flagged == [-0.5]
-    assert len(result.rows) == 2
+    assert result["flagged"] == [-0.5]
+    assert len(result["rows"]) == 2
 
 
 def test_sweep_unknown_class():
@@ -511,16 +549,16 @@ def test_sweep_and_table1_take_empty_grids():
     # No grid point, or none where the family is defined: zero chunks.
     for grid in ([], [-0.5]):
         result = sweep_family(5, grid)
-        assert (result.rows, result.flagged, result.violations) == ([], grid, [])
+        assert (result["rows"], result["flagged"], result["violations"]) == ([], grid, [])
     entries = table1_check(grid=[])
     assert len(entries) == 12
-    assert {(e.slocc_class, e.param_value) for e in entries} == {(7, None), (8, None), (9, None)}
+    assert {(e["class"], e["param"]) for e in entries} == {(7, None), (8, None), (9, None)}
 
 
 def test_sweep_and_table1_do_not_depend_on_chunks(monkeypatch):
     grid = np.concatenate([[-0.3, -0.1], np.linspace(0.0, 2.0, 40)])
     sweeps = [sweep_family(cls, grid, threshold=0.02) for cls in (2, 5, 6)]
-    assert all(len(s.flagged) == 2 for s in sweeps) and any(s.violations for s in sweeps)
+    assert all(len(s["flagged"]) == 2 for s in sweeps) and any(s["violations"] for s in sweeps)
     entries = table1_check()
     # Chunks of 7: several per grid with a partial last one, and table1
     # chunks that straddle classes.
@@ -545,12 +583,12 @@ def test_sweep_memory_does_not_grow_with_the_grid():
 
 def test_table1_check_no_zero_row_violations():
     entries = table1_check()
-    assert not any(e.violation for e in entries)
+    assert not any(e["violation"] for e in entries)
     # class 9 q2q3q4 marginal is exactly a pure GHZ triple
-    g9 = [e for e in entries if e.slocc_class == 9 and e.triple == (2, 3, 4)]
+    g9 = [e for e in entries if e["class"] == 9 and e["triple"] == (2, 3, 4)]
     assert len(g9) == 1
-    assert g9[0].rdl_method == "exact-pure"
-    assert g9[0].rdl_value == pytest.approx(1.0, abs=1e-9)
+    assert g9[0]["rdl_method"] == "exact-pure"
+    assert g9[0]["rdl_value"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tangle_report_levels(tmp_path):
@@ -610,6 +648,33 @@ def test_cli_verify_and_exit_codes(tmp_path):
     )
     assert code == 0
     assert len(read_rows(out)) == 24
+
+
+def test_cli_verify_json_is_the_summary(tmp_path, capsys):
+    # What verify --json prints is what --summary holds and run_campaign returns.
+    out, summary_path = tmp_path / "v.csv", tmp_path / "v.json"
+    for workers in ("1", "2"):
+        argv = ["verify", "--classes", "1-3", "--samples", "5", "--seed", "8",
+                "--workers", workers, "--out", str(out), "--summary", str(summary_path)]  # fmt: skip
+        assert main([*argv, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(summary_path.read_text())
+    cfg = CampaignConfig(classes=(1, 2, 3), samples_per_class=5, master_seed=8)
+    assert run_campaign(cfg, tmp_path / "again.csv") == printed
+
+
+def test_cli_sweep_json_rows_are_its_csv_rows(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for cls in (2, 5):
+        argv = ["sweep", "--class", str(cls), "--a-min", "-0.1", "--a-max", "1", "--step", "0.1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == len(printed["rows"]) == 11 and printed["flagged"] == [-0.1]
+        assert [[repr(v) for v in row] for row in printed["rows"]] == rows
 
 
 def test_cli_tangle(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_ckw_residual_is_the_reports_own():
         psi, _ = random_slocc_state(7, sample_seed(20260823, 7, idx))
         for rep in sm_report_all_foci(psi):
             own = rep.tau1 - sum(rep.tau2_terms.values())
-            assert abs(ckw_residual(psi, rep.focus) - own) <= 1e-15
+            assert ckw_residual(psi, rep.focus) == own
 
 
 def test_focus_outside_range_rejected():
