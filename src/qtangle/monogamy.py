@@ -6,7 +6,6 @@ that ``tangle --json`` prints, reads one engine row for 2, 3 or 4 qubits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -27,28 +26,6 @@ FOCUS_TRIPLES = [[i for i, triple in enumerate(TRIPLES) if f in triple] for f in
 MU3 = 1.5
 
 
-@dataclass(frozen=True)
-class SmReport:
-    """Per-focus breakdown of the four-qubit monogamy budget."""
-
-    focus: int
-    tau1: float
-    tau2_terms: dict  # partner qubit -> squared concurrence
-    tau3_bounds: dict  # (qj, qk) -> TangleBoundResult
-    residual_lower: float
-    mu3: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "focus": self.focus,
-            "tau1": self.tau1,
-            "tau2_terms": {str(k): v for k, v in self.tau2_terms.items()},
-            "tau3_bounds": {f"{j}|{k}": b.to_json_dict() for (j, k), b in self.tau3_bounds.items()},
-            "residual_lower": self.residual_lower,
-            "mu3": self.mu3,
-        }
-
-
 def _check_mu3(mu3: float) -> None:
     """The one check on a three-tangle exponent."""
     if not mu3 > 0:  # also rejects NaN
@@ -56,26 +33,10 @@ def _check_mu3(mu3: float) -> None:
 
 
 def _check_focus(focus: int, n: int) -> None:
-    if focus not in range(1, n + 1):
-        raise ValueError(f"focus must be 1..{n}, got {focus}")
-
-
-def residual_three_tangle(psi3: PureState, focus: int) -> float:
-    """CKW residual of a three-qubit pure state (equals the three-tangle)."""
-    if psi3.n_qubits != 3:
-        raise ValueError(f"expected 3 qubits, got {psi3.n_qubits}")
-    res = ckw_residual(psi3, focus)
-    if -1e-9 <= res < 0.0:
-        res = 0.0
-    return res
-
-
-def ckw_residual(psi: PureState, focus: int) -> float:
-    """One-tangle minus the sum of pairwise tangles; nonnegative by theorem.
-    The value ``tangle_report`` prints."""
-    if psi.n_qubits < 3:
-        raise ValueError("ckw_residual needs at least 3 qubits")
-    return tangle_report(psi, focus)["ckw_residual"]
+    # Checked, not coerced: True and np.int64(2) would reach the report (the
+    # latter unserializable), 2.0 would fail as a tuple index.
+    if type(focus) is not int or focus not in range(1, n + 1):
+        raise ValueError(f"focus must be an integer 1..{n}, got {focus!r}")
 
 
 def _ckw_columns(cols: TangleColumns) -> np.ndarray:
@@ -94,29 +55,30 @@ def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
     return _ckw_columns(cols) - (t3[..., 0] + t3[..., 1] + t3[..., 2])
 
 
-def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[SmReport]:
-    """Reports for all four foci: the one-state view of ``tangle_columns``
-    and ``residual_columns``."""
+def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[dict]:
+    """The ``sm_report`` of ``tangle --json`` for each of the four foci: the
+    one-state view of ``tangle_columns`` and ``residual_columns``."""
     return _sm_reports(tangle_columns(psi4.amplitudes[None]), mu3)
 
 
-def _sm_reports(cols: TangleColumns, mu3: float) -> list[SmReport]:
+def _sm_reports(cols: TangleColumns, mu3: float) -> list[dict]:
     """The four foci's reports on the first state of cols, each focus's terms
-    picked by FOCUS_PAIRS and FOCUS_TRIPLES in partner order."""
+    picked by FOCUS_PAIRS and FOCUS_TRIPLES in partner order: pair tangles by
+    partner, bounds by pair of partners "j|k"."""
     tau1, tau2 = cols.tau1[0].tolist(), cols.tau2[0].tolist()
     residuals = residual_columns(cols, mu3)[0].tolist()
     return [
-        SmReport(
-            focus=f + 1,
-            tau1=tau1[f],
-            tau2_terms={j: tau2[p] for j, p in zip(PARTNERS[f], FOCUS_PAIRS[f])},
-            tau3_bounds={
-                jk: cols.tau3.result((0, t))
-                for jk, t in zip(combinations(PARTNERS[f], 2), FOCUS_TRIPLES[f])
+        {
+            "focus": f + 1,
+            "tau1": tau1[f],
+            "tau2_terms": {j: tau2[p] for j, p in zip(PARTNERS[f], FOCUS_PAIRS[f])},
+            "tau3_bounds": {
+                f"{j}|{k}": cols.tau3.result((0, t))
+                for (j, k), t in zip(combinations(PARTNERS[f], 2), FOCUS_TRIPLES[f])
             },
-            residual_lower=residuals[f],
-            mu3=mu3,
-        )
+            "residual_lower": residuals[f],
+            "mu3": mu3,
+        }
         for f in range(4)
     ]
 
@@ -139,4 +101,4 @@ def tangle_report(psi: PureState, focus: int, mu3: float = MU3) -> dict:
     report |= {"tau2_terms": terms, "ckw_residual": _ckw_columns(cols)[0, f].item()}
     if n == 3:
         return {**report, "tau3": three_tangle_pure(psi)}
-    return {**report, "sm_report": _sm_reports(cols, mu3)[f].to_json_dict()}
+    return {**report, "sm_report": _sm_reports(cols, mu3)[f]}

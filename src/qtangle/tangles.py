@@ -27,12 +27,12 @@ products of quadratics in z from the same 2x2 determinants. Every step is
 elementwise over the stack but the tau matrices' SVD, one LAPACK call per
 small matrix, so a state's numbers do not depend on the stack.
 ``pure_tangles`` (2-4 qubits, padded with |0> spectators) is a one-row view of
-``tangle_columns``; ``BoundColumns.result`` reads one bound as a TangleBoundResult.
+``tangle_columns``; ``BoundColumns.result`` reads one bound as the dict
+``tangle --json`` prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -40,9 +40,14 @@ import numpy as np
 
 from .qstate import PureState
 
-# RANK_TOL, DEGREE_TOL and NORM_TOL were measured on verify --samples 300 --seed
-# 20260823, the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
-RANK_TOL = 1e-8  # on p2, a triple marginal's smaller eigenvalue; measured: pure 0, mixed >= 1.8e-6
+# DEGREE_TOL and NORM_TOL were measured on verify --samples 300 --seed 20260823,
+# the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
+# RANK_TOL is on p2, a triple marginal's smaller eigenvalue. Measured on verify
+# --samples 4000 --seed 20260823, classes 1-9: the exactly pure class-9 triple
+# (2, 3, 4) marginals have p2 <= 3.6e-32 (none is 0); the mixed ones go down to
+# 4.7e-10 (class 6, sample 2799, triple (2, 3, 4), which this cut bounds as
+# pure), then 8.1e-8.
+RANK_TOL = 1e-8
 SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-members >= 7.3e-4
 PI_TOL = 1e-9  # on |r - p|, r taken as the simplex mean; measured: coincident <= 5.6e-16, others >= 0.045
 VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 5.4e-16 vs >= 5.0e-9
@@ -80,18 +85,6 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / np.abs(pivot))
 
 
-@dataclass(frozen=True)
-class TangleBoundResult:
-    """Upper bound on the three-tangle of a rank-2 three-qubit state."""
-
-    value: float
-    method: str  # one of METHODS
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 class BoundColumns(NamedTuple):
     """Three-tangle bounds of a stack of rank-2 marginals, one entry per
     marginal: the value, the method (an index into METHODS), the
@@ -108,15 +101,16 @@ class BoundColumns(NamedTuple):
         rdl, weights = np.full((2, k, 4), np.nan)
         return cls(np.zeros(k), np.full(k, SIMPLEX_ZERO), rdl, weights)
 
-    def result(self, index) -> TangleBoundResult:
-        """The bound at ``index`` as a TangleBoundResult."""
+    def result(self, index) -> dict:
+        """The bound at ``index`` as ``tangle --json`` prints it: its value,
+        method name and diagnostics."""
         code = int(self.method[index])
         diagnostics = {}
         if code == RDL_LINE:
             diagnostics = dict(zip(RDL_DIAGNOSTICS, self.rdl[index].tolist()))
         elif code == SIMPLEX_ZERO and not np.isnan(self.weights[index][0]):
             diagnostics = {"weights": self.weights[index].tolist()}
-        return TangleBoundResult(float(self.value[index]), METHODS[code], diagnostics)
+        return {"value": float(self.value[index]), "method": METHODS[code], "diagnostics": diagnostics}
 
 
 def _det2(a):

@@ -39,7 +39,7 @@ from qtangle.states import (
     SloccProvenance,
     _check_class,
 )
-from qtangle.tangles import TangleBoundResult, _phase_fix, _rank2_bounds
+from qtangle.tangles import _phase_fix, _rank2_bounds
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -106,9 +106,10 @@ def rank2_eigh(rho: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return lam, _phase_fix(evecs[:, 0]), _phase_fix(evecs[:, 1])
 
 
-def rank2_bound(rho: np.ndarray) -> TangleBoundResult:
+def rank2_bound(rho: np.ndarray) -> dict:
     """The package's three-tangle bound of a rank-2 three-qubit density
-    matrix (8, 8), on the support that ``rank2_eigh`` gives."""
+    matrix (8, 8), on the support that ``rank2_eigh`` gives, as the dict
+    ``BoundColumns.result`` returns."""
     lam, e1, e2 = rank2_eigh(rho)
     return _rank2_bounds(np.array([[lam, 1.0 - lam]]), np.stack([e1, e2])[None]).result(0)
 

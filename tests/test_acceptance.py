@@ -125,7 +125,7 @@ def test_criterion_3_desk_scale_campaign(tmp_path):
 def test_criterion_4_ckw_theorem():
     samples = 10000 if FULL else 100
     amps = np.array([psi.amplitudes for psi in _campaign_states(samples, 20260823)])
-    # ckw_residual's values to the bit: tau1 minus the focus's pair tangles,
+    # tangle_report's ckw_residual to the bit: tau1 minus the focus's pair tangles,
     # summed in partner order; stacks of 1024 keep the memory small.
     worst = np.inf
     for i in range(0, len(amps), 1024):
@@ -144,7 +144,7 @@ def test_criterion_5_focus_independence():
     states = [random_pure_state(rng, 3) for _ in range(1000)]
     # Each state padded with a |0> spectator, all in one stack: each focus's
     # CKW residual is its one-tangle minus the pair tangles inside 1..3, the
-    # values residual_three_tangle reads before it clamps.
+    # ckw_residual that tangle_report prints.
     cols = tangle_columns(np.array([_padded(psi) for psi in states]))
     pairs = [[i for i, pair in enumerate(PAIRS) if f in pair and pair[1] <= 3] for f in (1, 2, 3)]
     t2 = cols.tau2[:, pairs]
@@ -242,11 +242,11 @@ def test_criterion_10_property_digest():
 
     for rep in sm_report_all_foci(psi4):
         recomputed = (
-            rep.tau1
-            - sum(rep.tau2_terms.values())
-            - sum(b.value ** rep.mu3 for b in rep.tau3_bounds.values())
+            rep["tau1"]
+            - sum(rep["tau2_terms"].values())
+            - sum(b["value"] ** rep["mu3"] for b in rep["tau3_bounds"].values())
         )
-        ok &= abs(rep.residual_lower - recomputed) < 1e-12
-    notes.append("SmReport self-consistency")
+        ok &= abs(rep["residual_lower"] - recomputed) < 1e-12
+    notes.append("strong-monogamy report self-consistency")
 
     report("criterion 10 (property digest)", bool(ok), "; ".join(notes))

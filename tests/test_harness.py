@@ -17,7 +17,7 @@ import qtangle.harness as harness
 from conftest import first_seed_word, singular_streams
 from qtangle.cli import main
 from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check
-from qtangle.monogamy import ckw_residual, sm_report_all_foci, tangle_report
+from qtangle.monogamy import sm_report_all_foci, tangle_report
 from qtangle.qstate import PureState
 from qtangle.states import NormalFormParams, ghz, random_slocc_state, sample_seed, w
 from reference import local_image, write_state
@@ -260,20 +260,21 @@ def test_campaign_deterministic_across_workers(tmp_path):
 
 def _reference_rows(cfg):
     """The campaign's CSV lines built one sample at a time from the one-state
-    views random_slocc_state and sm_report_all_foci."""
+    views random_slocc_state and sm_report_all_foci, whose reports are the
+    sm_report dicts of tangle --json."""
     lines = [",".join(harness.CSV_FIELDS)]
     for cls in sorted(cfg.classes):
         for idx in range(cfg.samples_per_class):
             psi, _ = random_slocc_state(cls, sample_seed(cfg.master_seed, cls, idx))
             for rep in sm_report_all_foci(psi):
-                partners = sorted(rep.tau2_terms)
-                bounds = [rep.tau3_bounds[pair] for pair in sorted(rep.tau3_bounds)]
+                partners = sorted(rep["tau2_terms"])
+                bounds = [rep["tau3_bounds"][pair] for pair in sorted(rep["tau3_bounds"])]
                 lines.append(",".join([
-                    str(cls), str(idx), f"{cfg.master_seed}:{cls}:{idx}", str(rep.focus),
-                    "-".join(map(str, partners)), repr(rep.tau1),
-                    *(repr(rep.tau2_terms[p]) for p in partners),
-                    *(repr(b.value) for b in bounds), *(b.method for b in bounds),
-                    repr(rep.residual_lower),
+                    str(cls), str(idx), f"{cfg.master_seed}:{cls}:{idx}", str(rep["focus"]),
+                    "-".join(map(str, partners)), repr(rep["tau1"]),
+                    *(repr(rep["tau2_terms"][p]) for p in partners),
+                    *(repr(b["value"]) for b in bounds), *(b["method"] for b in bounds),
+                    repr(rep["residual_lower"]),
                 ]))  # fmt: skip
     return lines
 
@@ -613,10 +614,14 @@ def test_tangle_report_terms_are_the_residuals_own():
         for idx in range(4):
             psi, _ = random_slocc_state(cls, sample_seed(31, cls, idx))
             for rep in sm_report_all_foci(psi):
-                printed = tangle_report(psi, rep.focus)
-                assert printed["tau1"] == rep.tau1
-                assert printed["tau2_terms"] == rep.tau2_terms
-                assert printed["ckw_residual"] == rep.tau1 - sum(rep.tau2_terms.values())
+                printed = tangle_report(psi, rep["focus"])
+                assert printed["tau1"] == rep["tau1"]
+                assert printed["tau2_terms"] == rep["tau2_terms"]
+                assert printed["ckw_residual"] == rep["tau1"] - sum(rep["tau2_terms"].values())
+                # The report is the JSON itself, every float equal, not a
+                # value that converts to it.
+                assert printed["sm_report"] == rep
+                json.dumps(rep, allow_nan=False)
 
 
 # ------------------------------------------------------------------- CLI
@@ -628,7 +633,6 @@ def test_tangle_report_three_qubit_terms(rng):
         report = tangle_report(psi, focus)
         assert list(report["tau2_terms"]) == [q for q in (1, 2, 3) if q != focus]
         assert report["ckw_residual"] == report["tau1"] - sum(report["tau2_terms"].values())
-        assert report["ckw_residual"] == ckw_residual(psi, focus)
 
 
 def test_tangle_report_rejects_focus_outside_range(tmp_path):
@@ -636,6 +640,11 @@ def test_tangle_report_rejects_focus_outside_range(tmp_path):
         for focus in (0, psi.n_qubits + 1):
             with pytest.raises(ValueError, match="focus"):
                 tangle_report(psi, focus)
+    # The focus is checked, not coerced: a bool and a numpy integer would
+    # reach the report, and a float would fail as an index.
+    for focus in (True, np.int64(2), 2.0):
+        with pytest.raises(ValueError, match="focus"):
+            tangle_report(ghz(4), focus)
     path = tmp_path / "w3.json"
     write_state(w(3), path)
     assert main(["tangle", str(path), "--focus", "0"]) == 2

@@ -5,12 +5,11 @@ from conftest import random_pure_state
 from qtangle import (
     GhzwParams,
     PureState,
-    ckw_residual,
     pure_tangles,
     residual_columns,
-    residual_three_tangle,
     sm_report_all_foci,
     tangle_columns,
+    tangle_report,
     three_tangle_pure,
 )
 from qtangle.harness import SWEEP_BINDINGS
@@ -42,20 +41,24 @@ def test_residual_columns_rejects_bad_mu3():
             residual_columns(cols, bad)
 
 
+def ckw_residual(psi: PureState, focus: int) -> float:
+    return tangle_report(psi, focus)["ckw_residual"]
+
+
 def test_residual_three_tangle_examples():
+    # A three-qubit state's CKW residual is its three-tangle.
     for focus in (1, 2, 3):
-        assert residual_three_tangle(ghz(3), focus) == pytest.approx(1.0, abs=1e-10)
-        assert residual_three_tangle(w(3), focus) == pytest.approx(0.0, abs=1e-9)
+        assert ckw_residual(ghz(3), focus) == pytest.approx(1.0, abs=1e-10)
+        assert ckw_residual(w(3), focus) == pytest.approx(0.0, abs=1e-9)
     bell_with_spectator = PureState.from_amplitudes([1, 0, 0, 1, 0, 0, 0, 0])
-    assert residual_three_tangle(bell_with_spectator, 1) == pytest.approx(0.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        residual_three_tangle(ghz(4), 1)
+    assert ckw_residual(bell_with_spectator, 1) == pytest.approx(0.0, abs=1e-10)
+    assert "tau3" not in tangle_report(ghz(4), 1)
 
 
 def test_residual_three_tangle_focus_independent(rng):
     for _ in range(50):
         psi = random_pure_state(rng, 3)
-        vals = [residual_three_tangle(psi, f) for f in (1, 2, 3)]
+        vals = [ckw_residual(psi, f) for f in (1, 2, 3)]
         assert max(vals) - min(vals) < 1e-9
         assert vals[0] == pytest.approx(three_tangle_pure(psi), abs=1e-9)
 
@@ -71,7 +74,7 @@ def test_residual_three_tangle_exact_on_zero_tangle_states(rng):
         product = PureState.from_amplitudes(np.kron([1, 0], random_pure_state(rng, 2).amplitudes))
         for psi in (dressed_w, product):
             for focus in (1, 2, 3):
-                worst = max(worst, abs(residual_three_tangle(psi, focus) - three_tangle_pure(psi)))
+                worst = max(worst, abs(ckw_residual(psi, focus) - three_tangle_pure(psi)))
     assert worst <= 1e-12, worst
 
 
@@ -81,15 +84,15 @@ def test_ckw_residual_is_the_reports_own():
     for idx in range(18):
         psi, _ = random_slocc_state(7, sample_seed(20260823, 7, idx))
         for rep in sm_report_all_foci(psi):
-            own = rep.tau1 - sum(rep.tau2_terms.values())
-            assert ckw_residual(psi, rep.focus) == own
+            own = rep["tau1"] - sum(rep["tau2_terms"].values())
+            assert ckw_residual(psi, rep["focus"]) == own
 
 
 def test_focus_outside_range_rejected():
-    for fn, psi in ((ckw_residual, ghz(3)), (ckw_residual, w(4)), (residual_three_tangle, w(3))):
+    for psi in (ghz(3), w(4)):
         for focus in (0, psi.n_qubits + 1):
             with pytest.raises(ValueError, match="focus"):
-                fn(psi, focus)
+                tangle_report(psi, focus)
 
 
 def test_ckw_residual_examples(rng):
@@ -104,23 +107,23 @@ def test_ckw_residual_examples(rng):
 
 def test_tau4_lower_bound_ghz4():
     for rep in sm_report_all_foci(ghz(4)):
-        assert rep.tau1 == pytest.approx(1.0, abs=1e-9)
-        assert rep.residual_lower == pytest.approx(1.0, abs=1e-9)
+        assert rep["tau1"] == pytest.approx(1.0, abs=1e-9)
+        assert rep["residual_lower"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tau4_lower_bound_w4():
     rep = sm_report_all_foci(w(4))[0]
-    assert rep.residual_lower == pytest.approx(0.0, abs=1e-9)
+    assert rep["residual_lower"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_tau4_lower_bound_g9():
     reports = sm_report_all_foci(normal_form(9))
     for rep in reports:
-        assert rep.residual_lower == pytest.approx(0.0, abs=1e-9)
+        assert rep["residual_lower"] == pytest.approx(0.0, abs=1e-9)
     # the q2q3q4 marginal is a pure GHZ of three qubits
     rep2 = reports[1]
-    assert rep2.tau3_bounds[(3, 4)].method == "exact-pure"
-    assert rep2.tau3_bounds[(3, 4)].value == pytest.approx(1.0, abs=1e-9)
+    assert rep2["tau3_bounds"]["3|4"]["method"] == "exact-pure"
+    assert rep2["tau3_bounds"]["3|4"]["value"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sm_report_self_consistency(rng):
@@ -128,12 +131,12 @@ def test_sm_report_self_consistency(rng):
         psi = random_pure_state(rng, 4)
         for rep in sm_report_all_foci(psi):
             recomputed = (
-                rep.tau1
-                - sum(rep.tau2_terms.values())
-                - sum(b.value ** rep.mu3 for b in rep.tau3_bounds.values())
+                rep["tau1"]
+                - sum(rep["tau2_terms"].values())
+                - sum(b["value"] ** rep["mu3"] for b in rep["tau3_bounds"].values())
             )
-            assert rep.residual_lower == pytest.approx(recomputed, abs=1e-12)
-            assert rep.residual_lower <= ckw_residual(psi, rep.focus) + 1e-12
+            assert rep["residual_lower"] == pytest.approx(recomputed, abs=1e-12)
+            assert rep["residual_lower"] <= ckw_residual(psi, rep["focus"]) + 1e-12
 
 
 def _reference_states():
@@ -152,16 +155,17 @@ def test_sm_report_matches_per_marginal_reference():
     checked = 0
     for psi in _reference_states():
         for rep in sm_report_all_foci(psi):
-            f = rep.focus
-            assert abs(rep.tau1 - one_tangle(psi, f)) <= TAU1_TOL
-            for j, tau2 in rep.tau2_terms.items():
+            f = rep["focus"]
+            assert abs(rep["tau1"] - one_tangle(psi, f)) <= TAU1_TOL
+            for j, tau2 in rep["tau2_terms"].items():
                 ref = two_tangle(partial_trace(psi, tuple(sorted((f, j)))))
                 assert abs(tau2 - ref) <= TAU2_TOL
-            for (j, k), bound in rep.tau3_bounds.items():
-                ref = rank2_bound(partial_trace(psi, tuple(sorted((f, j, k)))))
-                assert abs(bound.value - ref.value) <= TAU3_TOL
+            for jk, bound in rep["tau3_bounds"].items():
+                triple = tuple(sorted((f, *map(int, jk.split("|")))))
+                ref = rank2_bound(partial_trace(psi, triple))
+                assert abs(bound["value"] - ref["value"]) <= TAU3_TOL
                 # a zero bound may be reached by a different shortcut
-                assert bound.method == ref.method or ref.value < 1e-12
+                assert bound["method"] == ref["method"] or ref["value"] < 1e-12
             checked += 1
     assert checked == 4 * (8 * 8 + 5 * 21)
 
@@ -189,9 +193,9 @@ def test_two_tangle_matches_high_precision_on_class7():
     for idx in range(18):
         psi, _ = random_slocc_state(7, sample_seed(20260823, 7, idx))
         tau2 = {
-            tuple(sorted((rep.focus, j))): value
+            tuple(sorted((rep["focus"], j))): value
             for rep in sm_report_all_foci(psi)
-            for j, value in rep.tau2_terms.items()
+            for j, value in rep["tau2_terms"].items()
         }
         for pair, value in tau2.items():
             worst = max(worst, abs(value - _mp_two_tangle(mpmath, psi.amplitudes, pair)))
@@ -202,7 +206,7 @@ def test_schedule_monotonicity(rng):
     # larger mu3 never decreases the residual when all bounds are <= 1
     for _ in range(10):
         psi = random_pure_state(rng, 4)
-        res = [sm_report_all_foci(psi, m)[0].residual_lower for m in (1.5, 2.0, 3.0)]
+        res = [sm_report_all_foci(psi, m)[0]["residual_lower"] for m in (1.5, 2.0, 3.0)]
         assert res[0] <= res[1] + 1e-12 <= res[2] + 2e-12
 
 
@@ -231,7 +235,7 @@ def assert_ghzw_closed_forms_hold(p: GhzwParams) -> None:
     assert t1[1] == pytest.approx(tau1, abs=1e-9)
     assert t2[(1, 2)] <= tau2_bound + 1e-9
     if p.n == 4:
-        assert sm_report_all_foci(psi)[0].residual_lower >= floor - 1e-6
+        assert sm_report_all_foci(psi)[0]["residual_lower"] >= floor - 1e-6
 
 
 def test_ghzw_analytic_examples():

@@ -254,7 +254,7 @@ def test_wclass_roots_degenerate_span():
     e1, e2 = _support(rho)
     assert _package_vertices(e1, e2) is None
     res = rank2_bound(rho)
-    assert (res.value, res.method, res.diagnostics) == (0.0, "simplex-zero", {})
+    assert (res["value"], res["method"], res["diagnostics"]) == (0.0, "simplex-zero", {})
     for v in wclass_states(e1, e2):
         assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-12
 
@@ -444,10 +444,10 @@ def _assert_simplex_mean(res, rho):
     """res is the simplex-zero bound of the simplex mean: weights 1/4 on the
     package's W-class vertices of rho's support, which rebuild rho's Bloch
     vector r = (0, 0, p1 - p2)."""
-    assert (res.value, res.method) == (0.0, "simplex-zero")
-    assert res.diagnostics["weights"] == [0.25] * 4
+    assert (res["value"], res["method"]) == (0.0, "simplex-zero")
+    assert res["diagnostics"]["weights"] == [0.25] * 4
     lam, e1, e2 = rank2_eigh(rho)
-    rebuilt = np.array(res.diagnostics["weights"]) @ _package_vertices(e1, e2)
+    rebuilt = np.array(res["diagnostics"]["weights"]) @ _package_vertices(e1, e2)
     assert np.abs(rebuilt - [0.0, 0.0, 2.0 * lam - 1.0]).max() < SUPPORT_TOL
 
 
@@ -475,7 +475,7 @@ def test_simplex_member_rejects_ghz3(rng):
         v /= np.linalg.norm(v)
         rho = 0.95 * np.outer(e1, e1.conj()) + 0.05 * np.outer(v, v.conj())
         res = rank2_bound(rho)
-        assert res.method == "rdl-line" and res.value > 0.5
+        assert res["method"] == "rdl-line" and res["value"] > 0.5
 
 
 # Membership against an independent reference: a linear program for the
@@ -630,7 +630,7 @@ def test_simplex_member_matches_lp_on_normal_form_marginals(rng):
     counts = {(full, m): 0 for full in (True, False) for m in (True, False)}
     for rho, _, e1, e2 in _marginals(rng):
         res = rank2_bound(rho)
-        member = res.method == "simplex-zero"
+        member = res["method"] == "simplex-zero"
         states = wclass_states(e1, e2)
         proj = np.array([np.outer(v, v.conj()).ravel() for v in states]).T
         target = rho.ravel()
@@ -638,8 +638,8 @@ def test_simplex_member_matches_lp_on_normal_form_marginals(rng):
         d = _lp_distance(columns, np.concatenate([target.real, target.imag]))
         assert d < 1e-9 or d >= 1e-6  # the tolerance cannot decide the case
         assert member == (d < 1e-9)
-        if "weights" in res.diagnostics:
-            weights = np.array(res.diagnostics["weights"])
+        if "weights" in res["diagnostics"]:
+            weights = np.array(res["diagnostics"]["weights"])
             assert weights.min() >= 0.0
             assert np.max(np.abs(proj @ weights - target)) < SUPPORT_TOL
         counts[(np.linalg.matrix_rank(columns) == 4, member)] += 1
@@ -790,8 +790,8 @@ def _triple_bound(amps, t):
 
 def test_upper_exact_pure():
     res = _triple_bound(np.kron(ghz(3).amplitudes, [1.0, 0.0]), 0)  # GHZ3 on (1, 2, 3)
-    assert res.method == "exact-pure"
-    assert res.value == pytest.approx(1.0, abs=1e-10)
+    assert res["method"] == "exact-pure"
+    assert res["value"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_upper_pi_coincidence():
@@ -806,8 +806,8 @@ def test_upper_simplex_zero_for_constructed_mixtures(rng):
         rho = partial_trace(psi, (1, 2, 3))
         mix = _mixture(wclass_states(*_support(rho)), rng.dirichlet(np.ones(4)))
         res = rank2_bound(0.5 * (mix + mix.conj().T))
-        assert res.value == 0.0
-        if res.method == "simplex-zero":
+        assert res["value"] == 0.0
+        if res["method"] == "simplex-zero":
             hits += 1
     assert hits >= 8
 
@@ -817,9 +817,9 @@ def test_upper_value_range_and_rank_guard(rng):
     bounds = tangle_columns(amps).tau3
     for i in range(30):
         res = bounds.result((i, 3))  # triple (2, 3, 4)
-        assert 0.0 <= res.value <= 1.0
-        if res.method == "rdl-line":
-            assert res.diagnostics["kappa"] > 0
+        assert 0.0 <= res["value"] <= 1.0
+        if res["method"] == "rdl-line":
+            assert res["diagnostics"]["kappa"] > 0
     # A triple whose second squared singular value is below RANK_TOL is
     # bounded as the pure state it is within that tolerance.
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -827,7 +827,7 @@ def test_upper_value_range_and_rank_guard(rng):
     for eps, pure in ((0.5 * RANK_TOL, True), (2.0 * RANK_TOL, False)):
         amps = np.kron(np.sqrt(1.0 - eps) * ghz(3).amplitudes, [1.0, 0.0])
         amps += np.kron(np.sqrt(eps) * v, [0.0, 1.0])
-        assert (_triple_bound(amps, 0).method == "exact-pure") == pure
+        assert (_triple_bound(amps, 0)["method"] == "exact-pure") == pure
 
 
 def test_rdl_line_geometry_matches_8x8_matrices(rng):
@@ -840,10 +840,10 @@ def test_rdl_line_geometry_matches_8x8_matrices(rng):
     for i, psi in enumerate(states):
         for k, triple in enumerate(TRIPLES):
             res = bounds.result((i, k))
-            if res.method != "rdl-line":
+            if res["method"] != "rdl-line":
                 continue
             rho = partial_trace(psi, triple)
-            diag = res.diagnostics
+            diag = res["diagnostics"]
             pi = _mixture(wclass_states(*_support(rho)), [0.25] * 4)
             t = diag["kappa"] / trace_norm(rho - pi)
             assert diag["trace_norm_ratio"] == pytest.approx(1.0 / (1.0 + t) ** 2, rel=1e-11)
@@ -1069,19 +1069,20 @@ def test_tangle_columns_match_the_one_state_views(rng):
         assert list(tau1.values()) == cols.tau1[i].tolist()
         assert list(tau2.values()) == cols.tau2[i].tolist()
         reports = sm_report_all_foci(psi)
-        assert [rep.residual_lower for rep in reports] == residual_columns(cols, 1.5)[i].tolist()
+        assert [rep["residual_lower"] for rep in reports] == residual_columns(cols, 1.5)[i].tolist()
         for rep in reports:
-            f = rep.focus
+            f = rep["focus"]
             partners = [q for q in range(1, 5) if q != f]
-            assert rep.tau1 == tau1[f]
-            assert rep.tau2_terms == {j: tau2[tuple(sorted((f, j)))] for j in partners}
-            assert list(rep.tau2_terms) == partners
-            assert list(rep.tau3_bounds) == list(itertools.combinations(partners, 2))
-            for (j, k), bound in rep.tau3_bounds.items():
+            assert rep["tau1"] == tau1[f]
+            assert rep["tau2_terms"] == {j: tau2[tuple(sorted((f, j)))] for j in partners}
+            assert list(rep["tau2_terms"]) == partners
+            pairs = list(itertools.combinations(partners, 2))
+            assert list(rep["tau3_bounds"]) == [f"{j}|{k}" for j, k in pairs]
+            for (j, k), bound in zip(pairs, rep["tau3_bounds"].values()):
                 t = TRIPLES.index(tuple(sorted((f, j, k))))
                 assert bound == cols.tau3.result((i, t))
-                assert bound.value == cols.tau3.value[i, t]
-                assert bound.method == METHODS[cols.tau3.method[i, t]]
+                assert bound["value"] == cols.tau3.value[i, t]
+                assert bound["method"] == METHODS[cols.tau3.method[i, t]]
 
 
 def test_tangle_columns_rejects_bad_stacks():
