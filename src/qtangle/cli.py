@@ -9,6 +9,7 @@ input or unwritable output included), 3 campaign samples failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -51,6 +52,7 @@ def _parse_classes(spec: str) -> tuple:
     return tuple(sorted(set(out)))
 
 
+@functools.cache  # built on first use; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qtangle")
     sub = parser.add_subparsers(dest="command", required=True)

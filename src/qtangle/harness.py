@@ -1,11 +1,11 @@
 """Campaign runner and verification surfaces: randomized Monte Carlo sweeps
 over the SLOCC classes, single-family parameter sweeps, and the normal-form
 bound cross-check table. Emits plot-ready CSV plus a JSON summary; each
-command's result is the JSON that its ``--json`` prints."""
+command's result is the JSON that its ``--json`` prints. Every CSV is written
+as text in one dialect (see ``_csv_file``)."""
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from concurrent import futures  # its process pool, and multiprocessing, load on first use
@@ -118,13 +118,14 @@ def _chunks(n: int):
 
 @contextmanager
 def _csv_file(path, header):
-    """A new file at path and a CSV writer on it, its header row written: the
-    one dialect of every CSV the package writes. Text written to the file
-    directly must be what the writer would write."""
+    """A new file at path, its header line written, in the one dialect of
+    every CSV the package writes: cells joined by commas, each line ended by
+    a line feed, nothing quoted, as no cell the package writes holds a comma,
+    a quote or a line break. So the text is what csv.writer, its line
+    terminator set to a line feed, would write."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        yield fh, writer
+        fh.write(",".join(header) + "\n")
+        yield fh
 
 
 def _sub_seed(master_seed: int, cls: int, idx: int) -> str:
@@ -265,7 +266,7 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> dict:
     # The file opens first, so an unwritable path fails before any child
     # starts; if a step here raises, closing the results lets the children
     # finish their spans and ends them.
-    with _csv_file(csv_path, CSV_FIELDS) as (fh, _), closing(
+    with _csv_file(csv_path, CSV_FIELDS) as fh, closing(
         _span_results(tasks, workers)
     ) as results:
         for text, held, residuals, tau1s, codes, span_errors in results:
@@ -348,8 +349,8 @@ def sweep_family(
     ]
     if csv_path is not None:
         header = ["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"]
-        with _csv_file(csv_path, header) as (_, writer):
-            writer.writerows([repr(v) for v in row] for row in rows)
+        with _csv_file(csv_path, header) as fh:
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return {"class": cls, "rows": rows, "flagged": flagged, "violations": violations}
 
 
@@ -422,7 +423,7 @@ def table1_check(grid=None) -> list[dict]:
     grid = _TABLE1_GRID if grid is None else np.asarray(grid, dtype=float)
     cases, amps = [], []
     for cls in range(1, 10):
-        points = [None] if CLASS_ARITY[cls] == 0 else list(grid)
+        points = [None] if CLASS_ARITY[cls] == 0 else grid.tolist()
         pvs = [_table1_params(cls, t).as_tuple(CLASS_ARITY[cls]) for t in points]
         if pvs:
             amps.append(_valid_normal_forms(cls, pvs))
@@ -441,12 +442,17 @@ def table1_check(grid=None) -> list[dict]:
     return rows
 
 
+def _cell(value) -> str:
+    """A table1 CSV cell: the repr of a number, and an empty cell for None."""
+    return "" if value is None else repr(value)
+
+
 def write_table1_csv(rows: list, csv_path) -> None:
     """One CSV line per table1_check row, in the order given."""
-    with _csv_file(csv_path, TABLE1_FIELDS) as (_, writer):
-        writer.writerows(
-            (r["class"], r["param"], "|".join(map(str, r["triple"])), int(r["declared_zero"]),
-             r["table_bound"], repr(r["rdl_value"]), r["rdl_method"], int(r["violation"]))
+    with _csv_file(csv_path, TABLE1_FIELDS) as fh:
+        fh.write("".join(
+            f"{r['class']},{_cell(r['param'])},{'|'.join(map(str, r['triple']))},"
+            f"{int(r['declared_zero'])},{_cell(r['table_bound'])},{r['rdl_value']!r},"
+            f"{r['rdl_method']},{int(r['violation'])}\n"
             for r in rows
-        )  # fmt: skip
-
+        ))  # fmt: skip

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qtangle.cli as cli
 import qtangle.harness as harness
 from conftest import first_seed_word, singular_streams
 from qtangle.cli import main
@@ -279,25 +280,76 @@ def _reference_rows(cfg):
     return lines
 
 
+def _assert_csv_writer_writes(path, tmp_path) -> list:
+    """The file's rows, parsed; asserts that no cell needs quoting and that
+    csv.writer, in the dialect the package states, writes the same bytes."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for row in rows:
+        assert len(row) == len(header)
+        assert not any(c in field for field in row for c in ',"\r\n'), row
+    with open(tmp_path / "again.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    return [header, *rows]
+
+
 def test_campaign_csv_text_is_what_the_csv_writer_writes(tmp_path, monkeypatch):
-    # The campaign writes its rows as text, not through csv.writer: no field
-    # may need quoting, and the parsed rows written through the package's one
-    # CSV dialect give the same bytes. Sample 3 fails, so a span is written
-    # in parts.
+    # Every CSV is written as text, not through csv.writer: no field may need
+    # quoting, and the parsed rows written by csv.writer give the same bytes.
+    # Sample 3 fails, so a span is written in parts.
     monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
     monkeypatch.setattr(harness, "draw_samples", _failing_at(3, harness.draw_samples))
     cfg = CampaignConfig(classes=(2, 7), samples_per_class=6, master_seed=2**64 + 3)
     summary = run_campaign(cfg, tmp_path / "v.csv")
     assert summary["error_count"] == 2 and summary["total_points"] == 2 * 5 * 4
-    with open(tmp_path / "v.csv", newline="") as fh:
-        header, *rows = csv.reader(fh)
+    header, *rows = _assert_csv_writer_writes(tmp_path / "v.csv", tmp_path)
     assert header == harness.CSV_FIELDS and len(rows) == summary["total_points"]
-    for row in rows:
-        assert len(row) == len(header)
-        assert not any(c in field for field in row for c in ',"\r\n'), row
-    with harness._csv_file(tmp_path / "again.csv", header) as (_, writer):
-        writer.writerows(rows)
-    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+
+
+def test_sweep_and_table1_csv_text_is_what_the_csv_writer_writes(tmp_path):
+    # The sweep grid has a flagged point (-0.5), left out of the rows; the
+    # table1 rows have None cells (class 1's table_bound, classes 7-9's param).
+    result = sweep_family(5, [0.25, -0.5, 1e-300, 1.75], csv_path=tmp_path / "s.csv")
+    assert result["flagged"] == [-0.5]
+    header, *rows = _assert_csv_writer_writes(tmp_path / "s.csv", tmp_path)
+    assert rows == [[repr(v) for v in row] for row in result["rows"]] and len(rows) == 3
+    entries = table1_check()
+    harness.write_table1_csv(entries, tmp_path / "t.csv")
+    header, *rows = _assert_csv_writer_writes(tmp_path / "t.csv", tmp_path)
+    assert tuple(header) == harness.TABLE1_FIELDS and len(rows) == len(entries)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert all(c["table_bound"] == "" for c in cells if c["class"] == "1")
+    assert all(c["param"] == "" for c in cells if c["class"] in ("7", "8", "9"))
+    grid = set(map(repr, harness._TABLE1_GRID.tolist()))
+    assert {c["param"] for c in cells if c["class"] == "5"} == grid
+
+
+def _python_leaves(value):
+    """The leaves of a result, asserting that every container is a dict with
+    str keys, a list or a tuple: type(leaf) is exact, so np.float64 (a float
+    subclass) is not taken for a float."""
+    if type(value) is dict:
+        assert all(type(k) is str for k in value), list(value)
+        value = list(value.values())
+    if type(value) in (list, tuple):
+        return [leaf for v in value for leaf in _python_leaves(v)]
+    return [value]
+
+
+def test_command_results_hold_only_python_types(tmp_path):
+    # A command's library result is the JSON it prints: no numpy scalar in it,
+    # whatever the grid it was given.
+    results = [table1_check(), table1_check([0.4, 1]), table1_check(np.array([0.4, 1.3]))]
+    results.append(sweep_family(4, np.array([0.3, -0.2, 1.1])))
+    cfg = CampaignConfig(classes=(3, 6), samples_per_class=3, master_seed=11)
+    results.append(run_campaign(cfg, tmp_path / "v.csv"))
+    for result in results:
+        leaves = _python_leaves(result)
+        kinds = {type(leaf) for leaf in leaves}
+        assert kinds <= {int, float, bool, str, type(None)}, kinds
+    assert all(type(row["param"]) in (float, type(None)) for row in results[0])
+    assert "np." not in repr(results[:4])
 
 
 def test_campaign_rows_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch):
@@ -951,6 +1003,36 @@ def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
 
 def test_cli_usage_error():
     assert main(["bogus"]) == 2
+
+
+def test_cli_reuses_one_parser_that_keeps_no_state(tmp_path, capsys):
+    # main parses every call with one parser: a command run again, after the
+    # others and a parse failure, gives the same output, files and exit code.
+    assert cli._build_parser() is cli._build_parser()
+    out = {name: str(tmp_path / f"{name}.csv") for name in ("v", "s", "t")}
+    commands = [
+        ["verify", "--samples", "many"],
+        ["verify", "--classes", "2,7", "--samples", "2", "--seed", "3", "--json",
+         "--out", out["v"]],
+        # "-1e-1" goes through _join_negative_values: a flagged point at -0.1
+        ["sweep", "--class", "5", "--a-min", "-1e-1", "--a-max", "0.2", "--step", "0.1",
+         "--out", out["s"]],
+        ["table1", "--out", out["t"]],
+    ]  # fmt: skip
+    runs = []
+    for _ in range(2):
+        for path in out.values():
+            Path(path).unlink(missing_ok=True)
+        for argv in commands:
+            code = main(argv)
+            printed = capsys.readouterr()
+            files = {name: Path(p).read_bytes() for name, p in out.items() if Path(p).exists()}
+            runs.append((code, printed.out, printed.err, files))
+    first, second = runs[: len(commands)], runs[len(commands) :]
+    assert [run[0] for run in first] == [2, 0, 0, 0]
+    assert "argument --samples: invalid int value" in first[0][2]
+    assert "1 degenerate" in first[2][1] and len(first[3][3]) == 3
+    assert first == second
 
 
 def test_import_loads_no_scipy():
