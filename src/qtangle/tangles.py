@@ -9,6 +9,9 @@ a state outside it is bounded by extending the ray from the simplex mean
 (the uniform W-mixture) through the state to the sphere, and rescaling the
 surface state's exact three-tangle by the squared trace-norm ratio
 (rdl-line). A pure state's bound is its own three-tangle (exact-pure).
+Membership is decided by a nonnegative least-squares fit, after two proven
+lower bounds on its residual have ruled out what they can: first along the
+state's own ray, then by the simplex's face planes.
 
 ``tangle_columns`` is the engine: it takes a stack of four-qubit amplitude
 vectors and returns every one-tangle, two-tangle and three-tangle bound as
@@ -42,12 +45,13 @@ from .qstate import PureState
 
 # DEGREE_TOL and NORM_TOL were measured on verify --samples 300 --seed 20260823,
 # the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
-# RANK_TOL is on p2, a triple marginal's smaller eigenvalue. Measured on verify
-# --samples 4000 --seed 20260823, classes 1-9: the exactly pure class-9 triple
-# (2, 3, 4) marginals have p2 <= 3.6e-32 (none is 0); the mixed ones go down to
-# 4.7e-10 (class 6, sample 2799, triple (2, 3, 4), which this cut bounds as
-# pure), then 8.1e-8.
-RANK_TOL = 1e-8
+# RANK_TOL is on p2, a triple marginal's smaller eigenvalue, and separates a
+# pure marginal from a mixed one. Measured on verify --samples 4000 --seed
+# 20260823, classes 1-9: the exactly pure class-9 triple (2, 3, 4) marginals
+# have p2 <= 3.6e-32 (none is 0); the mixed ones go down to 4.7e-10 (class 6,
+# sample 2799, triple (2, 3, 4)), then 8.1e-8. The sweeps and table1 have
+# p2 = 0 or >= 3.3e-5.
+RANK_TOL = 1e-20
 SUPPORT_TOL = 1e-8  # NNLS residual cut; measured: members <= 6.4e-16, non-members >= 7.3e-4
 PI_TOL = 1e-9  # on |r - p|, r taken as the simplex mean; measured: coincident <= 5.6e-16, others >= 0.045
 VANISHING_TOL = 1e-14  # on the largest quartic coefficient; measured: <= 5.4e-16 vs >= 5.0e-9
@@ -355,17 +359,16 @@ def _augmented(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 
 
-def _plane_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A proven lower bound (K,) on the NNLS residual min |A x - b| over
-    x >= 0 of each system (``_augmented``), from the face planes of its
-    simplex; NaN where no face spans a plane.
+def _certificate_bound(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The best of the proven lower bounds (K,) on the NNLS residual
+    min |A x - b| over x >= 0 of each system (``_augmented``) that the
+    certificates y (K, m, 4) and their opposites -y give; NaN where none is
+    finite.
 
     For any y, y.(b - A x) >= y.b - (sum x) E with E = max_k (y.a_k)^+, and
     sum x <= 1 + |A x - b| because the last row of A is ones and that of b
-    is 1; so |A x - b| >= (y.b - E) / (|y| + E). The augmented normal y of a
-    face plane has y.a_k = 0 at the face's vertices, and of its two
-    orientations the one with the fourth vertex on the negative side has
-    E = 0 but for roundoff; then y.b > 0 where r lies beyond the face.
+    is 1; so |A x - b| >= (y.b - E) / (|y| + E). Both orientations come from
+    the one product y.a_k: -y has E = max_k (-y.a_k)^+.
 
     Each y is scaled to largest entry 1, so every entry of A, b and y is at
     most 1 in modulus and eta = 16 eps |y|_1 exceeds the roundoff of each
@@ -373,18 +376,41 @@ def _plane_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of |y|, and of the quotient's own steps; it is charged against the bound
     on each of them.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = y / np.abs(y).max(axis=-1, keepdims=True)
+        eta = 16.0 * np.finfo(float).eps * np.abs(y).sum(axis=-1)
+        ya, yb = y @ a, (y @ b[..., None])[..., 0]
+        norm = np.linalg.norm(y, axis=-1) + eta
+        up = np.maximum(0.0, ya.max(axis=-1) + eta)
+        down = np.maximum(0.0, eta - ya.min(axis=-1))
+        bound = np.fmax((yb - eta - up) / (norm + up), (-yb - eta - down) / (norm + down))
+    return np.fmax.reduce(bound, axis=1)
+
+
+def _ray_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_certificate_bound`` of each system along its own ray: y = [d; -d.p]
+    for the vertex mean p and d = r - p, the ray ``_mixed_bounds`` extends.
+    Then y.b = |d|^2 and y.a_k = d.(w_k - p), so the bound is positive where
+    r lies beyond the plane normal to d through the vertex farthest along d."""
+    p = a[:, :3].mean(axis=2)
+    d = b[:, :3] - p
+    y = np.concatenate([d, -np.sum(d * p, axis=1, keepdims=True)], axis=1)
+    return _certificate_bound(y[:, None], a, b)
+
+
+def _plane_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_certificate_bound`` of each system from the face planes of its
+    simplex; NaN where no face spans a plane.
+
+    The augmented normal y of a face plane has y.a_k = 0 at the face's
+    vertices, and of y and -y the one with the fourth vertex on the negative
+    side has E = 0 but for roundoff; then its product with b is positive
+    where r lies beyond the face.
+    """
     v = a[:, :3, _FACES].transpose(0, 2, 3, 1)  # (K, face, vertex, 3)
     n = np.cross(v[:, :, 1] - v[:, :, 0], v[:, :, 2] - v[:, :, 0])
     y = np.concatenate([n, -np.sum(n * v[:, :, 0], axis=-1, keepdims=True)], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y /= np.abs(y).max(axis=-1, keepdims=True)
-        y = np.concatenate([y, -y], axis=1)  # both orientations of each face
-        eta = 16.0 * np.finfo(float).eps * np.abs(y).sum(axis=-1)
-        spill = np.maximum(0.0, (y @ a).max(axis=-1) + eta)
-        bound = ((y @ b[..., None])[..., 0] - eta - spill) / (
-            np.linalg.norm(y, axis=-1) + eta + spill
-        )
-    return np.fmax.reduce(bound, axis=1)
+    return _certificate_bound(y, a, b)
 
 
 # Support s of a four-column system holds column j iff bit j of s is set:
@@ -424,8 +450,9 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     k = len(a)
     # The columns not yet processed and the right side, reduced by each
-    # partial support: (row, column, support, K).
+    # partial support: (row, column, support, K), contiguous.
     m = np.concatenate([a, b[:, :, None]], axis=2).transpose(1, 2, 0)[:, :, None]
+    m = np.ascontiguousarray(m)
     pivots, rows = [], []  # per column j: R[j, j] and R[j, j+1:] (with the right side)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(4):
@@ -443,7 +470,8 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for i in range(j + 1, 4):
                 t = t - row[i - j - 1] * x[i]
             x[j] = np.where(_HOLDS[j], t / pivot, 0.0)
-        res = _dot(a.transpose(2, 1, 0)[:, :, None], x[:, None]) - b.T[:, None]
+        at = np.ascontiguousarray(a.transpose(2, 1, 0))  # (column, row, K)
+        res = _dot(at[:, :, None], x[:, None]) - b.T[:, None]
         resid = np.sqrt(_dot(res, res))
     resid[~((x >= 0.0).all(axis=0) & (resid < np.inf))] = np.inf  # NaN fails both
     best = np.argmin(resid, axis=0)
@@ -454,20 +482,23 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _simplex_solve(w: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each Bloch vector r (K, 3) is a convex mixture of its four
     simplex vertices w (K, 4, 3), and the nonnegative weights (K, 4) of a
-    member's mixture (NaN for a point a face plane rules out).
+    member's mixture (NaN for a point a certificate rules out).
 
     r is a member iff the nonnegative least-squares fit of its system
     "3 Bloch coordinates + normalization" has a residual below SUPPORT_TOL.
-    A point whose face-plane bound on that residual (``_plane_bound``)
-    exceeds SUPPORT_TOL is not a member without a fit; the other points are
-    fitted together in one ``_nnls`` call. The fit needs no rank decision:
-    repeated roots and coplanar vertices take the same path, and a member
-    gets one of its decompositions.
+    A point whose lower bound on that residual exceeds SUPPORT_TOL is not a
+    member without a fit: first the bound along its own ray (``_ray_bound``),
+    which holds where the simplex is degenerate too, then, for the points it
+    leaves, the face planes' (``_plane_bound``). The points left after both
+    are fitted together in one ``_nnls`` call. The fit needs no rank
+    decision: repeated roots and coplanar vertices take the same path, and a
+    member gets one of its decompositions.
     """
     member = np.zeros(len(w), dtype=bool)
     weights = np.full((len(w), 4), np.nan)
     a, b = _augmented(w, r)
-    fit = np.flatnonzero(~(_plane_bound(a, b) > SUPPORT_TOL))
+    fit = np.flatnonzero(~(_ray_bound(a, b) > SUPPORT_TOL))
+    fit = fit[~(_plane_bound(a[fit], b[fit]) > SUPPORT_TOL)]
     if fit.size:
         weights[fit], resid = _nnls(a[fit], b[fit])
         member[fit] = resid < SUPPORT_TOL
