@@ -1,6 +1,6 @@
 """Tangle measures and strong-monogamy verification for few-qubit states."""
 
-from .monogamy import residual_columns, sm_report_all_foci, tangle_report
+from .monogamy import residual_columns, tangle_report
 from .qstate import PureState, state_from_json
 from .states import (
     GhzwParams,
@@ -12,6 +12,6 @@ from .states import (
     sample_seed,
     w,
 )
-from .tangles import TangleColumns, pure_tangles, tangle_columns, three_tangle_pure
+from .tangles import TangleColumns, tangle_columns, three_tangle_pure
 
 __version__ = "0.1.0"

@@ -330,8 +330,10 @@ def sweep_family(
     ``sweep --json`` prints them: the class, rows (a, residual focus 1..4),
     flagged points (where the normal form degenerates) and violations (a,
     focus, residual below the threshold)."""
-    if cls not in SWEEP_BINDINGS:
-        raise ValueError(f"no sweep binding for class {cls}; classes {sorted(SWEEP_BINDINGS)}")
+    # Checked, not coerced: np.int64(3) would reach the result unserializable,
+    # and 3.0 would print as the class.
+    if type(cls) is not int or cls not in SWEEP_BINDINGS:
+        raise ValueError(f"no sweep binding for class {cls!r}; classes {sorted(SWEEP_BINDINGS)}")
     _check_mu3(mu3)
     _check_threshold(threshold)
     points = np.array([float(a) for a in a_values])

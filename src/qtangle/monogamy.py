@@ -6,6 +6,7 @@ that ``tangle --json`` prints, reads one engine row for 2, 3 or 4 qubits."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -27,9 +28,13 @@ MU3 = 1.5
 
 
 def _check_mu3(mu3: float) -> None:
-    """The one check on a three-tangle exponent."""
-    if not mu3 > 0:  # also rejects NaN
-        raise ValueError(f"mu3 must be positive, got {mu3}")
+    """The one check on a three-tangle exponent: a finite, positive Python
+    int or float (or float subclass). Checked, not coerced: the value goes
+    into the report as it is, where True, a numpy integer (not serializable)
+    or inf (Infinity, not JSON) would break the JSON."""
+    if type(mu3) is bool or not isinstance(mu3, (int, float)) or not 0 < mu3 < math.inf:
+        # NaN fails 0 < mu3.
+        raise ValueError(f"mu3 must be positive and finite, an int or a float, got {mu3!r}")
 
 
 def _check_focus(focus: int, n: int) -> None:
@@ -53,12 +58,6 @@ def residual_columns(cols: TangleColumns, mu3: float) -> np.ndarray:
     _check_mu3(mu3)
     t3 = (cols.tau3.value**mu3)[:, FOCUS_TRIPLES]
     return _ckw_columns(cols) - (t3[..., 0] + t3[..., 1] + t3[..., 2])
-
-
-def sm_report_all_foci(psi4: PureState, mu3: float = MU3) -> list[dict]:
-    """The ``sm_report`` of ``tangle --json`` for each of the four foci: the
-    one-state view of ``tangle_columns`` and ``residual_columns``."""
-    return _sm_reports(tangle_columns(psi4.amplitudes[None]), mu3)
 
 
 def _sm_reports(cols: TangleColumns, mu3: float) -> list[dict]:

@@ -5,8 +5,9 @@ form with determinant-1 local operators.
 Normal forms and sampled states are built for a whole stack of parameter
 rows or draws at once, and a stack's seeds are hashed at once;
 ``normal_form`` and ``random_slocc_state`` are one-row calls of the same
-code. A draw is two stacked arrays, and ``dress`` rescales each drawn
-operator block m to m det(m)^(-1/2), whatever its determinant."""
+code. Every sample's stream is seeded by its four PCG64 words, and a draw
+is two stacked arrays; ``dress`` rescales each drawn operator block m to
+m det(m)^(-1/2), whatever its determinant."""
 
 from __future__ import annotations
 
@@ -65,29 +66,6 @@ class GhzwParams:
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"|alpha|^2+|beta|^2+|gamma|^2 = {total}, expected 1")
-
-
-@dataclass(frozen=True)
-class SloccProvenance:
-    """Everything needed to regenerate a sampled state."""
-
-    slocc_class: int
-    seed_key: tuple
-    params: NormalFormParams
-    operators: tuple  # four 2x2 complex matrices, det 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class": self.slocc_class,
-            "seed_key": list(self.seed_key),
-            "params": {
-                n: [getattr(self.params, n).real, getattr(self.params, n).imag]
-                for n in _PARAM_NAMES[: CLASS_ARITY[self.slocc_class]]
-            },
-            "operators": [
-                [[float(x.real), float(x.imag)] for x in op.ravel()] for op in self.operators
-            ],
-        }
 
 
 def ghz(n: int) -> PureState:
@@ -190,11 +168,6 @@ def normal_form(cls: int, params: NormalFormParams = NormalFormParams()) -> Pure
     cls = _check_class(cls)
     amps = _valid_normal_forms(cls, [params.as_tuple(CLASS_ARITY[cls])])
     return PureState(n_qubits=4, amplitudes=amps[0])
-
-
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    """The seed sequence of an integer seed; a seed sequence as it is."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
 
 
 def sample_seed(master_seed: int, cls: int, index: int) -> np.random.SeedSequence:
@@ -342,27 +315,22 @@ def _draw(cls: int, seeds: list) -> SloccDraw:
     return SloccDraw(uniforms, gaussians)
 
 
-def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> SloccDraw:
-    """One sample's own random stream, seeded by any integer or seed
-    sequence, as a stack of one."""
-    return _draw(_check_class(cls), [_seed_sequence(seed)])
-
-
 def draw_samples(cls: int, master_seed: int, indices) -> SloccDraw:
-    """``draw_slocc(cls, sample_seed(master_seed, cls, i))`` for each listed
-    index, the same draws stacked, with the seeds hashed for the whole stack
-    at once."""
+    """The draws of the listed indices' samples of a class, stacked: each
+    stream seeded by the words of ``sample_seed(master_seed, cls, i)``, the
+    seeds hashed for the whole stack at once."""
     cls, seed_words = _check_class(cls), _seed_words_type()
     return _draw(cls, [seed_words(w) for w in sample_seed_words(master_seed, cls, indices)])
 
 
 def dress(cls: int, draw: SloccDraw) -> tuple[np.ndarray, np.ndarray]:
     """Normalized amplitudes (S, 16) of a drawn stack of one class's samples
-    (``draw_slocc`` or ``draw_samples``), and their det-1 operators
-    (S, 4, 2, 2): each Gaussian block m rescaled to m det(m)^(-1/2), the
-    normal forms, and the operators' action on them, each for the whole
-    stack at once. A block of determinant 0, which only a broken random
-    stream draws, gives a non-finite state and so the ValueError below."""
+    (``draw_samples``, or the one ``random_slocc_state`` draws), and their
+    det-1 operators (S, 4, 2, 2): each Gaussian block m rescaled to
+    m det(m)^(-1/2), the normal forms, and the operators' action on them,
+    each for the whole stack at once. A block of determinant 0, which only a
+    broken random stream draws, gives a non-finite state and so the
+    ValueError below."""
     m = draw.gaussians[:, :, 0] + 1j * draw.gaussians[:, :, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ops = m * (np.linalg.det(m) ** -0.5)[..., None, None]
@@ -375,20 +343,13 @@ def dress(cls: int, draw: SloccDraw) -> tuple[np.ndarray, np.ndarray]:
     return amps, ops
 
 
-def random_slocc_state(
-    cls: int, seed: int | np.random.SeedSequence
-) -> tuple[PureState, SloccProvenance]:
-    """Random member of a SLOCC class: det-1 local operators on a random
-    normal form, fully determined by the seed. The one-state view of
-    ``draw_slocc`` and ``dress``."""
+def random_slocc_state(cls: int, seed: np.random.SeedSequence) -> tuple[PureState, np.ndarray]:
+    """Random member of a SLOCC class, fully determined by the seed (one of
+    ``sample_seed``): the sampled state and its four det-1 local operators
+    (4, 2, 2). The one-sample view of ``draw_samples`` and ``dress``: the
+    seed's four PCG64 words, the ones ``PCG64(seed)`` asks for, seed the
+    same stream through the same ``_draw``."""
     cls = _check_class(cls)
-    seq = _seed_sequence(seed)
-    draw = draw_slocc(cls, seq)
+    draw = _draw(cls, [_seed_words_type()(seed.generate_state(4, np.uint64))])
     amps, ops = dress(cls, draw)
-    prov = SloccProvenance(
-        slocc_class=cls,
-        seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
-        params=NormalFormParams(*_params(draw.uniforms)[0].tolist()),
-        operators=tuple(ops[0]),
-    )
-    return PureState(n_qubits=4, amplitudes=amps[0]), prov
+    return PureState(n_qubits=4, amplitudes=amps[0]), ops[0]

@@ -29,9 +29,9 @@ det(A + t B) for the qubit-1 slices A, B; the W quartic's coefficients are
 products of quadratics in z from the same 2x2 determinants. Every step is
 elementwise over the stack but the tau matrices' SVD, one LAPACK call per
 small matrix, so a state's numbers do not depend on the stack.
-``pure_tangles`` (2-4 qubits, padded with |0> spectators) is a one-row view of
-``tangle_columns``; ``BoundColumns.result`` reads one bound as the dict
-``tangle --json`` prints.
+``_padded`` puts a 2-4 qubit state into one engine row (|0> spectators),
+and ``BoundColumns.result`` reads one bound as the dict ``tangle --json``
+prints.
 """
 
 from __future__ import annotations
@@ -598,17 +598,6 @@ def _padded(psi: PureState) -> np.ndarray:
     amps = np.zeros(16, dtype=complex)
     amps[:: 2 ** (4 - psi.n_qubits)] = psi.amplitudes
     return amps
-
-
-def pure_tangles(psi: PureState) -> tuple[dict, dict]:
-    """One-tangles by focus and two-tangles by pair of an n-qubit pure state:
-    a one-row view of ``tangle_columns`` on its amplitudes padded to four
-    qubits. Qubits are numbered 1..n and pairs are increasing tuples; a loop
-    over states belongs on a stack of ``tangle_columns``."""
-    n = psi.n_qubits
-    cols = tangle_columns(_padded(psi)[None])
-    pairs = {pair: t for pair, t in zip(PAIRS, cols.tau2[0].tolist()) if pair[1] <= n}
-    return dict(zip(range(1, n + 1), cols.tau1[0, :n].tolist())), pairs
 
 
 class TangleColumns(NamedTuple):

@@ -8,7 +8,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from qtangle import PureState, states
+from qtangle import PureState, states, tangle_columns
+from qtangle.monogamy import MU3, _sm_reports
+from qtangle.tangles import BoundColumns, TangleColumns
 
 
 def random_pure_state(rng: np.random.Generator, n_qubits: int) -> PureState:
@@ -20,6 +22,18 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def sm_reports(psis, mu3: float = MU3) -> list:
+    """Each four-qubit state's four ``sm_report`` dicts, as ``tangle --json``
+    prints them, from one engine call on the stack of the states."""
+    cols = tangle_columns(np.array([psi.amplitudes for psi in psis]))
+
+    def row(i):
+        r = slice(i, i + 1)
+        return TangleColumns(cols.tau1[r], cols.tau2[r], BoundColumns(*(c[r] for c in cols.tau3)))
+
+    return [_sm_reports(row(i), mu3) for i in range(len(psis))]
 
 
 @pytest.fixture

@@ -36,7 +36,6 @@ from qtangle.states import (
     _PARAM_NAMES,
     CLASS_ARITY,
     NormalFormParams,
-    SloccProvenance,
     _check_class,
 )
 from qtangle.tangles import _phase_fix, _rank2_bounds
@@ -267,32 +266,24 @@ def _random_sl2(rng: np.random.Generator) -> np.ndarray:
     return m * np.linalg.det(m) ** (-0.5)
 
 
-def draw_slocc(cls: int, seed: int | np.random.SeedSequence) -> tuple[PureState, SloccProvenance]:
+def draw_slocc(cls: int, seed: np.random.SeedSequence) -> tuple[PureState, NormalFormParams, tuple]:
     """One sample's own random stream, drawn in a fixed order: the
     normal-form parameters, then the four det-1 local operators. Returns
-    the normal form before the operators act, and the provenance."""
+    the normal form before the operators act, its parameters and the
+    operators."""
     cls = _check_class(cls)
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(int(seed))
-    rng = np.random.default_rng(seq)
+    rng = np.random.default_rng(seed)
     params = random_normal_form_params(cls, rng)
     base = normal_form(cls, params)
     ops = tuple(_random_sl2(rng) for _ in range(4))
-    prov = SloccProvenance(
-        slocc_class=cls,
-        seed_key=tuple(int(x) for x in np.atleast_1d(seq.entropy)),
-        params=params,
-        operators=ops,
-    )
-    return base, prov
+    return base, params, ops
 
 
 def random_slocc_state(
-    cls: int, seed: int | np.random.SeedSequence
-) -> tuple[PureState, SloccProvenance]:
+    cls: int, seed: np.random.SeedSequence
+) -> tuple[PureState, NormalFormParams, tuple]:
     """Random member of a SLOCC class: det-1 local operators on a random
-    normal form, fully determined by the seed."""
-    base, prov = draw_slocc(cls, seed)
-    return local_image(base, prov.operators), prov
+    normal form, fully determined by the seed; with its parameters and
+    operators."""
+    base, params, ops = draw_slocc(cls, seed)
+    return local_image(base, ops), params, ops

@@ -12,13 +12,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import random_pure_state, random_unitary2
+from conftest import random_pure_state, random_unitary2, sm_reports
 from oracle import convex_roof_tau3
 from qtangle import (
     GhzwParams,
     PureState,
     residual_columns,
-    sm_report_all_foci,
     tangle_columns,
     three_tangle_pure,
 )
@@ -240,7 +239,7 @@ def test_criterion_10_property_digest():
     ok &= abs(trace_norm(-3.0 * h) - 3.0 * trace_norm(h)) < 1e-10
     notes.append("trace-norm homogeneity")
 
-    for rep in sm_report_all_foci(psi4):
+    for rep in sm_reports([psi4])[0]:
         recomputed = (
             rep["tau1"]
             - sum(rep["tau2_terms"].values())

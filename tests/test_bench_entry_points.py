@@ -8,6 +8,8 @@ import csv
 import io
 import json
 
+import numpy as np
+
 from qtangle import cli, harness, states
 from qtangle.qstate import PureState
 
@@ -18,9 +20,13 @@ def _rows(path):
 
 
 def test_sampler_and_normal_form_entry_points():
-    psi, prov = states.random_slocc_state(3, states.sample_seed(961, 3, 0))
+    psi, ops = states.random_slocc_state(3, states.sample_seed(961, 3, 0))
     assert isinstance(psi, PureState) and psi.amplitudes.shape == (16,)
-    assert isinstance(prov, states.SloccProvenance)
+    assert ops.shape == (4, 2, 2) and np.abs(np.linalg.det(ops) - 1.0).max() <= 1e-12
+    # The one-sample view is the stacked sampler's row, bit for bit.
+    amps, stacked_ops = states.dress(3, states.draw_samples(3, 961, [0]))
+    assert psi.amplitudes.tobytes() == amps[0].tobytes()
+    assert ops.tobytes() == stacked_ops[0].tobytes()
     for cls in (2, 3, 4, 5, 6):
         psi = states.normal_form(cls, harness.SWEEP_BINDINGS[cls](0.37))
         assert isinstance(psi, PureState) and psi.amplitudes.shape == (16,)

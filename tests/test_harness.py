@@ -15,10 +15,10 @@ import pytest
 
 import qtangle.cli as cli
 import qtangle.harness as harness
-from conftest import first_seed_word, singular_streams
+from conftest import first_seed_word, singular_streams, sm_reports
 from qtangle.cli import main
 from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check
-from qtangle.monogamy import sm_report_all_foci, tangle_report
+from qtangle.monogamy import tangle_report
 from qtangle.qstate import PureState
 from qtangle.states import NormalFormParams, ghz, random_slocc_state, sample_seed, w
 from reference import local_image, write_state
@@ -260,23 +260,23 @@ def test_campaign_deterministic_across_workers(tmp_path):
 
 
 def _reference_rows(cfg):
-    """The campaign's CSV lines built one sample at a time from the one-state
-    views random_slocc_state and sm_report_all_foci, whose reports are the
-    sm_report dicts of tangle --json."""
+    """The campaign's CSV lines built from the one-sample view
+    random_slocc_state, sample by sample, and the sm_report dicts of
+    tangle --json, from one engine call on all the samples."""
     lines = [",".join(harness.CSV_FIELDS)]
-    for cls in sorted(cfg.classes):
-        for idx in range(cfg.samples_per_class):
-            psi, _ = random_slocc_state(cls, sample_seed(cfg.master_seed, cls, idx))
-            for rep in sm_report_all_foci(psi):
-                partners = sorted(rep["tau2_terms"])
-                bounds = [rep["tau3_bounds"][pair] for pair in sorted(rep["tau3_bounds"])]
-                lines.append(",".join([
-                    str(cls), str(idx), f"{cfg.master_seed}:{cls}:{idx}", str(rep["focus"]),
-                    "-".join(map(str, partners)), repr(rep["tau1"]),
-                    *(repr(rep["tau2_terms"][p]) for p in partners),
-                    *(repr(b["value"]) for b in bounds), *(b["method"] for b in bounds),
-                    repr(rep["residual_lower"]),
-                ]))  # fmt: skip
+    samples = [(cls, idx) for cls in sorted(cfg.classes) for idx in range(cfg.samples_per_class)]
+    psis = [random_slocc_state(c, sample_seed(cfg.master_seed, c, i))[0] for c, i in samples]
+    for (cls, idx), reports in zip(samples, sm_reports(psis)):
+        for rep in reports:
+            partners = sorted(rep["tau2_terms"])
+            bounds = [rep["tau3_bounds"][pair] for pair in sorted(rep["tau3_bounds"])]
+            lines.append(",".join([
+                str(cls), str(idx), f"{cfg.master_seed}:{cls}:{idx}", str(rep["focus"]),
+                "-".join(map(str, partners)), repr(rep["tau1"]),
+                *(repr(rep["tau2_terms"][p]) for p in partners),
+                *(repr(b["value"]) for b in bounds), *(b["method"] for b in bounds),
+                repr(rep["residual_lower"]),
+            ]))  # fmt: skip
     return lines
 
 
@@ -535,7 +535,7 @@ def test_campaign_config_validation():
         CampaignConfig(samples_per_class=0)
     with pytest.raises(ValueError, match="master_seed"):
         CampaignConfig(master_seed=-1)
-    for bad in (0.0, float("nan")):
+    for bad in (0.0, float("nan"), float("inf"), np.int64(2), True):
         with pytest.raises(ValueError, match="mu3"):
             CampaignConfig(mu3=bad)
     with pytest.raises(ValueError, match="empty"):
@@ -596,6 +596,15 @@ def test_sweep_degenerate_flagging():
 def test_sweep_unknown_class():
     with pytest.raises(ValueError):
         sweep_family(7, [0.1])
+
+
+def test_sweep_rejects_a_non_integer_class():
+    # Checked, not coerced: np.int64(3) would reach the result, which json
+    # cannot serialize, and 3.0 would be printed as the class.
+    for bad in (np.int64(3), 3.0, True):
+        with pytest.raises(ValueError, match="no sweep binding"):
+            sweep_family(bad, [0.5])
+    assert json.loads(json.dumps(sweep_family(3, [0.5])))["class"] == 3
 
 
 def test_sweep_and_table1_take_empty_grids():
@@ -662,18 +671,19 @@ def test_tangle_report_levels(tmp_path):
 
 
 def test_tangle_report_terms_are_the_residuals_own():
-    for cls in range(1, 9):
-        for idx in range(4):
-            psi, _ = random_slocc_state(cls, sample_seed(31, cls, idx))
-            for rep in sm_report_all_foci(psi):
-                printed = tangle_report(psi, rep["focus"])
-                assert printed["tau1"] == rep["tau1"]
-                assert printed["tau2_terms"] == rep["tau2_terms"]
-                assert printed["ckw_residual"] == rep["tau1"] - sum(rep["tau2_terms"].values())
-                # The report is the JSON itself, every float equal, not a
-                # value that converts to it.
-                assert printed["sm_report"] == rep
-                json.dumps(rep, allow_nan=False)
+    # Each state's one-row report against its row of an engine call on all 32.
+    samples = [(cls, idx) for cls in range(1, 9) for idx in range(4)]
+    psis = [random_slocc_state(cls, sample_seed(31, cls, idx))[0] for cls, idx in samples]
+    for psi, reports in zip(psis, sm_reports(psis)):
+        for rep in reports:
+            printed = tangle_report(psi, rep["focus"])
+            assert printed["tau1"] == rep["tau1"]
+            assert printed["tau2_terms"] == rep["tau2_terms"]
+            assert printed["ckw_residual"] == rep["tau1"] - sum(rep["tau2_terms"].values())
+            # The report is the JSON itself, every float equal, not a
+            # value that converts to it.
+            assert printed["sm_report"] == rep
+            json.dumps(printed, allow_nan=False)
 
 
 # ------------------------------------------------------------------- CLI
@@ -872,7 +882,7 @@ def test_cli_sweep_single_point_grid(tmp_path):
     assert len(out.read_text().splitlines()) == 2  # header + 1 grid point
 
 
-@pytest.mark.parametrize("mu3", ["0", "nan"])
+@pytest.mark.parametrize("mu3", ["0", "nan", "inf"])
 def test_cli_rejects_bad_mu3(tmp_path, mu3):
     out = tmp_path / "v.csv"
     verify = ["verify", "--classes", "1", "--samples", "1", "--out", str(out)]

@@ -1,13 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import random_pure_state
+from conftest import random_pure_state, sm_reports
 from qtangle import (
     GhzwParams,
     PureState,
-    pure_tangles,
     residual_columns,
-    sm_report_all_foci,
     tangle_columns,
     tangle_report,
     three_tangle_pure,
@@ -17,26 +17,30 @@ from qtangle.monogamy import _check_mu3
 from qtangle.states import ghz, ghzw, normal_form, random_slocc_state, sample_seed, w
 from reference import local_image, one_tangle, partial_trace, rank2_bound, two_tangle
 
-# Tensor route (sm_report_all_foci) against the per-marginal reference.
+# Tensor route (the engine's reports) against the per-marginal reference.
 TAU1_TOL = 1e-12
 TAU2_TOL = 2e-8  # the reference's eigh/sqrt step loses up to ~1e-8 on rank-deficient pairs
 TAU3_TOL = 1e-8
 
 
 def test_check_mu3():
-    _check_mu3(1.5)
-    for bad in (-1.0, 0.0, float("nan")):
+    for good in (1.5, 2, np.float64(3.0)):
+        _check_mu3(good)
+        json.dumps(tangle_report(ghz(4), 1, good), allow_nan=False)
+    # Checked, not coerced: each would reach the report as it is, where inf
+    # is not JSON, np.int64 is not serializable and True is not a number.
+    for bad in (-1.0, 0.0, float("nan"), float("inf"), np.int64(2), True):
         with pytest.raises(ValueError, match="mu3"):
             _check_mu3(bad)
         with pytest.raises(ValueError, match="mu3"):
-            sm_report_all_foci(ghz(4), bad)
+            tangle_report(ghz(4), 1, bad)
 
 
 def test_residual_columns_rejects_bad_mu3():
     # A NaN mu3 would make every residual NaN, which no threshold counts as
     # a violation, and a zero one would send W4's residuals to -3.
     cols = tangle_columns(np.stack([ghz(4).amplitudes, w(4).amplitudes]))
-    for bad in (-1.0, 0.0, float("nan")):
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="mu3"):
             residual_columns(cols, bad)
 
@@ -81,9 +85,9 @@ def test_residual_three_tangle_exact_on_zero_tangle_states(rng):
 def test_ckw_residual_is_the_reports_own():
     # Class-7 states, whose rank-deficient pair marginals split the old
     # per-marginal route from the report's by about 1e-8.
-    for idx in range(18):
-        psi, _ = random_slocc_state(7, sample_seed(20260823, 7, idx))
-        for rep in sm_report_all_foci(psi):
+    states = [random_slocc_state(7, sample_seed(20260823, 7, idx))[0] for idx in range(18)]
+    for psi, reports in zip(states, sm_reports(states)):
+        for rep in reports:
             own = rep["tau1"] - sum(rep["tau2_terms"].values())
             assert ckw_residual(psi, rep["focus"]) == own
 
@@ -106,18 +110,18 @@ def test_ckw_residual_examples(rng):
 
 
 def test_tau4_lower_bound_ghz4():
-    for rep in sm_report_all_foci(ghz(4)):
+    for rep in sm_reports([ghz(4)])[0]:
         assert rep["tau1"] == pytest.approx(1.0, abs=1e-9)
         assert rep["residual_lower"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tau4_lower_bound_w4():
-    rep = sm_report_all_foci(w(4))[0]
+    rep = sm_reports([w(4)])[0][0]
     assert rep["residual_lower"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_tau4_lower_bound_g9():
-    reports = sm_report_all_foci(normal_form(9))
+    reports = sm_reports([normal_form(9)])[0]
     for rep in reports:
         assert rep["residual_lower"] == pytest.approx(0.0, abs=1e-9)
     # the q2q3q4 marginal is a pure GHZ of three qubits
@@ -127,9 +131,9 @@ def test_tau4_lower_bound_g9():
 
 
 def test_sm_report_self_consistency(rng):
-    for _ in range(10):
-        psi = random_pure_state(rng, 4)
-        for rep in sm_report_all_foci(psi):
+    states = [random_pure_state(rng, 4) for _ in range(10)]
+    for psi, reports in zip(states, sm_reports(states)):
+        for rep in reports:
             recomputed = (
                 rep["tau1"]
                 - sum(rep["tau2_terms"].values())
@@ -153,8 +157,9 @@ def _reference_states():
 
 def test_sm_report_matches_per_marginal_reference():
     checked = 0
-    for psi in _reference_states():
-        for rep in sm_report_all_foci(psi):
+    states = list(_reference_states())
+    for psi, reports in zip(states, sm_reports(states)):
+        for rep in reports:
             f = rep["focus"]
             assert abs(rep["tau1"] - one_tangle(psi, f)) <= TAU1_TOL
             for j, tau2 in rep["tau2_terms"].items():
@@ -190,11 +195,11 @@ def test_two_tangle_matches_high_precision_on_class7():
     # loses digits; the tau-matrix route keeps them.
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
-    for idx in range(18):
-        psi, _ = random_slocc_state(7, sample_seed(20260823, 7, idx))
+    states = [random_slocc_state(7, sample_seed(20260823, 7, idx))[0] for idx in range(18)]
+    for psi, reports in zip(states, sm_reports(states)):
         tau2 = {
             tuple(sorted((rep["focus"], j))): value
-            for rep in sm_report_all_foci(psi)
+            for rep in reports
             for j, value in rep["tau2_terms"].items()
         }
         for pair, value in tau2.items():
@@ -204,9 +209,8 @@ def test_two_tangle_matches_high_precision_on_class7():
 
 def test_schedule_monotonicity(rng):
     # larger mu3 never decreases the residual when all bounds are <= 1
-    for _ in range(10):
-        psi = random_pure_state(rng, 4)
-        res = [sm_report_all_foci(psi, m)[0]["residual_lower"] for m in (1.5, 2.0, 3.0)]
+    cols = tangle_columns(np.array([random_pure_state(rng, 4).amplitudes for _ in range(10)]))
+    for res in zip(*(residual_columns(cols, m)[:, 0] for m in (1.5, 2.0, 3.0))):
         assert res[0] <= res[1] + 1e-12 <= res[2] + 2e-12
 
 
@@ -230,12 +234,11 @@ def assert_ghzw_closed_forms_hold(p: GhzwParams) -> None:
     """The package's tau1 is the closed form, its tau2 is within the bound,
     and at n = 4 its residual is at least the floor."""
     tau1, tau2_bound, floor = ghzw_closed_forms(p)
-    psi = ghzw(p)
-    t1, t2 = pure_tangles(psi)
-    assert t1[1] == pytest.approx(tau1, abs=1e-9)
-    assert t2[(1, 2)] <= tau2_bound + 1e-9
+    rep = tangle_report(ghzw(p), 1)
+    assert rep["tau1"] == pytest.approx(tau1, abs=1e-9)
+    assert rep["tau2_terms"][2] <= tau2_bound + 1e-9
     if p.n == 4:
-        assert sm_report_all_foci(psi)[0]["residual_lower"] >= floor - 1e-6
+        assert rep["sm_report"]["residual_lower"] >= floor - 1e-6
 
 
 def test_ghzw_analytic_examples():
@@ -257,7 +260,7 @@ def test_ghzw_consistency_check_needs_four_qubits():
     # 4 |beta|^4 / n^2 is not a bound on its two-tangle.
     coeffs = (0.6, 0.48 + 0.36j, np.sqrt(0.28))
     p3 = GhzwParams(3, *coeffs)
-    assert pure_tangles(ghzw(p3))[1][(1, 2)] > ghzw_closed_forms(p3)[1]
+    assert tangle_report(ghzw(p3), 1)["tau2_terms"][2] > ghzw_closed_forms(p3)[1]
     assert_ghzw_closed_forms_hold(GhzwParams(4, *coeffs))
 
 

@@ -7,8 +7,8 @@ from qtangle.harness import _TABLE1_GRID, SWEEP_BINDINGS, _table1_params
 from qtangle.states import (
     CLASS_ARITY,
     NormalFormParams,
+    _params,
     draw_samples,
-    draw_slocc,
     dress,
     ghz,
     ghzw,
@@ -138,18 +138,19 @@ def test_random_params_distribution():
 
 
 def test_sampler_determinism():
-    s1, p1 = random_slocc_state(3, sample_seed(42, 3, 7))
-    s2, p2 = random_slocc_state(3, sample_seed(42, 3, 7))
+    s1, ops1 = random_slocc_state(3, sample_seed(42, 3, 7))
+    s2, ops2 = random_slocc_state(3, sample_seed(42, 3, 7))
     assert np.array_equal(s1.amplitudes, s2.amplitudes)
-    assert p1.params == p2.params
+    assert _bits(ops1) == _bits(ops2)
     s3, _ = random_slocc_state(3, sample_seed(42, 3, 8))
     assert not np.allclose(s1.amplitudes, s3.amplitudes)
 
 
 def test_sampler_operator_determinants():
     for cls in range(1, 9):
-        _, prov = random_slocc_state(cls, sample_seed(0, cls, 0))
-        for op in prov.operators:
+        _, ops = random_slocc_state(cls, sample_seed(0, cls, 0))
+        assert ops.shape == (4, 2, 2)
+        for op in ops:
             assert abs(np.linalg.det(op) - 1.0) < 1e-10
     # At campaign scale: 1,000 samples of each class, 32,000 operators.
     for cls in range(1, 9):
@@ -159,13 +160,13 @@ def test_sampler_operator_determinants():
 
 
 def test_sampler_identity_path():
-    # applying the recorded operators' inverses recovers the normal form
-    from qtangle.states import normal_form as nf
-
-    psi, prov = random_slocc_state(2, sample_seed(1, 2, 0))
-    inv = [np.linalg.inv(op) for op in prov.operators]
-    back = local_image(psi, inv)
-    base = nf(2, prov.params)
+    # applying the returned operators' inverses recovers the normal form of
+    # the parameters the sequential reference draws from the same seed
+    seed = sample_seed(1, 2, 0)
+    psi, ops = random_slocc_state(2, seed)
+    _, params, _ = reference.draw_slocc(2, seed)
+    back = local_image(psi, [np.linalg.inv(op) for op in ops])
+    base = normal_form(2, params)
     overlap = abs(np.vdot(back.amplitudes, base.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -189,14 +190,6 @@ def test_class9_q1_marginal_tangles_vanish():
     states = [random_slocc_state(9, sample_seed(11, 9, idx))[0].amplitudes for idx in range(5)]
     # TRIPLES[:3] are (1, 2, 3), (1, 2, 4) and (1, 3, 4): the triples with qubit 1
     assert np.all(tangle_columns(np.array(states)).tau3.value[:, :3] < 1e-6)
-
-
-def test_provenance_serializes():
-    _, prov = random_slocc_state(4, sample_seed(2, 4, 3))
-    d = prov.to_json_dict()
-    assert d["class"] == 4
-    assert set(d["params"]) == {"a", "b"}
-    assert len(d["operators"]) == 4
 
 
 # -- the stacked sampler against the sequential reference ---------------------------
@@ -227,17 +220,15 @@ def test_stacked_sampler_matches_the_sequential_reference(chunk):
             seeds = [sample_seed(master, cls, i) for i in range(chunk)]
             draws = draw_samples(cls, master, range(chunk))
             amps, ops = dress(cls, draws)
+            params = _params(draws.uniforms)
             for i, seed in enumerate(seeds):
-                psi, prov = reference.random_slocc_state(cls, seed)
+                psi, ref_params, ref_ops = reference.random_slocc_state(cls, seed)
                 assert _bits(amps[i]) == _bits(psi.amplitudes), (master, cls, i)
-                assert _bits(ops[i]) == _bits(np.array(prov.operators))
-                one = draw_slocc(cls, seed)
-                assert _bits(one.uniforms[0]) == _bits(draws.uniforms[i])
-                assert _bits(one.gaussians[0]) == _bits(draws.gaussians[i])
-                one, one_prov = random_slocc_state(cls, seed)
+                assert _bits(ops[i]) == _bits(np.array(ref_ops))
+                assert params[i].tolist() == list(ref_params.as_tuple(CLASS_ARITY[cls]))
+                one, one_ops = random_slocc_state(cls, seed)
                 assert _bits(one.amplitudes) == _bits(psi.amplitudes)
-                assert one_prov.to_json_dict() == prov.to_json_dict()
-                assert one_prov.params == prov.params
+                assert _bits(one_ops) == _bits(ops[i])
 
 
 def test_normal_forms_match_the_sequential_reference():

@@ -7,10 +7,9 @@ from scipy.optimize import linprog, nnls
 from conftest import random_pure_state, random_unitary2
 from qtangle import (
     PureState,
-    pure_tangles,
     residual_columns,
-    sm_report_all_foci,
     tangle_columns,
+    tangle_report,
     three_tangle_pure,
 )
 from qtangle.harness import (
@@ -932,21 +931,26 @@ def test_four_qubit_tangles_rejects_nan_state():
     with pytest.raises(ValueError, match="norm"):
         tangle_columns(np.full((1, 16), np.nan, dtype=complex))
     with pytest.raises(ValueError, match="norm"):
-        pure_tangles(PureState(n_qubits=3, amplitudes=np.full(8, np.nan, dtype=complex)))
+        tangle_report(PureState(n_qubits=3, amplitudes=np.full(8, np.nan, dtype=complex)), 1)
 
 
-def test_pure_tangles_match_per_marginal_reference(rng):
+def _pair_terms(report: dict) -> dict:
+    """A ``tangle_report``'s two-tangles by partner: two qubits print one."""
+    return report["tau2_terms"] if "tau2_terms" in report else {3 - report["focus"]: report["tau2"]}
+
+
+def test_tangle_report_matches_per_marginal_reference(rng):
     for n in range(2, 5):
-        qubits = range(1, n + 1)
         for _ in range(3):
             psi = random_pure_state(rng, n)
-            tau1, tau2 = pure_tangles(psi)
-            assert list(tau1) == list(qubits)
-            assert list(tau2) == list(itertools.combinations(qubits, 2))
-            for focus, value in tau1.items():
-                assert abs(value - one_tangle(psi, focus)) <= 1e-12
-            for pair, value in tau2.items():
-                assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
+            for focus in range(1, n + 1):
+                report = tangle_report(psi, focus)
+                terms = _pair_terms(report)
+                assert list(terms) == [q for q in range(1, n + 1) if q != focus]
+                assert abs(report["tau1"] - one_tangle(psi, focus)) <= 1e-12
+                for j, value in terms.items():
+                    pair = tuple(sorted((focus, j)))
+                    assert abs(value - two_tangle(partial_trace(psi, pair))) <= 1e-12
 
 
 def _one_tangles_40_digits(mpmath, amps):
@@ -990,7 +994,7 @@ def test_one_tangles_keep_relative_accuracy_near_product_states(rng):
 def test_padded_spectators_carry_no_tangle(rng):
     # A two- or three-qubit state enters the four-qubit layer as
     # psi x |0>^(4-n): each spectator's one-tangle and every pair tangle that
-    # touches a spectator are exactly 0, and pure_tangles reads the others.
+    # touches a spectator are exactly 0, and tangle_report reads the others.
     for n in (2, 3):
         for psi in (ghz(n), w(n), random_pure_state(rng, n), random_pure_state(rng, n)):
             amps = _padded(psi)
@@ -1001,18 +1005,22 @@ def test_padded_spectators_carry_no_tangle(rng):
             assert np.all(tau1[0, n:] == 0.0)
             spectator = [i for i, pair in enumerate(tangles.PAIRS) if pair[1] > n]
             assert np.all(tau2[0, spectator] == 0.0)
-            own = pure_tangles(psi)
-            assert list(own[0].values()) == tau1[0, :n].tolist()
-            assert list(own[1].values()) == np.delete(tau2[0], spectator).tolist()
+            for focus in range(1, n + 1):
+                report = tangle_report(psi, focus)
+                assert report["tau1"] == tau1[0, focus - 1]
+                terms = _pair_terms(report)
+                columns = {j: tangles.PAIRS.index(tuple(sorted((focus, j)))) for j in terms}
+                assert terms == {j: tau2[0, p] for j, p in columns.items()}
 
 
-def test_pure_tangles_examples():
-    tau1, tau2 = pure_tangles(bell_pair())
-    assert tau1 == pytest.approx({1: 1.0, 2: 1.0}, abs=1e-12)
-    assert tau2 == pytest.approx({(1, 2): 1.0}, abs=1e-12)
-    tau1, tau2 = pure_tangles(w(3))
-    assert all(v == pytest.approx(8 / 9, abs=1e-12) for v in tau1.values())
-    assert all(v == pytest.approx(4 / 9, abs=1e-12) for v in tau2.values())
+def test_tangle_report_examples():
+    for focus in (1, 2):
+        report = tangle_report(bell_pair(), focus)
+        assert (report["tau1"], report["tau2"]) == pytest.approx((1.0, 1.0), abs=1e-12)
+    for focus in (1, 2, 3):
+        report = tangle_report(w(3), focus)
+        assert report["tau1"] == pytest.approx(8 / 9, abs=1e-12)
+        assert all(v == pytest.approx(4 / 9, abs=1e-12) for v in report["tau2_terms"].values())
 
 
 def test_tangles_invariant_under_local_unitaries(rng):
@@ -1020,7 +1028,8 @@ def test_tangles_invariant_under_local_unitaries(rng):
     for _ in range(5):
         psi = random_pure_state(rng, 4)
         rotated = local_image(psi, [random_unitary2(rng) for _ in range(4)])
-        for before, after in zip(pure_tangles(psi), pure_tangles(rotated)):
+        cols = tangle_columns(np.stack([psi.amplitudes, rotated.amplitudes]))
+        for before, after in (cols.tau1, cols.tau2):
             assert after == pytest.approx(before, abs=1e-9)
     # The three-tangle bounds of sampled states, 8 per class: under local
     # unitaries they moved by at most 1.0e-9 on this set, and no method
@@ -1134,18 +1143,18 @@ def test_table1_check_computes_no_one_or_two_tangles(monkeypatch):
 def test_tangle_columns_match_the_one_state_views(rng):
     amps = _engine_states(rng)[::7]
     cols = tangle_columns(amps)
+    residuals = residual_columns(cols, 1.5)
     for i, v in enumerate(amps):
         psi = PureState(n_qubits=4, amplitudes=v)
-        tau1, tau2 = pure_tangles(psi)
-        assert list(tau1.values()) == cols.tau1[i].tolist()
-        assert list(tau2.values()) == cols.tau2[i].tolist()
-        reports = sm_report_all_foci(psi)
-        assert [rep["residual_lower"] for rep in reports] == residual_columns(cols, 1.5)[i].tolist()
-        for rep in reports:
-            f = rep["focus"]
+        for f in range(1, 5):
+            printed = tangle_report(psi, f)
+            rep = printed["sm_report"]
             partners = [q for q in range(1, 5) if q != f]
-            assert rep["tau1"] == tau1[f]
-            assert rep["tau2_terms"] == {j: tau2[tuple(sorted((f, j)))] for j in partners}
+            assert rep["focus"] == f and rep["residual_lower"] == residuals[i, f - 1]
+            assert printed["tau1"] == rep["tau1"] == cols.tau1[i, f - 1]
+            columns = {j: tangles.PAIRS.index(tuple(sorted((f, j)))) for j in partners}
+            assert rep["tau2_terms"] == {j: cols.tau2[i, p] for j, p in columns.items()}
+            assert printed["tau2_terms"] == rep["tau2_terms"]
             assert list(rep["tau2_terms"]) == partners
             pairs = list(itertools.combinations(partners, 2))
             assert list(rep["tau3_bounds"]) == [f"{j}|{k}" for j, k in pairs]
