@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent import futures  # its process pool, and multiprocessing, load on first use
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
@@ -203,6 +204,13 @@ def _chunk_rows(task: tuple) -> tuple:
     return "".join(text), held, residuals, tau1s, methods, errors
 
 
+def _on_cpu(cpu: int, task: tuple) -> tuple:
+    """_chunk_rows on the task, this process pinned to `cpu` first; top level
+    so a pool can pickle it."""
+    os.sched_setaffinity(0, {cpu})
+    return _chunk_rows(task)
+
+
 def _span_results(tasks, workers: int):
     """The results of _chunk_rows on the tasks, in task order. The calling
     process is one of the workers: the tasks are taken `workers` at a time,
@@ -210,12 +218,32 @@ def _span_results(tasks, workers: int):
     and the first is evaluated here; so at most workers - 1 results are in
     flight, and with one worker no pool is opened. Closing the generator
     early waits for the spans in flight and kills no child: a child killed
-    while it sends its result can leave the pool's teardown blocked."""
-    with futures.ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        while batch := list(islice(tasks, workers)):
-            pending = [pool.submit(_chunk_rows, task) for task in batch[1:]]
-            yield _chunk_rows(batch[0])
-            yield from (future.result() for future in pending)
+    while it sends its result can leave the pool's teardown blocked.
+
+    With more than one worker, each process that evaluates a span gets a CPU
+    of its own from the caller's usable set, sorted: the calling thread
+    runs on the first while the generator runs, and the child that takes
+    the task at batch position j pins itself to CPU j (modulo the set's
+    size) before it starts the span. Where the kernel does not balance load
+    across CPUs, a child that starts or wakes on its parent's CPU would
+    otherwise stay there and share it. The caller's own mask is restored
+    when the generator ends, raises or is closed. With one worker, or where
+    os.sched_setaffinity does not exist, no affinity is read or set."""
+    cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
+    try:
+        if cpus:
+            os.sched_setaffinity(0, cpus[:1])
+        with futures.ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+            while batch := list(islice(tasks, workers)):
+                pending = [
+                    pool.submit(_on_cpu, cpus[j % len(cpus)], task) if cpus else pool.submit(_chunk_rows, task)
+                    for j, task in enumerate(batch[1:], 1)
+                ]
+                yield _chunk_rows(batch[0])
+                yield from (future.result() for future in pending)
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -246,7 +274,10 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> dict:
     and each span's rows are written as they arrive, in (class, sample index)
     order for any worker count. ``cfg.workers`` counts the processes that
     evaluate spans, this one included: N workers fork min(N, spans) - 1
-    children, one worker forks none, and no child outlives the call. The
+    children, one worker forks none, and no child outlives the call. With
+    more than one, each of those processes runs on a CPU of its own from
+    this thread's usable set, as far as the set has CPUs, and this thread's
+    CPU affinity is as it was when the call returns or raises. The
     summary's histograms and counts are added up per class span by span, so
     memory does not grow with the number of samples.
     """

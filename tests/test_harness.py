@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import closing
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -125,24 +126,41 @@ def test_campaign_rows_self_consistent(tmp_path):
     assert summary["min_residual"] == pytest.approx(min(residuals), abs=0)
 
 
-def test_campaign_pool_sized_to_its_chunks(tmp_path, monkeypatch):
-    sizes = []
+class SequentialPool:
+    """A process pool that runs each task in this process as it is
+    submitted, noting its size in `sizes` and each submitted function in
+    `submitted`."""
 
-    class SequentialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    sizes: list = []
+    submitted: list = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, processes):
+        self.sizes.append(processes)
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def submit(self, fn, *args):
-            result = fn(*args)
-            return SimpleNamespace(result=lambda: result)
+    def __exit__(self, *exc):
+        return False
 
+    def submit(self, fn, *args):
+        self.submitted.append(fn)
+        result = fn(*args)
+        return SimpleNamespace(result=lambda: result)
+
+
+@pytest.fixture
+def sequential_pool(monkeypatch):
+    """SequentialPool in place of the campaign's process pool, its records
+    empty."""
+    monkeypatch.setattr(SequentialPool, "sizes", [])
+    monkeypatch.setattr(SequentialPool, "submitted", [])
     monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", SequentialPool)
+    return SequentialPool
+
+
+def test_campaign_pool_sized_to_its_chunks(tmp_path, sequential_pool):
+    sizes = sequential_pool.sizes
     chunk = harness.CHUNK_SIZE
     run_campaign(CampaignConfig(classes=(1,), samples_per_class=chunk, workers=8), tmp_path / "a.csv")
     assert sizes == []  # one class of one chunk: no pool
@@ -197,10 +215,23 @@ def test_campaign_memory_does_not_grow_with_samples_two_workers(tmp_path, monkey
     assert peaks[1] < peaks[0] + 300_000, peaks
 
 
+def _cpus():
+    """This thread's usable CPUs, where the platform reports them."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+PINNABLE = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two usable CPUs",
+)
+
+
 def test_campaign_leaves_no_child_running(tmp_path, monkeypatch):
+    cpus = _cpus()
     cfg = CampaignConfig(classes=(1, 2), samples_per_class=harness.CHUNK_SIZE, workers=2)
     run_campaign(cfg, tmp_path / "ok.csv")
     assert multiprocessing.active_children() == []
+    assert _cpus() == cpus
     # A step in this process raises mid-run, the child's span in flight.
     calls = []
     real = harness._bin_index
@@ -217,6 +248,7 @@ def test_campaign_leaves_no_child_running(tmp_path, monkeypatch):
     # The children are gone while the exception, and with it the campaign's
     # frame, is still held: their end does not wait for garbage collection.
     assert caught.traceback and multiprocessing.active_children() == []
+    assert _cpus() == cpus
 
 
 def _no_rows_slowly_in_children(parent, finished, task):
@@ -245,10 +277,60 @@ def test_campaign_lets_a_childs_span_finish_when_this_process_raises(tmp_path, m
 
     monkeypatch.setattr(harness, "_bin_index", bin_index)
     cfg = CampaignConfig(classes=(1, 2), samples_per_class=harness.CHUNK_SIZE, workers=2)
+    cpus = _cpus()
     with pytest.raises(RuntimeError, match="merge broke"):
         run_campaign(cfg, tmp_path / "v.csv")
     assert multiprocessing.active_children() == []
     assert len(list(finished.iterdir())) == 1
+    assert _cpus() == cpus
+
+
+@PINNABLE
+def test_span_results_closed_early_restores_this_threads_cpus(monkeypatch):
+    monkeypatch.setattr(harness, "_chunk_rows", _no_rows)
+    cpus = os.sched_getaffinity(0)
+    with closing(harness._span_results(iter([None] * 4), 2)) as results:
+        next(results)
+        assert os.sched_getaffinity(0) == {min(cpus)}  # pinned while the spans run
+    assert os.sched_getaffinity(0) == cpus
+    assert multiprocessing.active_children() == []
+
+
+def _no_rows_noting_cpus(folder, task):
+    """_no_rows, leaving in `folder` a file named after the span's first
+    class that holds this process's id and usable CPUs; top level so a pool
+    can pickle it (with partial)."""
+    cls = task[0][0][0]
+    (folder / str(cls)).write_text(json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))]))
+    return _no_rows(task)
+
+
+@PINNABLE
+def test_campaign_workers_each_run_on_a_cpu_of_their_own(tmp_path, monkeypatch):
+    # Two spans and two workers: the first span is evaluated here, on the
+    # first usable CPU, and the second in the child, on the second. Left to
+    # the kernel, a forked child can stay on its parent's CPU for good.
+    monkeypatch.setattr(harness, "_chunk_rows", partial(_no_rows_noting_cpus, tmp_path))
+    cpus = sorted(os.sched_getaffinity(0))
+    cfg = CampaignConfig(classes=(1, 2), samples_per_class=harness.CHUNK_SIZE, workers=2)
+    run_campaign(cfg, tmp_path / "v.csv")
+    here, child = (json.loads((tmp_path / cls).read_text()) for cls in ("1", "2"))
+    assert here == [os.getpid(), cpus[:1]]
+    assert child[0] != os.getpid() and child[1] == cpus[1:2]
+
+
+def test_campaign_without_sched_setaffinity_dispatches_as_before(tmp_path, monkeypatch, sequential_pool):
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append("get") or {0}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append("set"), raising=False)
+    cfg = dict(classes=(1, 2), samples_per_class=harness.CHUNK_SIZE, master_seed=5)
+    run_campaign(CampaignConfig(**cfg, workers=1), tmp_path / "w1.csv")
+    assert calls == []  # one worker reads and sets no affinity
+    monkeypatch.delattr(os, "sched_setaffinity")
+    run_campaign(CampaignConfig(**cfg, workers=2), tmp_path / "w2.csv")
+    assert calls == []
+    assert sequential_pool.sizes == [1] and sequential_pool.submitted == [harness._chunk_rows]
+    assert (tmp_path / "w2.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
 
 
 def test_campaign_deterministic_across_workers(tmp_path):
