@@ -12,6 +12,6 @@ from .states import (
     sample_seed,
     w,
 )
-from .tangles import TangleColumns, tangle_columns, three_tangle_pure
+from .tangles import TangleColumns, tangle_columns
 
 __version__ = "0.1.0"

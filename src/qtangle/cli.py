@@ -44,11 +44,17 @@ def _parse_classes(spec: str) -> tuple:
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+        if not part:
+            continue
+        lo, dash, hi = part.partition("-")
+        try:
+            first = int(lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise ValueError(f"--classes: {part!r} is not a class or a range lo-hi") from None
+        if first > last:
+            raise ValueError(f"--classes: {part!r} runs backwards; classes must not be empty")
+        out.extend(range(first, last + 1))
     return tuple(sorted(set(out)))
 
 

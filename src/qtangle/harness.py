@@ -25,7 +25,7 @@ from .states import (
     dress,
     normal_forms,
 )
-from .tangles import METHODS, TRIPLES, _triple_bounds, tangle_columns
+from .tangles import METHODS, TRIPLES, _rank2_bounds, _rank2_support, tangle_columns
 
 log = logging.getLogger(__name__)
 
@@ -464,7 +464,7 @@ def table1_check(grid=None) -> list[dict]:
     amps = np.concatenate(amps)
     rows = []
     for start, stop in _chunks(len(amps)):
-        bounds = _triple_bounds(amps[start:stop])
+        bounds = _rank2_bounds(*_rank2_support(amps[start:stop]))
         values, methods = bounds.value.tolist(), bounds.method.tolist()
         for (cls, t, pv), state_values, state_methods in zip(cases[start:stop], values, methods):
             for triple, value, method in zip(TRIPLES, state_values, state_methods):

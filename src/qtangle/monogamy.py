@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .qstate import PureState
-from .tangles import PAIRS, TRIPLES, TangleColumns, _padded, tangle_columns, three_tangle_pure
+from .tangles import PAIRS, TRIPLES, TangleColumns, tangle_columns
 
 # For each focus 1..4, its partners in increasing order, and the columns of
 # its three pairs and three triples. Dropping the focus from increasing tuples
@@ -82,11 +82,20 @@ def _sm_reports(cols: TangleColumns, mu3: float) -> list[dict]:
     ]
 
 
+def _padded(psi: PureState) -> np.ndarray:
+    """The amplitudes (16,) of psi x |0>^(4-n): the spectators n+1..4 are
+    unentangled, so every reduced state on qubits 1..n is that of psi."""
+    amps = np.zeros(16, dtype=complex)
+    amps[:: 2 ** (4 - psi.n_qubits)] = psi.amplitudes
+    return amps
+
+
 def tangle_report(psi: PureState, focus: int, mu3: float = MU3) -> dict:
     """Tangle breakdown of a 2-4 qubit pure state, as ``tangle --json`` prints
     it, from one engine row of the state padded to four qubits (its
-    spectators' foci and pairs dropped); three qubits add the closed-form
-    three-tangle, four the strong-monogamy report."""
+    spectators' foci and pairs dropped); three qubits add the three-tangle,
+    the exact-pure bound of triple (1, 2, 3), four the strong-monogamy
+    report."""
     _check_mu3(mu3)
     n = psi.n_qubits
     _check_focus(focus, n)
@@ -99,5 +108,5 @@ def tangle_report(psi: PureState, focus: int, mu3: float = MU3) -> dict:
         return {**report, "tau2": terms[3 - focus]}
     report |= {"tau2_terms": terms, "ckw_residual": _ckw_columns(cols)[0, f].item()}
     if n == 3:
-        return {**report, "tau3": three_tangle_pure(psi)}
+        return {**report, "tau3": cols.tau3.value[0, 0].item()}
     return {**report, "sm_report": _sm_reports(cols, mu3)[f]}

@@ -1,5 +1,6 @@
-"""Tangle measures: one-tangle, two-tangle, pure three-tangle, and the
-ray-extension upper bound on the three-tangle of rank-2 three-qubit states.
+"""Tangle measures of four-qubit pure states: one-tangles, two-tangles, and
+the ray-extension upper bound on the three-tangle of each three-qubit
+marginal (of rank at most 2), exact where the marginal is pure.
 
 The upper bound works on Bloch vectors in the ball of the rank-2 support:
 the four W-class states spanned by the support (roots of a quartic, mapped
@@ -23,15 +24,15 @@ come from the closed-form eigendecomposition of its 2x2 Gram matrix
 Schmidt spectrum, so tau1 = 4 p1 p2. Wootters' tau matrix of a pair has
 mixed 2x2 determinants as entries. The bound runs on the Bloch vectors of
 all triples of all states at once, with the W roots from a closed-form,
-backward-stable quartic solver (``_wclass_roots``). Every three-tangle is
-4 |form|, with form Cayley's hyperdeterminant as the discriminant of
-det(A + t B) for the qubit-1 slices A, B; the W quartic's coefficients are
-products of quadratics in z from the same 2x2 determinants. Every step is
-elementwise over the stack but the tau matrices' SVD, one LAPACK call per
-small matrix, so a state's numbers do not depend on the stack.
-``_padded`` puts a 2-4 qubit state into one engine row (|0> spectators),
-and ``BoundColumns.result`` reads one bound as the dict ``tangle --json``
-prints.
+backward-stable quartic solver (``_wclass_roots``). Every three-tangle the
+package computes is 4 |form| of one formula, ``_quartic_coeffs``: form is
+Cayley's hyperdeterminant, the discriminant of det(A + t B) for the qubit-1
+slices A, B, and the W quartic p(z) = form(e1 + z e2) has as coefficients
+products of quadratics in z from the same 2x2 determinants; a pure
+marginal's three-tangle is its constant term. Every step is elementwise
+over the stack but the tau matrices' SVD, one LAPACK call per small matrix,
+so a state's numbers do not depend on the stack. ``BoundColumns.result``
+reads one bound as the dict ``tangle --json`` prints.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-
-from .qstate import PureState
 
 # DEGREE_TOL and NORM_TOL were measured on verify --samples 300 --seed 20260823,
 # the sweeps of classes 2-6 over 0..2 step 0.01, and table1.
@@ -127,25 +126,9 @@ def _mixed_det2(a, b):
     return a[0] * b[3] + a[3] * b[0] - a[1] * b[2] - a[2] * b[1]
 
 
-def _tau3_quartic_form(c: np.ndarray) -> complex:
-    """Cayley's hyperdeterminant of amplitudes c (8, ...), 4 |form| the
-    three-tangle (index rst, qubit 1 most significant): the discriminant of
-    det(A + t B) = det A + m t + det B t^2 for the qubit-1 slices A = c[:4]
-    and B = c[4:]."""
-    m = _mixed_det2(c[:4], c[4:])
-    return m * m - 4.0 * (_det2(c[:4]) * _det2(c[4:]))
-
-
 def _tau3(form):
     """The three-tangle 4 |form| of unit states, capped at 1 against roundoff."""
     return np.minimum(4.0 * np.abs(form), 1.0)
-
-
-def three_tangle_pure(psi3: PureState) -> float:
-    """Closed-form three-tangle of a three-qubit pure state."""
-    if psi3.n_qubits != 3:
-        raise ValueError(f"three_tangle_pure expects 3 qubits, got {psi3.n_qubits}")
-    return float(_tau3(_tau3_quartic_form(psi3.amplitudes)))
 
 
 # -- the rank-2 bound in the support frame ------------------------------------------
@@ -592,14 +575,6 @@ def _rank2_bounds(spectrum: np.ndarray, support: np.ndarray) -> BoundColumns:
     return BoundColumns(*(c.reshape(shape + c.shape[1:]) for c in bounds))
 
 
-def _padded(psi: PureState) -> np.ndarray:
-    """The amplitudes (16,) of psi x |0>^(4-n): the spectators n+1..4 are
-    unentangled, so every reduced state on qubits 1..n is that of psi."""
-    amps = np.zeros(16, dtype=complex)
-    amps[:: 2 ** (4 - psi.n_qubits)] = psi.amplitudes
-    return amps
-
-
 class TangleColumns(NamedTuple):
     """Every tangle of a stack of S four-qubit pure states: one-tangles
     (S, 4) by focus, two-tangles (S, 6) by pair in PAIRS order, and the
@@ -654,12 +629,6 @@ def _rank2_support(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n2 = np.sqrt(np.sum(u2.real * u2.real + u2.imag * u2.imag, axis=-1, keepdims=True))
     u2 = u2 / np.where(n2 > 0.0, n2, 1.0)
     return np.stack([p1, det / p1], axis=-1), _phase_fix(np.stack([u1, u2], axis=-2))
-
-
-def _triple_bounds(amps: np.ndarray) -> BoundColumns:
-    """The three-tangle bounds (S, 4) by triple, in TRIPLES order, of a
-    checked stack of four-qubit amplitude vectors (S, 16)."""
-    return _rank2_bounds(*_rank2_support(amps))
 
 
 def _two_tangles(amps: np.ndarray) -> np.ndarray:

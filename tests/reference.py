@@ -11,7 +11,8 @@ package's closed-form eigendecomposition of each 8x2 reshape's Gram matrix,
 ``np.roots`` instead of the package's closed-form (Ferrari) quartic solver,
 on coefficients interpolated from ``tau3_quartic_form``, the three-tangle's
 term-by-term expansion, instead of the package's hyperdeterminant as a
-discriminant.
+discriminant; ``three_tangle`` is 4 |form| of that expansion for one
+three-qubit pure state.
 ``companion_roots`` is the batched companion-matrix ``eigvals`` route to the
 same roots, the baseline the package's solver is held to in accuracy.
 
@@ -141,6 +142,12 @@ def tau3_quartic_form(c: np.ndarray) -> complex:
         )
         + 4.0 * (c[0] * c[3] * c[5] * c[6] + c[7] * c[4] * c[2] * c[1])
     )
+
+
+def three_tangle(psi: PureState) -> float:
+    """The three-tangle of a three-qubit pure state from the term-by-term
+    expansion: 4 |form|, capped at 1 against roundoff."""
+    return min(4.0 * abs(tau3_quartic_form(psi.amplitudes)), 1.0)
 
 
 def interpolated_quartic(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:

@@ -19,13 +19,12 @@ from qtangle import (
     PureState,
     residual_columns,
     tangle_columns,
-    three_tangle_pure,
 )
 from qtangle.harness import CampaignConfig, run_campaign, sweep_family, table1_check
-from qtangle.monogamy import FOCUS_PAIRS, tangle_report
+from qtangle.monogamy import FOCUS_PAIRS, _padded, tangle_report
 from qtangle.states import ghz, ghzw, random_slocc_state, sample_seed
-from qtangle.tangles import PAIRS, TRIPLES, _padded
-from reference import local_image, partial_trace, trace_norm
+from qtangle.tangles import PAIRS, TRIPLES
+from reference import local_image, partial_trace, three_tangle, trace_norm
 
 FULL = os.environ.get("QTANGLE_FULL") == "1"
 
@@ -149,7 +148,7 @@ def test_criterion_5_focus_independence():
     t2 = cols.tau2[:, pairs]
     vals = cols.tau1[:, :3] - (t2[..., 0] + t2[..., 1])
     worst_spread = float((vals.max(axis=1) - vals.min(axis=1)).max())
-    closed = np.array([three_tangle_pure(psi) for psi in states])
+    closed = np.array([three_tangle(psi) for psi in states])
     worst_gap = float(np.abs(vals[:, 0] - closed).max())
     report(
         "criterion 5 (focus independence, 3 qubits)",
@@ -219,13 +218,13 @@ def test_criterion_10_property_digest():
 
     psi3 = random_pure_state(rng, 3)
     rot = local_image(psi3, [random_unitary2(rng) for _ in range(3)])
-    ok &= abs(three_tangle_pure(rot) - three_tangle_pure(psi3)) < 1e-9
+    ok &= abs(tangle_report(rot, 1)["tau3"] - three_tangle(psi3)) < 1e-9
     notes.append("LU invariance")
 
     t = psi3.amplitudes.reshape(2, 2, 2)
     for perm in permutations(range(3)):
         permuted = PureState.from_amplitudes(np.transpose(t, perm).ravel())
-        ok &= abs(three_tangle_pure(permuted) - three_tangle_pure(psi3)) < 1e-10
+        ok &= abs(tangle_report(permuted, 1)["tau3"] - three_tangle(psi3)) < 1e-10
     notes.append("permutation invariance")
 
     psi4 = random_pure_state(rng, 4)

@@ -3,15 +3,23 @@ the signatures it calls them with. The benchmark directory is kept fixed
 while the package changes, so a rename here would fail every benchmark run
 rather than a test."""
 
+import ast
 import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from qtangle import cli, harness, states
+from qtangle import cli, harness, states, tangles
 from qtangle.qstate import PureState
+
+# The layers the benchmark's tracer (``bench/tracing.py``) looks up in
+# ``sys.modules`` as ``qtangle.<layer>``.
+TRACED_LAYERS = ("states", "qstate", "tangles", "monogamy", "harness", "cli")
 
 
 def _rows(path):
@@ -75,3 +83,21 @@ def test_cli_options_the_benchmark_passes(tmp_path):
     assert code == 0
     rows = _rows(f"{stem}-c2.csv")
     assert len(rows) == 3 and {"a", "residual_f1", "residual_f4"} <= set(rows[0])
+
+
+def test_cli_import_loads_every_traced_layer():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qtangle.cli; "
+        f"print([m for m in {TRACED_LAYERS!r} if 'qtangle.' + m not in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_engine_imports_nothing_from_qstate():
+    # Arrays in, columns out: the engine takes no state class.
+    for node in ast.walk(ast.parse(Path(tangles.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            assert "qstate" not in {name.rsplit(".", 1)[-1] for name in names}, ast.unparse(node)

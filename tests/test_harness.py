@@ -964,6 +964,21 @@ def test_cli_sweep_single_point_grid(tmp_path):
     assert len(out.read_text().splitlines()) == 2  # header + 1 grid point
 
 
+@pytest.mark.parametrize("spec", ["-3", "1-", "a", "3-1"])
+def test_cli_rejects_bad_classes_by_name(tmp_path, capsys, spec):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--classes", spec, "--samples", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--classes" in err and repr(spec) in err
+    assert not out.exists()
+
+
+def test_cli_classes_skip_empty_parts(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--classes", "1,,2", "--samples", "1", "--out", str(out)]) == 0
+    assert {row["class"] for row in read_rows(out)} == {"1", "2"}
+
+
 @pytest.mark.parametrize("mu3", ["0", "nan", "inf"])
 def test_cli_rejects_bad_mu3(tmp_path, mu3):
     out = tmp_path / "v.csv"

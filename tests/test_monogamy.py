@@ -10,12 +10,11 @@ from qtangle import (
     residual_columns,
     tangle_columns,
     tangle_report,
-    three_tangle_pure,
 )
 from qtangle.harness import SWEEP_BINDINGS
 from qtangle.monogamy import _check_mu3
 from qtangle.states import ghz, ghzw, normal_form, random_slocc_state, sample_seed, w
-from reference import local_image, one_tangle, partial_trace, rank2_bound, two_tangle
+from reference import local_image, one_tangle, partial_trace, rank2_bound, three_tangle, two_tangle
 
 # Tensor route (the engine's reports) against the per-marginal reference.
 TAU1_TOL = 1e-12
@@ -64,7 +63,7 @@ def test_residual_three_tangle_focus_independent(rng):
         psi = random_pure_state(rng, 3)
         vals = [ckw_residual(psi, f) for f in (1, 2, 3)]
         assert max(vals) - min(vals) < 1e-9
-        assert vals[0] == pytest.approx(three_tangle_pure(psi), abs=1e-9)
+        assert vals[0] == pytest.approx(three_tangle(psi), abs=1e-9)
 
 
 def test_residual_three_tangle_exact_on_zero_tangle_states(rng):
@@ -78,7 +77,7 @@ def test_residual_three_tangle_exact_on_zero_tangle_states(rng):
         product = PureState.from_amplitudes(np.kron([1, 0], random_pure_state(rng, 2).amplitudes))
         for psi in (dressed_w, product):
             for focus in (1, 2, 3):
-                worst = max(worst, abs(ckw_residual(psi, focus) - three_tangle_pure(psi)))
+                worst = max(worst, abs(ckw_residual(psi, focus) - three_tangle(psi)))
     assert worst <= 1e-12, worst
 
 

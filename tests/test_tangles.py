@@ -10,7 +10,6 @@ from qtangle import (
     residual_columns,
     tangle_columns,
     tangle_report,
-    three_tangle_pure,
 )
 from qtangle.harness import (
     _TABLE1_GRID,
@@ -21,6 +20,7 @@ from qtangle.harness import (
 )
 import qtangle.harness as harness
 import qtangle.tangles as tangles
+from qtangle.monogamy import _padded
 from qtangle.states import (
     CLASS_ARITY,
     NormalFormParams,
@@ -40,7 +40,6 @@ from qtangle.tangles import (
     _TRIPLE_UNFOLDINGS,
     _augmented,
     _mixed_bounds,
-    _padded,
     _phase_fix,
     _plane_bound,
     _quartic_coeffs,
@@ -60,6 +59,7 @@ from reference import (
     rank2_bound,
     rank2_eigh,
     tau3_quartic_form,
+    three_tangle,
     trace_norm,
     two_tangle,
     wclass_states,
@@ -106,35 +106,58 @@ def test_two_tangle_pure_determinant_identity(rng):
         assert two_tangle(partial_trace(psi, (1, 2))) == pytest.approx(expected, abs=1e-10)
 
 
-# ---------------------------------------------------------- three_tangle_pure
+# ------------------------------------------------- the pure three-tangle
+#
+# A three-qubit state's three-tangle is the tau3 of its report: the engine's
+# exact-pure bound of triple (1, 2, 3) of the state padded to four qubits.
+
+
+def tau3(psi: PureState) -> float:
+    return tangle_report(psi, 1)["tau3"]
 
 
 def test_three_tangle_pure_examples():
-    assert three_tangle_pure(ghz(3)) == pytest.approx(1.0, abs=1e-12)
-    assert three_tangle_pure(w(3)) == pytest.approx(0.0, abs=1e-12)
+    assert tau3(ghz(3)) == pytest.approx(1.0, abs=1e-12)
+    assert tau3(w(3)) == pytest.approx(0.0, abs=1e-12)
     for p in (0.1, 0.37, 0.5, 0.9):
         amps = np.zeros(8)
         amps[0] = np.sqrt(p)
         amps[7] = np.sqrt(1 - p)
         psi = PureState.from_amplitudes(amps)
-        assert three_tangle_pure(psi) == pytest.approx(4 * p * (1 - p), abs=1e-12)
+        assert tau3(psi) == pytest.approx(4 * p * (1 - p), abs=1e-12)
 
 
 def test_three_tangle_permutation_invariant(rng):
     for _ in range(20):
         psi = random_pure_state(rng, 3)
-        base = three_tangle_pure(psi)
+        base = tau3(psi)
         t = psi.amplitudes.reshape(2, 2, 2)
         for perm in itertools.permutations(range(3)):
             permuted = PureState.from_amplitudes(np.transpose(t, perm).ravel())
-            assert three_tangle_pure(permuted) == pytest.approx(base, abs=1e-10)
+            assert tau3(permuted) == pytest.approx(base, abs=1e-10)
 
 
 def test_three_tangle_local_unitary_invariant(rng):
     for _ in range(20):
         psi = random_pure_state(rng, 3)
         rotated = local_image(psi, [random_unitary2(rng) for _ in range(3)])
-        assert three_tangle_pure(rotated) == pytest.approx(three_tangle_pure(psi), abs=1e-9)
+        assert tau3(rotated) == pytest.approx(tau3(psi), abs=1e-9)
+
+
+def test_three_qubit_tau3_is_the_engine_row():
+    # Every focus's report reads the one engine row: the exact-pure bound of
+    # triple (1, 2, 3), bit for bit. Measured: within 1.8e-15 of the
+    # term-by-term expansion on the first 2,000 states of this stream.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        psi = random_pure_state(rng, 3)
+        bounds = tangle_columns(_padded(psi)[None]).tau3
+        assert METHODS[bounds.method[0, 0]] == "exact-pure"
+        row = bounds.value[0, 0]
+        for focus in (1, 2, 3):
+            got = tangle_report(psi, focus)["tau3"]
+            assert np.float64(got).tobytes() == row.tobytes()
+        assert abs(row - three_tangle(psi)) <= 1e-14
 
 
 # The reference expansion's terms: (weight, amplitude indices) of each
@@ -151,7 +174,10 @@ def test_three_tangle_form_matches_the_term_expansion(rng):
     c = rng.normal(size=(8, 2000)) + 1j * rng.normal(size=(8, 2000))
     c[:, :1000] *= rng.uniform(0.0, 1.0, size=(8, 1000)) ** 8  # amplitudes of mixed sizes
     terms = sum(k * np.prod(np.abs(c[list(idx)]), axis=0) for k, idx in _FORM_TERMS)
-    error = np.abs(tangles._tau3_quartic_form(c) - tau3_quartic_form(c))
+    # The form of e1 is the constant term of the quartic of the support (e1, 0).
+    support = np.zeros((2000, 2, 8), dtype=complex)
+    support[:, 0] = c.T
+    error = np.abs(_quartic_coeffs(support)[:, 0] - tau3_quartic_form(c))
     assert np.all(error <= 8.0 * np.finfo(float).eps * terms)  # measured: 4.5 eps on 200,000
 
 
@@ -174,13 +200,6 @@ def test_quartic_coeffs_exact_on_basis_spans():
     coeffs = _quartic_coeffs(np.stack([e[0], e[1]])[None])
     assert coeffs.tolist() == [[0.0] * 5]
     assert _quartic_degree(coeffs).tolist() == [-1]
-
-
-def test_three_tangle_wrong_size():
-    with pytest.raises(ValueError):
-        three_tangle_pure(ghz(4))
-    with pytest.raises(ValueError):
-        three_tangle_pure(bell_pair())
 
 
 # ------------------------------------------------------- W-class vertices
@@ -236,7 +255,7 @@ def test_wclass_roots_states_have_zero_tangle(rng):
         psi = random_pure_state(rng, 4)
         e1, e2 = _support(partial_trace(psi, (1, 2, 3)))
         for v in _from_bloch(_package_vertices(e1, e2), e1, e2):
-            assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-9
+            assert three_tangle(PureState.from_amplitudes(v, n_qubits=3)) < 1e-9
 
 
 def test_wclass_roots_distinct_root_case(rng):
@@ -251,7 +270,7 @@ def test_wclass_roots_distinct_root_case(rng):
     roots = _wclass_roots(coeffs, _quartic_degree(coeffs))[0]
     assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 1e-3
     for v in _from_bloch(_package_vertices(e1, e2), e1, e2):
-        assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-9
+        assert three_tangle(PureState.from_amplitudes(v, n_qubits=3)) < 1e-9
 
 
 def test_wclass_roots_degenerate_span():
@@ -262,7 +281,7 @@ def test_wclass_roots_degenerate_span():
     res = rank2_bound(rho)
     assert (res["value"], res["method"], res["diagnostics"]) == (0.0, "simplex-zero", {})
     for v in wclass_states(e1, e2):
-        assert three_tangle_pure(PureState.from_amplitudes(v, n_qubits=3)) < 1e-12
+        assert three_tangle(PureState.from_amplitudes(v, n_qubits=3)) < 1e-12
 
 
 # ------------------------------------------------ W-class roots at 40 digits
@@ -921,7 +940,7 @@ def test_rdl_line_geometry_matches_8x8_matrices(rng):
             assert evals[-1] == pytest.approx(1.0, abs=1e-8)
             assert np.max(np.abs(evals[:-1])) < 1e-8
             surface = PureState.from_amplitudes(evecs[:, -1], n_qubits=3)
-            expected = diag["trace_norm_ratio"] * three_tangle_pure(surface)
+            expected = diag["trace_norm_ratio"] * three_tangle(surface)
             assert diag["raw_value"] == pytest.approx(expected, abs=1e-11)
             checked += 1
     assert checked >= 100
@@ -1116,7 +1135,8 @@ def test_rank2_bounds_fit_all_quartic_degrees_at_once(monkeypatch):
     monkeypatch.setattr(tangles, "_rank2_bounds", recorded)
     monkeypatch.setattr(tangles, "_simplex_solve", counted("solve", solve))
     monkeypatch.setattr(tangles, "_nnls", counted("fit", fit))
-    bounds = tangles._triple_bounds(np.array([psi.amplitudes for psi in _table1_states()]))
+    amps = np.array([psi.amplitudes for psi in _table1_states()])
+    bounds = tangles._rank2_bounds(*_rank2_support(amps))
     assert len(seen) == 1 and calls["solve"] == 1 and calls["fit"] <= 1
     (spectrum, support), = seen
     degree = _quartic_degree(_quartic_coeffs(support))
