@@ -294,12 +294,12 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> dict:
     methods = np.zeros((ngroups, len(METHODS)), dtype=int)
     # At most one worker per span: ceil(states / CHUNK_SIZE).
     workers = min(cfg.workers, -(-len(classes) * cfg.samples_per_class // CHUNK_SIZE))
-    # The file opens first, so an unwritable path fails before any child
-    # starts; if a step here raises, closing the results lets the children
-    # finish their spans and ends them.
-    with _csv_file(csv_path, CSV_FIELDS) as fh, closing(
-        _span_results(tasks, workers)
-    ) as results:
+    # Both files open first, so an unwritable path fails before any child
+    # starts or any span is evaluated; if a step here raises, closing the
+    # results lets the children finish their spans and ends them.
+    with _csv_file(csv_path, CSV_FIELDS) as fh, (
+        open(summary_path, "w") if summary_path is not None else nullcontext()
+    ) as summary_fh, closing(_span_results(tasks, workers)) as results:
         for text, held, residuals, tau1s, codes, span_errors in results:
             errors.extend(span_errors)
             fh.write(text)
@@ -316,28 +316,27 @@ def run_campaign(cfg: CampaignConfig, csv_path, summary_path=None) -> dict:
                 min_residual = float(residuals.flat[i])
                 (cls, idx), focus = held[i // 4], i % 4 + 1  # its sample and focus
                 min_at = dict(zip(CSV_FIELDS, (cls, idx, _sub_seed(cfg.master_seed, cls, idx), focus)))
-    per_class = {
-        str(cls): {
-            "residual_hist": res_hist[cls].tolist(),
-            "residual_bin_edges": RESIDUAL_BINS.tolist(),
-            "tau1_hist": t1_hist[cls].tolist(),
-            "tau1_bin_edges": TAU1_BINS.tolist(),
-            "methods": dict(zip(METHODS, methods[cls].tolist())),
+        per_class = {
+            str(cls): {
+                "residual_hist": res_hist[cls].tolist(),
+                "residual_bin_edges": RESIDUAL_BINS.tolist(),
+                "tau1_hist": t1_hist[cls].tolist(),
+                "tau1_bin_edges": TAU1_BINS.tolist(),
+                "methods": dict(zip(METHODS, methods[cls].tolist())),
+            }
+            for cls in classes
         }
-        for cls in classes
-    }
-    summary = {
-        "total_points": total_points,
-        "violation_count": violation_count,
-        "error_count": len(errors),
-        "min_residual": min_residual,
-        "min_residual_at": min_at,
-        "per_class": per_class,
-        "errors": errors,
-    }
-    if summary_path is not None:
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, allow_nan=False)
+        summary = {
+            "total_points": total_points,
+            "violation_count": violation_count,
+            "error_count": len(errors),
+            "min_residual": min_residual,
+            "min_residual_at": min_at,
+            "per_class": per_class,
+            "errors": errors,
+        }
+        if summary_fh is not None:
+            json.dump(summary, summary_fh, indent=2, allow_nan=False)
     return summary
 
 
@@ -368,22 +367,26 @@ def sweep_family(
     _check_mu3(mu3)
     _check_threshold(threshold)
     points = np.array([float(a) for a in a_values])
-    amps, valid = normal_forms(cls, np.multiply.outer(points, _SWEEP_SCALES[cls]))
-    amps, grid, flagged = amps[valid], points[valid].tolist(), points[~valid].tolist()
-    residuals = []
-    for start, stop in _chunks(len(amps)):
-        residuals += residual_columns(tangle_columns(amps[start:stop]), mu3).tolist()
-    rows = [(a, *res) for a, res in zip(grid, residuals)]
+    if not np.isfinite(points).all():
+        raise ValueError(f"sweep points must be finite, got {points[~np.isfinite(points)].tolist()}")
+    # The file opens before the first engine call, so an unwritable path
+    # fails before any work.
+    header = ["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"]
+    with _csv_file(csv_path, header) if csv_path is not None else nullcontext() as fh:
+        amps, valid = normal_forms(cls, np.multiply.outer(points, _SWEEP_SCALES[cls]))
+        amps, grid, flagged = amps[valid], points[valid].tolist(), points[~valid].tolist()
+        residuals = []
+        for start, stop in _chunks(len(amps)):
+            residuals += residual_columns(tangle_columns(amps[start:stop]), mu3).tolist()
+        rows = [(a, *res) for a, res in zip(grid, residuals)]
+        if fh is not None:
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     violations = [
         (a, focus, r)
         for a, res in zip(grid, residuals)
         for focus, r in enumerate(res, start=1)
         if r < threshold
     ]
-    if csv_path is not None:
-        header = ["a", "residual_f1", "residual_f2", "residual_f3", "residual_f4"]
-        with _csv_file(csv_path, header) as fh:
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return {"class": cls, "rows": rows, "flagged": flagged, "violations": violations}
 
 

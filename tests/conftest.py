@@ -18,6 +18,14 @@ def random_pure_state(rng: np.random.Generator, n_qubits: int) -> PureState:
     return PureState.from_amplitudes(v, n_qubits=n_qubits)
 
 
+def criterion_6_states() -> list:
+    """The 100 Gaussian four-qubit states whose 400 rank-2 three-qubit
+    marginals criterion 6 checks against the convex-roof oracle."""
+    rng = np.random.default_rng(7)
+    return [PureState.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
+            for _ in range(100)]
+
+
 def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(m)

@@ -1,100 +1,73 @@
-"""Test-only numerical convex-roof minimizer for the mixed three-tangle.
+"""Test-only convex-roof reference for the mixed three-tangle: one linear
+program over a sphere mesh.
 
-Independent of the ray-extension bound: it searches directly over length-4
-pure-state decompositions of a rank-2 state, parameterized by 4x2 isometries
-applied to the weighted eigenvectors. Each restart runs a local descent on
-the roof functional and then polishes through a smooth surrogate sharing its
-zero set (the root-tangle objective has a kink exactly at its minimum); the
-reported value is the functional minimum over every visited candidate.
+A pure state of the span of a rank-2 three-qubit state's eigenvectors e1, e2
+is a point s of that span's Bloch sphere, and the state itself is the point
+r = (0, 0, 2 lam - 1) inside it. Nonnegative weights on sphere points whose
+Bloch vectors average to r are an explicit pure-state decomposition, so the
+least weighted mean of the root-three-tangle g = sqrt(tau3) over a finite
+point set is at least the convex roof of g at r (Röthlisberger, Lehmann and
+Loss, PRA 80, 042301, 2009; Uhlmann, Entropy 12, 1799, 2010).
 
-The objectives are evaluated on stacks of parameter vectors. Each L-BFGS-B
-call gets the value and a forward-difference gradient from one stacked
-evaluation of the point and its 16 shifted copies, built by the rule scipy
-applies when no gradient is given, so the descent path is the same as with
-scipy's own finite differences.
+The points are a fixed Fibonacci mesh, its two poles e1 and e2 included, so
+the spectral decomposition is always feasible, and the span's four W-class
+states from ``reference.wclass_states``, where g vanishes and has its cusps.
+scipy's HiGHS solves the 4-row program; its basic points' weights are then
+re-solved in double precision, so the value is that of a decomposition that
+reproduces r to 1e-12, not one within HiGHS's feasibility tolerance.
 """
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
-from reference import rank2_eigh, tau3_quartic_form
+from reference import tau3_quartic_form, wclass_states
 
-# scipy's L-BFGS-B forward differences: an absolute step of 1e-8, replaced by
-# sqrt(eps) * sign(x) * max(1, |x|) where x + 1e-8 rounds back to x.
-_ABS_STEP = 1e-8
-_REL_STEP = np.sqrt(np.finfo(float).eps)
-# scipy counts 1 + 16 evaluations for each point whose gradient it
-# differences, against its default budget of 15000; here a point is one call.
-_MAXFUN = 15000 // 17
+_RESOLVE_TOL = 1e-12
 
 
-def _members(x: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    m = (x[..., :8] + 1j * x[..., 8:]).reshape(*x.shape[:-1], 4, 2)
-    q, _ = np.linalg.qr(m)
-    return q @ weighted  # rows: unnormalized decomposition members
+def _fibonacci_mesh(n: int) -> np.ndarray:
+    """Coefficient pairs (n, 2) in the basis e1, e2 of n Bloch-sphere points
+    on a golden-angle spiral, from the pole e1 (z = 1) to the pole e2."""
+    z = np.linspace(1.0, -1.0, n)
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(n)
+    return np.stack([np.sqrt((1.0 + z) / 2), np.exp(1j * phi) * np.sqrt((1.0 - z) / 2)], axis=1)
 
 
-def _quartic_rows(s: np.ndarray) -> np.ndarray:
-    return np.abs(tau3_quartic_form(np.moveaxis(s, -1, 0)))
+_MESH = _fibonacci_mesh(2000)
 
 
-def _roof_objective(x: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    # sqrt(tau3) is degree-2 homogeneous, so the probability weights are
-    # already absorbed by the unnormalized member vectors.
-    return np.sum(2.0 * np.sqrt(_quartic_rows(_members(x, weighted))), axis=-1)
+def _bloch(amps: np.ndarray) -> np.ndarray:
+    """Bloch vectors (k, 3) of unit coefficient pairs (k, 2) in the basis e1, e2."""
+    cross = amps[:, 0].conj() * amps[:, 1]
+    z = np.abs(amps[:, 0]) ** 2 - np.abs(amps[:, 1]) ** 2
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, z], axis=1)
 
 
-def _surrogate(x: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-    return np.sum(_quartic_rows(_members(x, weighted)) ** 2, axis=-1)
+def roof_decomposition(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pure-state decomposition of a rank-2 three-qubit density matrix
+    (8, 8) of least mean root-three-tangle over the mesh and W points: the
+    weights (k,), each >= 0 and summing to 1, the states (k, 8) and their
+    root-three-tangles sqrt(4 |form|) (k,)."""
+    evals, evecs = np.linalg.eigh(rho)
+    p, basis = evals[::-1][:2], evecs[:, ::-1][:, :2].T  # e1, e2 as rows
+    r = np.array([0.0, 0.0, (p[0] - p[1]) / (p[0] + p[1]), 1.0])
+    wclass = wclass_states(*basis) @ basis.conj().T
+    amps = np.concatenate([_MESH, wclass / np.linalg.norm(wclass, axis=1, keepdims=True)])
+    states = amps @ basis
+    g = np.sqrt(4.0 * np.abs(tau3_quartic_form(states.T)))
+    a = np.vstack([_bloch(amps).T, np.ones(len(amps))])  # (4, points)
+    lp = linprog(g, A_eq=a, b_eq=r, bounds=(0, None), method="highs")
+    assert lp.status == 0, lp.message
+    keep = np.flatnonzero(lp.x > 0)  # the basic points
+    weights = np.linalg.lstsq(a[:, keep], r, rcond=None)[0]
+    keep, weights = keep[weights > 0], weights[weights > 0]
+    assert np.max(np.abs(a[:, keep] @ weights - r)) <= _RESOLVE_TOL
+    return weights, states[keep], g[keep]
 
 
-def _with_gradient(objective):
-    """Value and forward-difference gradient of a stacked objective at x."""
-
-    def value_and_grad(x, weighted):
-        sign = (x >= 0).astype(float) * 2 - 1
-        fallback = _REL_STEP * sign * np.maximum(1.0, np.abs(x))
-        h = np.where((x + _ABS_STEP) - x == 0, fallback, _ABS_STEP)
-        points = np.tile(x, (x.size + 1, 1))
-        idx = np.arange(x.size)
-        points[idx + 1, idx] = x + h
-        values = objective(points, weighted)
-        return values[0], (values[1:] - values[0]) / ((x + h) - x)
-
-    return value_and_grad
-
-
-_roof_fg = _with_gradient(_roof_objective)
-_surrogate_fg = _with_gradient(_surrogate)
-
-
-def convex_roof_tau3(rho: np.ndarray, restarts: int = 32, seed: int = 0) -> float:
-    """Squared infimum of the decomposition-averaged root-three-tangle of a
-    rank-2 three-qubit density matrix (8, 8)."""
-    lam, e1, e2 = rank2_eigh(rho)
-    weighted = np.vstack([np.sqrt(lam) * e1, np.sqrt(1.0 - lam) * e2])  # 2 x 8
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(restarts):
-        x0 = rng.normal(size=16)
-        res = minimize(
-            _roof_fg,
-            x0,
-            args=(weighted,),
-            method="L-BFGS-B",
-            jac=True,
-            options={"maxfun": _MAXFUN},
-        )
-        best = min(best, res.fun)
-        polished = minimize(
-            _surrogate_fg,
-            res.x,
-            args=(weighted,),
-            method="L-BFGS-B",
-            jac=True,
-            options={"ftol": 1e-18, "gtol": 1e-16, "maxiter": 500, "maxfun": _MAXFUN},
-        )
-        best = min(best, float(_roof_objective(polished.x, weighted)))
-        if best < 5e-4:  # squared value below 2.5e-7: the roof is zero
-            break
-    return float(best**2)
+def convex_roof_tau3(rho: np.ndarray) -> float:
+    """Squared mean root-three-tangle of ``roof_decomposition``'s
+    decomposition of a rank-2 three-qubit density matrix (8, 8): at least
+    the convex roof."""
+    weights, _, g = roof_decomposition(rho)
+    return float((weights @ g) ** 2)

@@ -689,6 +689,19 @@ def test_sweep_rejects_a_non_integer_class():
     assert json.loads(json.dumps(sweep_family(3, [0.5])))["class"] == 3
 
 
+def test_sweep_rejects_non_finite_points(tmp_path):
+    # NaN and inf would reach "flagged" as NaN and Infinity, which are not
+    # JSON; table1_check rejects them too. The CSV is left untouched.
+    path = tmp_path / "s.csv"
+    path.write_text("kept\n")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_family(5, [0.5, bad], csv_path=path)
+    assert path.read_text() == "kept\n"
+    with pytest.raises(ValueError):
+        table1_check(grid=[np.nan])
+
+
 def test_sweep_and_table1_take_empty_grids():
     # No grid point, or none where the family is defined: zero chunks.
     for grid in ([], [-0.5]):
@@ -1099,13 +1112,24 @@ def test_cli_table1_json_matches_its_csv(tmp_path, capsys):
          "--summary", "{missing}/v.json"],
         ["sweep", "--class", "5", "--a-max", "0.1", "--out", "{missing}/s.csv"],
         ["table1", "--out", "{missing}/t1.csv"],
+        ["verify", "--classes", "1-2", "--samples", "2", "--workers", "2",
+         "--out", "{tmp}/v.csv", "--summary", "{missing}/v.json"],
+        ["sweep", "--class", "3", "--json", "--out", "{missing}/s.csv"],
     ],
 )  # fmt: skip
-def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # verify and sweep open their files before the first span or engine
+    # call, so an unwritable path costs no evaluation.
+    calls = []
+    for name in ("_chunk_rows", "tangle_columns"):
+        counted = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, f=counted, n=name: calls.append(n) or f(*a))
     argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert multiprocessing.active_children() == []  # no worker left behind
+    if argv[0] != "table1":
+        assert calls == []
 
 
 def test_cli_usage_error():
