@@ -3,7 +3,8 @@
 Subcommands: verify (Monte Carlo campaign), sweep (one-parameter family),
 tangle (report for a state file), table1 (normal-form bound cross-check).
 Exit codes: 0 ok, 1 violations found, 2 usage or input error (an unreadable
-input or unwritable output included), 3 campaign samples failed.
+input or unwritable output included), 3 campaign samples failed, 4 internal
+error (any other exception, its traceback printed to stderr).
 """
 
 from __future__ import annotations
@@ -12,19 +13,22 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 import warnings
+from contextlib import nullcontext
 from decimal import Decimal, localcontext
 
 import numpy as np
 
 from .harness import (
     SWEEP_BINDINGS,
+    TABLE1_FIELDS,
     VIOLATION_THRESHOLD,
     CampaignConfig,
+    _csv_file,
     run_campaign,
     sweep_family,
     table1_check,
-    write_table1_csv,
 )
 from .monogamy import MU3, tangle_report
 from .qstate import state_from_json
@@ -33,6 +37,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_SAMPLES_FAILED = 3
+EXIT_INTERNAL = 4
 
 # A bound on a sweep's run time; its memory stays flat, as its grid is bounded
 # in chunks. Measured 7,900 points/s (class 5, 20,000 points, one core of a
@@ -189,8 +194,23 @@ def _cmd_tangle(args) -> int:
     return EXIT_OK
 
 
+def _cell(value) -> str:
+    """A table1 CSV cell: the repr of a number, and an empty cell for None."""
+    return "" if value is None else repr(value)
+
+
 def _cmd_table1(args) -> int:
-    rows = table1_check()
+    # The file opens before the first engine call, so an unwritable path
+    # fails before any work.
+    with _csv_file(args.out, TABLE1_FIELDS) if args.out else nullcontext() as fh:
+        rows = table1_check()
+        if fh is not None:
+            fh.write("".join(
+                f"{r['class']},{_cell(r['param'])},{'|'.join(map(str, r['triple']))},"
+                f"{int(r['declared_zero'])},{_cell(r['table_bound'])},{r['rdl_value']!r},"
+                f"{r['rdl_method']},{int(r['violation'])}\n"
+                for r in rows
+            ))  # fmt: skip
     bad = [r for r in rows if r["violation"]]
     if args.json:
         print(json.dumps(rows))
@@ -199,8 +219,6 @@ def _cmd_table1(args) -> int:
         for r in bad:
             print(f"  class {r['class']} a={r['param']} triple={r['triple']}: "
                   f"rdl={r['rdl_value']:.3e} ({r['rdl_method']})")
-    if args.out:
-        write_table1_csv(rows, args.out)
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
@@ -243,6 +261,9 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        except Exception:  # a fault of the program or its platform; KeyboardInterrupt passes
+            traceback.print_exc()
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

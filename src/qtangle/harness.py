@@ -22,7 +22,6 @@ from .states import (
     NormalFormParams,
     _valid_normal_forms,
     draw_samples,
-    dress,
     normal_forms,
 )
 from .tangles import METHODS, TRIPLES, _rank2_bounds, _rank2_support, tangle_columns
@@ -147,8 +146,8 @@ def _error_record(cls: int, idx: int, master_seed: int, exc: Exception) -> dict:
 def _evaluate(segments, master_seed: int, mu3: float) -> tuple:
     """Engine columns and residuals of the listed samples, one (cls, indices)
     segment per class: each sample drawn from its sub-seed, each segment
-    dressed as a stack, and all of them bounded in one engine call."""
-    amps = [dress(cls, draw_samples(cls, master_seed, indices))[0] for cls, indices in segments]
+    sampled as a stack, and all of them bounded in one engine call."""
+    amps = [draw_samples(cls, master_seed, indices)[0] for cls, indices in segments]
     cols = tangle_columns(np.concatenate(amps))
     return cols, residual_columns(cols, mu3)
 
@@ -156,11 +155,12 @@ def _evaluate(segments, master_seed: int, mu3: float) -> tuple:
 def _spans(classes, samples_per_class: int):
     """The campaign's (class, index) sequence, classes in the order given,
     cut into spans of CHUNK_SIZE samples, made one at a time: each span a
-    tuple of (cls, start, stop) segments, one per class it crosses."""
+    tuple of (cls, indices) segments, one per class it crosses, the indices
+    a range."""
     n = samples_per_class
     return (
         tuple(
-            (classes[k], max(start - k * n, 0), min(stop - k * n, n))
+            (classes[k], range(max(start - k * n, 0), min(stop - k * n, n)))
             for k in range(start // n, (stop - 1) // n + 1)
         )
         for start, stop in _chunks(len(classes) * n)
@@ -177,20 +177,17 @@ def _chunk_rows(task: tuple) -> tuple:
     If that call fails, each sample is evaluated alone, so a failure is
     recorded against the sample that caused it."""
     segments, master_seed, mu3 = task
-    samples = [(cls, idx) for cls, start, stop in segments for idx in range(start, stop)]
+    samples = [(cls, idx) for cls, indices in segments for idx in indices]
     parts, errors = [], []
     try:
-        whole = [(cls, range(start, stop)) for cls, start, stop in segments]
-        parts.append((samples, _evaluate(whole, master_seed, mu3)))
+        parts.append((samples, _evaluate(segments, master_seed, mu3)))
     except Exception:
         for cls, idx in samples:
             try:
                 parts.append(([(cls, idx)], _evaluate([(cls, [idx])], master_seed, mu3)))
             except Exception as exc:
                 errors.append(_error_record(cls, idx, master_seed, exc))
-    text, held = [], []
-    residuals, tau1s = np.empty((0, 4)), np.empty((0, 4))
-    methods = np.empty((0, 4), dtype=int)
+    text, held, stacks = [], [], []
     for part, (cols, res) in parts:
         values = np.concatenate([cols.tau1, cols.tau2, cols.tau3.value, res], axis=1).tolist()
         tags = np.array(METHODS, dtype=object)[cols.tau3.method].tolist()
@@ -199,8 +196,9 @@ def _chunk_rows(task: tuple) -> tuple:
             for (cls, idx), v, t in zip(part, values, tags)
         )
         held += part
-        residuals, tau1s = np.concatenate([residuals, res]), np.concatenate([tau1s, cols.tau1])
-        methods = np.concatenate([methods, cols.tau3.method])
+        stacks.append((res, cols.tau1, cols.tau3.method))
+    empty = (np.empty((0, 4)), np.empty((0, 4)), np.empty((0, 4), dtype=int))
+    residuals, tau1s, methods = (np.concatenate(arrays) for arrays in zip(empty, *stacks))
     return "".join(text), held, residuals, tau1s, methods, errors
 
 
@@ -477,18 +475,3 @@ def table1_check(grid=None) -> list[dict]:
                 rows.append(dict(zip(TABLE1_FIELDS, row)))
     return rows
 
-
-def _cell(value) -> str:
-    """A table1 CSV cell: the repr of a number, and an empty cell for None."""
-    return "" if value is None else repr(value)
-
-
-def write_table1_csv(rows: list, csv_path) -> None:
-    """One CSV line per table1_check row, in the order given."""
-    with _csv_file(csv_path, TABLE1_FIELDS) as fh:
-        fh.write("".join(
-            f"{r['class']},{_cell(r['param'])},{'|'.join(map(str, r['triple']))},"
-            f"{int(r['declared_zero'])},{_cell(r['table_bound'])},{r['rdl_value']!r},"
-            f"{r['rdl_method']},{int(r['violation'])}\n"
-            for r in rows
-        ))  # fmt: skip

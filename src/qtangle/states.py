@@ -5,15 +5,15 @@ form with determinant-1 local operators.
 Normal forms and sampled states are built for a whole stack of parameter
 rows or draws at once, and a stack's seeds are hashed at once;
 ``normal_form`` and ``random_slocc_state`` are one-row calls of the same
-code. Every sample's stream is seeded by its four PCG64 words, and a draw
-is two stacked arrays; ``dress`` rescales each drawn operator block m to
-m det(m)^(-1/2), whatever its determinant."""
+code. Every sample's stream is seeded by its four PCG64 words, and
+``draw_samples`` returns a stack's normalized amplitudes and det-1
+operators, each drawn operator block m rescaled to m det(m)^(-1/2),
+whatever its determinant."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -279,17 +279,6 @@ def _generator(seed: np.random.bit_generator.ISeedSequence) -> np.random.Generat
     return np.random.Generator(np.random.PCG64(seed))
 
 
-class SloccDraw(NamedTuple):
-    """A stack of samples' random numbers, each sample's in its stream's
-    order: the normal-form parameters' uniform doubles (Re and Im of each
-    parameter in turn, a, b, c, d order), then the four local operators'
-    standard complex Gaussian entries (operator, real/imaginary part, row,
-    column)."""
-
-    uniforms: np.ndarray  # (S, 2 * arity) in [0, 1)
-    gaussians: np.ndarray  # (S, 4, 2, 2, 2)
-
-
 def _params(uniforms) -> np.ndarray:
     """Normal-form parameters (S, arity) of drawn uniforms (S, 2 * arity):
     Re ~ U[0, 1] and Im ~ U[-1, 1], the doubles rng.uniform(0, 1) and
@@ -303,38 +292,27 @@ def _params(uniforms) -> np.ndarray:
 _SCALE = np.sqrt(0.5)
 
 
-def _draw(cls: int, seeds: list) -> SloccDraw:
-    """Read each sample's stream in its fixed order: the normal-form
-    parameters, then the four local operators."""
-    uniforms = np.empty((len(seeds), 2 * CLASS_ARITY[cls]))
-    gaussians = np.empty((len(seeds), 4, 2, 2, 2))
-    for i, seed in enumerate(seeds):
-        rng = _generator(seed)
+def _sample(cls: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized amplitudes (S, 16) and det-1 operators (S, 4, 2, 2) of one
+    class's samples, each row of PCG64 seed words (S, 4) seeding one stream.
+    Each stream is read in its fixed order: the normal-form parameters'
+    uniform doubles (Re and Im of each parameter in turn, a, b, c, d order),
+    then the four operators' standard complex Gaussian entries (operator,
+    real/imaginary part, row, column). Then, for the whole stack at once,
+    each Gaussian block m is rescaled to m det(m)^(-1/2) and acts on the
+    normal forms. A block of determinant 0, which only a broken random
+    stream draws, gives a non-finite state and so the ValueError below."""
+    uniforms = np.empty((len(words), 2 * CLASS_ARITY[cls]))
+    gaussians = np.empty((len(words), 4, 2, 2, 2))
+    seed_words = _seed_words_type()
+    for i, row in enumerate(words):
+        rng = _generator(seed_words(row))
         uniforms[i] = rng.random(2 * CLASS_ARITY[cls])
         gaussians[i] = rng.normal(0.0, _SCALE, (4, 2, 2, 2))
-    return SloccDraw(uniforms, gaussians)
-
-
-def draw_samples(cls: int, master_seed: int, indices) -> SloccDraw:
-    """The draws of the listed indices' samples of a class, stacked: each
-    stream seeded by the words of ``sample_seed(master_seed, cls, i)``, the
-    seeds hashed for the whole stack at once."""
-    cls, seed_words = _check_class(cls), _seed_words_type()
-    return _draw(cls, [seed_words(w) for w in sample_seed_words(master_seed, cls, indices)])
-
-
-def dress(cls: int, draw: SloccDraw) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized amplitudes (S, 16) of a drawn stack of one class's samples
-    (``draw_samples``, or the one ``random_slocc_state`` draws), and their
-    det-1 operators (S, 4, 2, 2): each Gaussian block m rescaled to
-    m det(m)^(-1/2), the normal forms, and the operators' action on them,
-    each for the whole stack at once. A block of determinant 0, which only a
-    broken random stream draws, gives a non-finite state and so the
-    ValueError below."""
-    m = draw.gaussians[:, :, 0] + 1j * draw.gaussians[:, :, 1]
+    m = gaussians[:, :, 0] + 1j * gaussians[:, :, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ops = m * (np.linalg.det(m) ** -0.5)[..., None, None]
-    base = _valid_normal_forms(cls, _params(draw.uniforms))
+    base = _valid_normal_forms(cls, _params(uniforms))
     images = _local_images(base, ops)
     amps, norms, ok = _unit_rows(images)
     if not ok.all():
@@ -343,13 +321,20 @@ def dress(cls: int, draw: SloccDraw) -> tuple[np.ndarray, np.ndarray]:
     return amps, ops
 
 
+def draw_samples(cls: int, master_seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized amplitudes (S, 16) and det-1 operators (S, 4, 2, 2) of the
+    listed indices' samples of a class, stacked: each stream seeded by the
+    words of ``sample_seed(master_seed, cls, i)``, the seeds hashed for the
+    whole stack at once."""
+    cls = _check_class(cls)
+    return _sample(cls, sample_seed_words(master_seed, cls, indices))
+
+
 def random_slocc_state(cls: int, seed: np.random.SeedSequence) -> tuple[PureState, np.ndarray]:
     """Random member of a SLOCC class, fully determined by the seed (one of
     ``sample_seed``): the sampled state and its four det-1 local operators
-    (4, 2, 2). The one-sample view of ``draw_samples`` and ``dress``: the
-    seed's four PCG64 words, the ones ``PCG64(seed)`` asks for, seed the
-    same stream through the same ``_draw``."""
-    cls = _check_class(cls)
-    draw = _draw(cls, [_seed_words_type()(seed.generate_state(4, np.uint64))])
-    amps, ops = dress(cls, draw)
+    (4, 2, 2). The one-sample view of ``draw_samples``: the seed's four
+    PCG64 words, the ones ``PCG64(seed)`` asks for, seed the same stream
+    through the same ``_sample``."""
+    amps, ops = _sample(_check_class(cls), seed.generate_state(4, np.uint64)[None])
     return PureState(n_qubits=4, amplitudes=amps[0]), ops[0]

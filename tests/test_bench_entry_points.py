@@ -32,7 +32,7 @@ def test_sampler_and_normal_form_entry_points():
     assert isinstance(psi, PureState) and psi.amplitudes.shape == (16,)
     assert ops.shape == (4, 2, 2) and np.abs(np.linalg.det(ops) - 1.0).max() <= 1e-12
     # The one-sample view is the stacked sampler's row, bit for bit.
-    amps, stacked_ops = states.dress(3, states.draw_samples(3, 961, [0]))
+    amps, stacked_ops = states.draw_samples(3, 961, [0])
     assert psi.amplitudes.tobytes() == amps[0].tobytes()
     assert ops.tobytes() == stacked_ops[0].tobytes()
     for cls in (2, 3, 4, 5, 6):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from functools import partial
 from pathlib import Path
@@ -397,7 +398,7 @@ def test_sweep_and_table1_csv_text_is_what_the_csv_writer_writes(tmp_path):
     header, *rows = _assert_csv_writer_writes(tmp_path / "s.csv", tmp_path)
     assert rows == [[repr(v) for v in row] for row in result["rows"]] and len(rows) == 3
     entries = table1_check()
-    harness.write_table1_csv(entries, tmp_path / "t.csv")
+    assert main(["table1", "--out", str(tmp_path / "t.csv")]) == 0
     header, *rows = _assert_csv_writer_writes(tmp_path / "t.csv", tmp_path)
     assert tuple(header) == harness.TABLE1_FIELDS and len(rows) == len(entries)
     cells = [dict(zip(header, row)) for row in rows]
@@ -478,7 +479,10 @@ def test_campaign_spans_cross_classes(tmp_path, monkeypatch):
     # both spans fall back to one sample at a time.
     monkeypatch.setattr(harness, "CHUNK_SIZE", 10)
     cfg = CampaignConfig(classes=(1, 2, 3, 4), samples_per_class=4, master_seed=1)
-    spans = [((1, 0, 4), (2, 0, 4), (3, 0, 2)), ((3, 2, 4), (4, 0, 4))]
+    spans = [
+        ((1, range(0, 4)), (2, range(0, 4)), (3, range(0, 2))),
+        ((3, range(2, 4)), (4, range(0, 4))),
+    ]
     assert list(harness._spans(cfg.classes, cfg.samples_per_class)) == spans
     want = _reference_rows(cfg)
     lowest = min(want[1:], key=lambda line: float(line.rsplit(",", 1)[1])).split(",")
@@ -1118,22 +1122,58 @@ def test_cli_table1_json_matches_its_csv(tmp_path, capsys):
     ],
 )  # fmt: skip
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # verify and sweep open their files before the first span or engine
-    # call, so an unwritable path costs no evaluation.
+    # Every command opens its files before the first span or engine call, so
+    # an unwritable path costs no evaluation and prints no result.
     calls = []
-    for name in ("_chunk_rows", "tangle_columns"):
+    for name in ("_chunk_rows", "tangle_columns", "_rank2_bounds"):
         counted = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *a, f=counted, n=name: calls.append(n) or f(*a))
     argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error: ") and printed.out == ""
     assert multiprocessing.active_children() == []  # no worker left behind
-    if argv[0] != "table1":
-        assert calls == []
+    assert calls == []
 
 
 def test_cli_usage_error():
     assert main(["bogus"]) == 2
+
+
+def _raising(exc):
+    def run(*args, **kwargs):
+        raise exc
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "name, exc, code",
+    [
+        ("run_campaign", BrokenProcessPool("a child process terminated abruptly"), 4),
+        ("table1_check", RuntimeError("the engine broke"), 4),
+        ("run_campaign", OSError("no space left on device"), 2),
+        ("table1_check", ValueError("a bad grid"), 2),
+    ],
+)
+def test_cli_exit_code_1_means_only_violations(tmp_path, capsys, monkeypatch, name, exc, code):
+    # A ValueError or OSError is a usage or input error (2); any other
+    # exception is an internal error (4), its traceback on stderr.
+    monkeypatch.setattr(cli, name, _raising(exc))
+    command = {"run_campaign": "verify", "table1_check": "table1"}[name]
+    assert main([command, "--out", str(tmp_path / "out.csv")]) == code
+    printed = capsys.readouterr()
+    if code == 2:
+        assert printed.err == f"error: {exc}\n"
+    else:
+        assert printed.err.startswith("Traceback") and f"{type(exc).__name__}: {exc}" in printed.err
+    assert printed.out == ""
+
+
+def test_cli_lets_a_keyboard_interrupt_through(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "table1_check", _raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["table1", "--out", str(tmp_path / "t.csv")])
 
 
 def test_cli_reuses_one_parser_that_keeps_no_state(tmp_path, capsys):

@@ -25,7 +25,6 @@ from qtangle.states import (
     CLASS_ARITY,
     NormalFormParams,
     draw_samples,
-    dress,
     ghz,
     normal_form,
     random_slocc_state,
@@ -721,7 +720,7 @@ def _campaign_candidates(monkeypatch):
     """The candidates (``_candidates``) of the seed-20260823 campaign at
     300/class."""
     amps = np.concatenate([
-        dress(cls, draw_samples(cls, 20260823, range(300)))[0]
+        draw_samples(cls, 20260823, range(300))[0]
         for cls in range(1, 9)
     ])
     return _candidates(monkeypatch, tangle_columns, amps)
@@ -908,12 +907,12 @@ def test_exact_pure_only_for_a_pure_marginal():
     # meets a pure state's own three-tangle only at p2 = 0; the exactly pure
     # class-9 triple (2, 3, 4) marginals, p2 around 1e-32 of roundoff, stay
     # exact-pure.
-    amps = dress(6, draw_samples(6, 20260823, [2799]))[0]
+    amps = draw_samples(6, 20260823, [2799])[0]
     assert _rank2_support(amps)[0][0, 3, 1] == pytest.approx(4.69e-10, rel=1e-3)
     res = tangle_columns(amps).tau3.result((0, 3))
     assert res["method"] == "rdl-line"
     assert res["value"] == pytest.approx(6.246444197002848e-05, rel=1e-12, abs=0.0)
-    amps = dress(9, draw_samples(9, 20260823, range(20)))[0]
+    amps = draw_samples(9, 20260823, range(20))[0]
     p2 = _rank2_support(amps)[0][:, 3, 1]
     assert (0.0 < p2).all() and (p2 < 1e-30).all()
     assert (tangle_columns(amps).tau3.method[:, 3] == METHODS.index("exact-pure")).all()
